@@ -161,7 +161,6 @@ def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
 @dataclass(frozen=True)
 class CharacterResult:
     poly: LaurentPoly
-    hull_vertices: tuple = ()
 
 
 DEFAULT_TERM_BUDGET = 500_000
@@ -295,67 +294,64 @@ def _partial_geometric(n, prim, mult, big, sign):
 def in_convex_hull(point, points) -> bool:
     """Exact rational membership of point in the convex hull of points.
 
-    Small-scale enumeration of simplex subsets of at most n+1 points; each
-    candidate system is solved over the rationals.
+    Decided by one feasibility LP: find lambda >= 0 with
+    sum(lambda_i * p_i) = point and sum(lambda_i) = 1.  The LP is solved
+    by an exact phase-1 simplex over the rationals with Bland's rule, which
+    terminates without perturbation.  Point sets whose affine hull is not
+    the whole space need no special case.
     """
-    from itertools import combinations
-
     point = tuple(point)
-    pts = [tuple(p) for p in points]
+    pts = list(dict.fromkeys(tuple(p) for p in points))
     if point in pts:
         return True
-    n = len(point)
-    for size in range(1, min(len(pts), n + 1) + 1):
-        for subset in combinations(pts, size):
-            if _convex_combination(point, subset):
-                return True
-    return False
+    if not pts:
+        return False
+    for i, x in enumerate(point):
+        coords = [p[i] for p in pts]
+        if not min(coords) <= x <= max(coords):
+            return False
+    # rows: n coordinate equations plus the affine one, rhs last
+    rows = [[p[i] for p in pts] + [x] for i, x in enumerate(point)]
+    rows.append([1] * (len(pts) + 1))
+    return _phase1_feasible(rows)
 
 
-def _convex_combination(point, subset):
-    """Solve sum(l_i * p_i) = point, sum(l_i) = 1, l_i >= 0 exactly."""
-    n = len(point)
-    m = len(subset)
-    # rows: n coordinate equations plus the affine one
-    a = [[Fraction(subset[j][i]) for j in range(m)] for i in range(n)]
-    a.append([Fraction(1)] * m)
-    b = [Fraction(point[i]) for i in range(n)] + [Fraction(1)]
-    sol = _solve_exact(a, b, m)
-    return sol is not None and all(x >= 0 for x in sol)
+def _phase1_feasible(rows) -> bool:
+    """Whether A x = b, x >= 0 has a solution; each row is A's row then b.
 
-
-def _solve_exact(a, b, m):
-    """Gaussian elimination for a possibly overdetermined rational system."""
-    rows = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rows[i][m] != 0:
-            return None  # inconsistent
-    # free variables are set to zero; verify the candidate directly
-    sol = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][m]
-    for row, rhs in zip(a, b):
-        if sum(x * s for x, s in zip(row, sol)) != rhs:
-            return None
-    return sol
+    Phase-1 simplex: rows with b < 0 are negated, one artificial variable
+    per row starts basic, and the sum of the artificials is minimized; the
+    system is feasible exactly when that minimum is 0.  Bland's rule picks
+    the lowest-index entering column and, among tied ratios, the leaving
+    row whose basic variable has the lowest index, so no basis repeats.
+    Artificial i has index m + i, above every real column.  An artificial
+    that leaves the basis is dropped, since every solution of A x = b has
+    the artificials at zero, so artificial columns are never stored.
+    """
+    m = len(rows[0]) - 1
+    tab = [[Fraction(-x) for x in row] if row[m] < 0 else
+           [Fraction(x) for x in row] for row in rows]
+    basis = [m + i for i in range(len(tab))]
+    # excess[j]: sum of column j over rows with an artificial basic;
+    # excess[m] is the current sum of the artificials
+    excess = [sum(col) for col in zip(*tab)]
+    while excess[m] != 0:
+        col = next((j for j in range(m) if excess[j] > 0), None)
+        if col is None:
+            return False
+        # some row has a positive entry in col, since excess[col] > 0
+        r = min((i for i, row in enumerate(tab) if row[col] > 0),
+                key=lambda i: (tab[i][m] / tab[i][col], basis[i]))
+        inv = 1 / tab[r][col]
+        prow = tab[r] = [x * inv if x else x for x in tab[r]]
+        for i, row in enumerate(tab):
+            f = row[col]
+            if i != r and f:
+                tab[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+        f = excess[col]
+        excess = [x - f * y if y else x for x, y in zip(excess, prow)]
+        basis[r] = col
+    return True
 
 
 def hull_vertices(points):

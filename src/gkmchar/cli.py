@@ -17,7 +17,8 @@ from .lattice import NotPrimitive, dot, is_primitive
 from .laurent import LaurentPoly, render_poly
 from .graphs import ValidationError, action_violations, load_graph_file, \
     symplectic_class, validate_class
-from .characters import NotGeneric, character_expand, character_oracle, \
+from .characters import InternalDivisionFailure, NotGeneric, \
+    TruncationOverflow, character_expand, character_oracle, \
     localization_terms, multiplicity, polarize
 from .residues import res_T
 from .reduction import NotRegular, ZeroNotRegular, chi_reduced, moment_map, \
@@ -293,7 +294,8 @@ def main(argv=None):
         for v in exc.violations:
             print(str(v), file=sys.stderr)
         return EXIT_VIOLATION
-    except (NotPrimitive, NotGeneric, NotRegular, ZeroNotRegular) as exc:
+    except (NotPrimitive, NotGeneric, NotRegular, ZeroNotRegular,
+            TruncationOverflow, InternalDivisionFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

@@ -95,31 +95,6 @@ def _mat_mul_vec(m, v):
     return tuple(dot(row, v) for row in m)
 
 
-def _invert_unimodular(m):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
-
-
 def det(m) -> int:
     """Exact determinant via fraction-free-ish Gaussian elimination."""
     n = len(m)
@@ -148,14 +123,17 @@ def complete_to_basis(xi) -> BasisChange:
 
     Returns a BasisChange whose matrix has determinant +-1 and whose last
     column is xi.  The completion is found by reducing xi to the last
-    standard basis vector with integer row operations.
+    standard basis vector with integer row operations, each a 2x2 block of
+    determinant -1 on rows i and n-1; the inverse of every block is applied
+    to the columns of the basis matrix alongside, so no inversion is needed.
     """
     xi = tuple(xi)
     if not is_primitive(xi):
         raise NotPrimitive(f"{xi} is not primitive")
     n = len(xi)
-    # v: accumulated row operations with v @ xi == e_n
+    # v: accumulated row operations with v @ xi == e_n; u: its inverse
     v = [[int(i == j) for j in range(n)] for i in range(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
     x = list(xi)
     for i in range(n - 1):
         a, b = x[i], x[n - 1]
@@ -163,19 +141,24 @@ def complete_to_basis(xi) -> BasisChange:
             continue
         g = math.gcd(a, b)
         s, t = _xgcd(a, b)
-        # 2x2 unimodular block sending (a, b) to (0, g)
+        # block [[p, q], [s, t]] sends (a, b) to (0, g); its inverse is
+        # [[-t, q], [s, -p]]
         p, q = -(b // g), a // g
         row_i = [p * v[i][j] + q * v[n - 1][j] for j in range(n)]
         row_n = [s * v[i][j] + t * v[n - 1][j] for j in range(n)]
         v[i], v[n - 1] = row_i, row_n
+        for row in u:
+            row[i], row[n - 1] = (-t * row[i] + s * row[n - 1],
+                                  q * row[i] - p * row[n - 1])
         x[i], x[n - 1] = p * a + q * b, g
     if x[n - 1] == -1:
         v[n - 1] = [-c for c in v[n - 1]]
+        for row in u:
+            row[n - 1] = -row[n - 1]
         x[n - 1] = 1
     assert x == [0] * (n - 1) + [1]
-    vt = tuple(tuple(row) for row in v)
-    u = _invert_unimodular(vt)
-    return BasisChange(matrix=u, inverse=vt)
+    return BasisChange(matrix=tuple(tuple(row) for row in u),
+                       inverse=tuple(tuple(row) for row in v))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:

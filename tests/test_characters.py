@@ -1,10 +1,15 @@
+from fractions import Fraction
+from itertools import combinations, product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmchar.lattice import dot
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import KClass, constant_class, gen_cp1_in_plane, \
-    gen_projective
-from gkmchar.characters import (NotGeneric, character_expand,
+    gen_product, gen_projective
+from gkmchar.characters import (CharacterResult, NotGeneric,
+                                character_expand,
                                 character_oracle, hull_report, hull_vertices,
                                 in_convex_hull, kostant_count,
                                 localization_terms, multiplicity, polarize)
@@ -137,6 +142,119 @@ def test_hull_membership_exact():
 def test_hull_vertices_square():
     pts = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
     assert sorted(hull_vertices(pts)) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+
+
+def _enumerated_hull_membership(point, points):
+    """Reference membership test: by Caratheodory, point is in the hull iff
+    it is a convex combination of some at most n+1 of the points, so try
+    every such subset and solve it exactly.  Exponential in the number of
+    points; only used for n <= 3."""
+    point = tuple(point)
+    pts = [tuple(p) for p in points]
+    if point in pts:
+        return True
+    n = len(point)
+    for size in range(1, min(len(pts), n + 1) + 1):
+        for subset in combinations(pts, size):
+            if _convex_combination(point, subset):
+                return True
+    return False
+
+
+def _convex_combination(point, subset):
+    """Solve sum(l_i * p_i) = point, sum(l_i) = 1, l_i >= 0 exactly."""
+    n = len(point)
+    m = len(subset)
+    a = [[Fraction(subset[j][i]) for j in range(m)] for i in range(n)]
+    a.append([Fraction(1)] * m)
+    b = [Fraction(point[i]) for i in range(n)] + [Fraction(1)]
+    sol = _solve_exact(a, b, m)
+    return sol is not None and all(x >= 0 for x in sol)
+
+
+def _solve_exact(a, b, m):
+    """Gaussian elimination for a possibly overdetermined rational system;
+    free variables are set to zero and the candidate is checked directly."""
+    rows = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    if any(rows[i][m] != 0 for i in range(r, nrows)):
+        return None
+    sol = [Fraction(0)] * m
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][m]
+    for row, rhs in zip(a, b):
+        if sum(x * s for x, s in zip(row, sol)) != rhs:
+            return None
+    return sol
+
+
+COORD = st.integers(-3, 3)
+
+
+@st.composite
+def hull_queries(draw):
+    """A query point and 1-7 points in [-3, 3]^n, n <= 3, often with
+    duplicates, often on a common line or plane with the query on it too."""
+    n = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.tuples(*[COORD] * n), min_size=1, max_size=7))
+    raw += raw[:draw(st.integers(0, 7 - len(raw)))]
+    query = draw(st.tuples(*[COORD] * n))
+    # every coordinate after the first `free` ones is a constant, a copy of
+    # the first coordinate or its negation: a line (free = 1) or a plane
+    free = draw(st.integers(1, n))
+    rules = draw(st.lists(st.sampled_from(("const", "copy", "neg")),
+                          min_size=n - free, max_size=n - free))
+    consts = draw(st.lists(COORD, min_size=n - free, max_size=n - free))
+
+    def flatten(p):
+        tail = [c if rule == "const" else p[0] if rule == "copy" else -p[0]
+                for rule, c in zip(rules, consts)]
+        return tuple(p[:free]) + tuple(tail)
+
+    points = [flatten(p) for p in raw]
+    if draw(st.booleans()):
+        query = flatten(query)
+    return query, points
+
+
+@settings(max_examples=400, deadline=None)
+@given(hull_queries())
+def test_hull_membership_matches_enumeration(case):
+    query, points = case
+    assert in_convex_hull(query, points) == \
+        _enumerated_hull_membership(query, points)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_hull_report_cube_products(m):
+    # subset enumeration would need C(2^m, m+1) exact solves per query here
+    action, sym = gen_projective(1)
+    p1 = (action, sym)
+    for _ in range(m - 1):
+        action, sym = gen_product(action, sym, *p1)
+    corners = list(sym.alphas.values())
+    assert set(corners) == set(product((0, 1), repeat=m))
+    char = CharacterResult(LaurentPoly(m, {c: 1 for c in corners}))
+    report = hull_report(sym, char)
+    assert report.ok
+    assert list(report.hull_vertices) == corners
 
 
 def test_hull_report_cp1(cp1):

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from gkmchar.cli import main
+from gkmchar.graphs import gen_projective, graph_to_data
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CP1 = os.path.join(DATA, "cp1.json")
@@ -126,3 +127,18 @@ def test_proj2_character(capsys):
     code, out, _ = run(["character", PROJ2, "--xi", "1,2"], capsys)
     assert code == 0
     assert out.strip() == "1 + 1*x^(0,1) + 1*x^(1,0)"
+
+
+def test_truncation_overflow_is_violation_not_traceback(tmp_path, capsys):
+    # a steep direction makes the polarized expansion outgrow its term
+    # budget; the CLI must report that as one error line, not a traceback
+    action, sym = gen_projective(3)
+    path = tmp_path / "proj3.json"
+    path.write_text(json.dumps(graph_to_data(
+        action, {"omega": sym.base.values})))
+    code, out, err = run(["character", str(path),
+                          "--xi=1,1000,1000000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
