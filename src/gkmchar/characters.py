@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import NotPrimitive, dot, is_primitive, primitive_part, \
-    vadd, vneg, vscale, vsub
+from .lattice import NotPrimitive, dot, dual_basis, is_primitive, \
+    primitive_part, vadd, vneg, vscale, vsub
 from .laurent import LaurentPoly, NotDivisible, RationalChar, divide_exact
 from .graphs import GkmAction, KClass, SymplecticClass
 
@@ -171,44 +171,93 @@ def character_expand(f: KClass, pol: Polarization,
     """Exact character via the polarized geometric-series expansion.
 
     Each vertex contributes sign * x^prefix * f_v * product over its
-    positive edges of a geometric series in the edge weight.  The xi-pairing
-    of every monomial of the result is bounded above by the base pairings of
-    the opposite polarization, which makes the truncation exact.
+    positive edges of a geometric series in the edge weight.  The series
+    are truncated by support bounds of the character (see support_bound):
+    the bound in the direction xi at every vertex and, at a vertex whose
+    positive weights w_1..w_n are linearly independent (d == n), also the
+    bounds in their dual basis eta_1..eta_n (eta_i . w_j == 0 for i != j,
+    eta_i . w_i > 0).  Every cut direction pairs nonnegatively with every
+    weight at its vertex, so cutting a partial product never drops a term
+    of the support.  The cuts differ from vertex to vertex; the summed
+    result is filtered once by every bound used, which makes the
+    truncation uniform and therefore exact.  A vertex with d == n thus
+    expands to at most prod_i (B(eta_i) - eta_i . base + 1) terms per base
+    monomial, however steep xi is; other vertices keep the xi cut alone.
     """
     action = pol.action
     xi = pol.xi
-    pol_neg = polarize(action, vneg(xi))
-    b_max = None
+    rows = _bound_rows(f)
+    if not rows:
+        return CharacterResult(poly=LaurentPoly.zero(action.n))
+    b_max = _support_bound(xi, rows)
+    bounds = {}             # eta -> B(eta) for every dual direction used
+    duals = {}              # positive weights -> their dual basis or None
+    total = {}
     for v in action.vertices:
-        pref = pol_neg.prefix(v)
-        for mu in f[v].terms:
-            val = dot(vadd(mu, pref), xi)
-            if b_max is None or val > b_max:
-                b_max = val
-    total = LaurentPoly.zero(action.n)
-    if b_max is None:
-        return CharacterResult(poly=total)
-    for v in action.vertices:
-        base = f[v].shift(pol.prefix(v))
-        base = base.filter_terms(lambda e: dot(e, xi) <= b_max)
-        acc = base
-        for w in pol.pos_weights(v):
-            pw = dot(w, xi)
+        if not f[v].terms:
+            continue
+        ws = pol.pos_weights(v)
+        key = tuple(ws)
+        if key not in duals:
+            duals[key] = dual_basis(ws)
+        etas = duals[key] or ()
+        for eta in etas:
+            if eta not in bounds:
+                bounds[eta] = _support_bound(eta, rows)
+        xi_cut = [(xi, b_max)]
+        dual_cuts = [(eta, bounds[eta]) for eta in etas]
+        acc = {e: c for e, c in f[v].shift(pol.prefix(v)).terms.items()
+               if all(dot(e, d) <= b for d, b in xi_cut + dual_cuts)}
+        for i, w in enumerate(ws):
+            # of the cut directions only xi and eta_i pair positively with w
+            lims = [(d, b, dot(w, d)) for d, b in xi_cut + dual_cuts[i:i + 1]]
             out = {}
-            for e, c in acc.terms.items():
-                budget = b_max - dot(e, xi)
+            for e, c in acc.items():
                 exp = e
-                k = 0
-                while k * pw <= budget:
+                for _ in range(min((b - dot(e, d)) // p for d, b, p in lims)
+                               + 1):
                     out[exp] = out.get(exp, 0) + c
                     exp = vadd(exp, w)
-                    k += 1
                     if len(out) > term_budget:
                         raise TruncationOverflow(
                             f"expansion exceeded {term_budget} terms")
-            acc = LaurentPoly(action.n, out)
-        total = total + acc * pol.sign(v)
-    return CharacterResult(poly=total)
+            acc = out
+        sign = pol.sign(v)
+        for e, c in acc.items():
+            total[e] = total.get(e, 0) + sign * c
+    return CharacterResult(poly=LaurentPoly(action.n, {
+        e: c for e, c in total.items()
+        if c and all(dot(e, eta) <= b for eta, b in bounds.items())}))
+
+
+def support_bound(f: KClass, eta) -> int | None:
+    """B(eta): every weight mu in the support of the character of f has
+    eta . mu <= B(eta); None when f is zero.
+
+    B(eta) = max over vertices v with f_v != 0 of
+    max_{mu in f_v} eta . mu - sum over the out-weights u at v of
+    max(eta . u, 0).  For generic eta this is the largest eta-pairing in
+    the expansion polarized by -eta, which sums to the same character;
+    for any eta it is the limit of that bound at eta + xi/N, N -> infinity,
+    xi generic.
+    """
+    rows = _bound_rows(f)
+    return _support_bound(tuple(eta), rows) if rows else None
+
+
+def _bound_rows(f: KClass) -> list:
+    """(terms of f_v, out-weights at v) for every vertex with f_v != 0."""
+    action = f.action
+    outs = {v: [] for v in action.vertices}
+    for e in action.edges:
+        outs[e.src].append(action.axial[e.eid])
+    return [(f[v].terms, outs[v]) for v in action.vertices if f[v].terms]
+
+
+def _support_bound(eta, rows) -> int:
+    return max(max(dot(mu, eta) for mu in terms)
+               - sum(max(dot(u, eta), 0) for u in outs)
+               for terms, outs in rows)
 
 
 def localization_terms(f: KClass) -> dict:

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .lattice import NotPrimitive, dot, is_primitive
 from .laurent import LaurentPoly, render_poly
-from .graphs import ValidationError, action_violations, load_graph_file, \
-    symplectic_class, validate_class
+from .graphs import ValidationError, Violation, action_violations, \
+    load_graph_file, symplectic_class, validate_class
 from .characters import InternalDivisionFailure, NotGeneric, \
     TruncationOverflow, character_expand, character_oracle, \
     localization_terms, multiplicity, polarize
@@ -112,12 +112,14 @@ def cmd_validate(args):
             doc = _json.load(fh)
     except (OSError, _json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse {args.input}: {exc}")
-    n = int(doc.get("n", 0))
-    vertices = [str(v) for v in doc.get("vertices", [])]
-    pairs = [(str(e["from"]), str(e["to"]),
-              tuple(int(x) for x in e["alpha"]), None)
-             for e in doc.get("edges", [])]
-    violations = action_violations(n, vertices, pairs)
+    violations = _shape_violations(doc)
+    if not violations:
+        n = int(doc.get("n", 0))
+        vertices = [str(v) for v in doc.get("vertices", [])]
+        pairs = [(str(e["from"]), str(e["to"]),
+                  tuple(int(x) for x in e["alpha"]), None)
+                 for e in doc.get("edges", [])]
+        violations = action_violations(n, vertices, pairs)
     class_viols = []
     if not violations:
         action, classes = load_graph_file(args.input)
@@ -138,6 +140,21 @@ def cmd_validate(args):
         lines.append("OK  graph and classes valid")
     _emit(args, payload, lines)
     return EXIT_OK if not violations and not class_viols else EXIT_VIOLATION
+
+
+def _shape_violations(doc):
+    """Problems that stop the document from being read at all: a top level
+    that is not an object, or an edge without from, to or alpha."""
+    if not isinstance(doc, dict):
+        return [Violation("E_SCHEMA", "document", "not a JSON object")]
+    out = []
+    for idx, e in enumerate(doc.get("edges", [])):
+        missing = [k for k in ("from", "to", "alpha")
+                   if not isinstance(e, dict) or k not in e]
+        if missing:
+            out.append(Violation("E_SCHEMA", f"edge#{idx}",
+                                 "missing " + ", ".join(missing)))
+    return out
 
 
 def cmd_character(args):
@@ -278,8 +295,25 @@ def build_parser():
     return parser
 
 
+VECTOR_FLAGS = ("--xi", "--alpha")
+
+
+def _glue_negative_vectors(argv):
+    """Rewrite `--xi -1,0` as `--xi=-1,0`: argparse takes a value that
+    starts with a dash for an option and would refuse the spaced form."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in VECTOR_FLAGS and tok[:1] == "-" \
+                and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = _glue_negative_vectors(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class ZeroVector(ValueError):
@@ -95,27 +94,58 @@ def _mat_mul_vec(m, v):
     return tuple(dot(row, v) for row in m)
 
 
-def det(m) -> int:
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def bareiss(rows) -> tuple[int, list]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of [A | B].
+
+    rows is an n x (n + k) integer matrix whose left n x n block is A.
+    Returns (det A, [det A * I | adj(A) B]), so for B = I the right block
+    is the adjugate.  Every intermediate entry is a minor of the input, so
+    each division is exact and no rational number is ever formed.  A
+    singular A gives (0, None).
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    d = Fraction(sign)
-    for i in range(n):
-        d *= a[i][i]
-    assert d.denominator == 1
-    return int(d)
+        p, row_k = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = p
+    if sign < 0:
+        a = [[-x for x in row] for row in a]
+    return sign * prev, a
+
+
+def det(m) -> int:
+    """Exact determinant by fraction-free elimination."""
+    return bareiss(m)[0]
+
+
+def dual_basis(weights):
+    """Primitive eta_1..eta_n with eta_i . w_j == 0 for i != j and
+    eta_i . w_i > 0, for n linearly independent weights in Z^n; None when
+    the weights are not n independent vectors of length n.
+
+    eta_i is the primitive part of row i of adj(W) (times the sign of
+    det W), W holding the weights as columns, since adj(W) W = det(W) I.
+    """
+    n = len(weights)
+    if any(len(w) != n for w in weights):
+        return None
+    d, red = bareiss([[w[r] for w in weights] + [int(r == c) for c in range(n)]
+                      for r in range(n)])
+    if d == 0:
+        return None
+    s = 1 if d > 0 else -1
+    return [primitive_part([s * x for x in row[n:]])[0] for row in red]
 
 
 def complete_to_basis(xi) -> BasisChange:

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gkmchar.lattice import dot
+from gkmchar.lattice import dot, primitive_part
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import KClass, constant_class, gen_cp1_in_plane, \
     gen_product, gen_projective
@@ -12,7 +13,8 @@ from gkmchar.characters import (CharacterResult, NotGeneric,
                                 character_expand,
                                 character_oracle, hull_report, hull_vertices,
                                 in_convex_hull, kostant_count,
-                                localization_terms, multiplicity, polarize)
+                                localization_terms, multiplicity, polarize,
+                                support_bound)
 from gkmchar.randomgen import (random_class, random_generic_xi,
                                random_pole_free_point, standard_fixtures)
 
@@ -118,6 +120,56 @@ def test_character_module_morphism(rng):
     chi = lambda h: character_expand(h, pol).poly
     assert chi(f + g) == chi(f) + chi(g)
     assert chi(constant_class(action, 3) * f) == 3 * chi(f)
+
+
+# The term budgets below are far under the expansion the xi cut alone needs
+# at these steep directions (over 500 000 terms on projective 3-space at
+# (1,1000,1000000)); the dual-cone cuts keep each vertex within its share
+# of the answer.
+@pytest.mark.parametrize("xi", [(1, 50, 2500), (1, 1000, 1000000)])
+def test_steep_expansion_projective3_within_small_budget(xi):
+    action, sym = gen_projective(3)
+    got = character_expand(sym.base, polarize(action, xi), term_budget=64)
+    assert got.poly == character_oracle(sym.base)
+
+
+def test_steep_expansion_cube_product_within_small_budget():
+    p1 = gen_projective(1)
+    action, sym = p1
+    for _ in range(5):
+        action, sym = gen_product(action, sym, *p1)
+    pol = polarize(action, (1, 3, 9, 27, 81, 243))
+    got = character_expand(sym.base, pol, term_budget=256)
+    assert got.poly == character_oracle(sym.base)
+
+
+@st.composite
+def class_and_directions(draw, fixtures):
+    """A fixture, a random class on it, a generic primitive xi with entries
+    up to 10^4 and a direction eta that is often a coordinate axis, so that
+    it pairs to zero with some edges."""
+    name = draw(st.sampled_from(sorted(fixtures)))
+    action, sym = fixtures[name]
+    f = random_class(action, sym, random.Random(draw(st.integers(0, 2**32))))
+    xi = draw(st.tuples(*[st.integers(-10**4, 10**4)] * action.n))
+    assume(any(xi))
+    xi, _ = primitive_part(xi)
+    assume(all(dot(action.axial[e.eid], xi) != 0 for e in action.edges))
+    axes = [tuple(s * int(i == j) for j in range(action.n))
+            for i in range(action.n) for s in (1, -1)]
+    eta = draw(st.sampled_from(axes)
+               | st.tuples(*[st.integers(-3, 3)] * action.n))
+    return f, xi, eta
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_expansion_matches_oracle_and_support_bound_holds(fixtures, data):
+    f, xi, eta = data.draw(class_and_directions(fixtures))
+    want = character_oracle(f)
+    assert character_expand(f, polarize(f.action, xi)).poly == want
+    bound = support_bound(f, eta)
+    assert all(dot(mu, eta) <= bound for mu in want.terms)
 
 
 def test_numeric_localization(rng):

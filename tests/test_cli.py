@@ -1,10 +1,15 @@
+import functools
 import json
 import os
 
 import pytest
 
+from gkmchar import cli
+from gkmchar.characters import character_expand, character_oracle
 from gkmchar.cli import main
-from gkmchar.graphs import gen_projective, graph_to_data
+from gkmchar.graphs import KClass, gen_projective, graph_to_data
+from gkmchar.lattice import vscale
+from gkmchar.laurent import LaurentPoly, render_poly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CP1 = os.path.join(DATA, "cp1.json")
@@ -129,16 +134,75 @@ def test_proj2_character(capsys):
     assert out.strip() == "1 + 1*x^(0,1) + 1*x^(1,0)"
 
 
-def test_truncation_overflow_is_violation_not_traceback(tmp_path, capsys):
-    # a steep direction makes the polarized expansion outgrow its term
-    # budget; the CLI must report that as one error line, not a traceback
+def _proj3_file(tmp_path, scale):
+    """Projective 3-space with the symplectic class scaled by `scale`."""
     action, sym = gen_projective(3)
-    path = tmp_path / "proj3.json"
-    path.write_text(json.dumps(graph_to_data(
-        action, {"omega": sym.base.values})))
-    code, out, err = run(["character", str(path),
-                          "--xi=1,1000,1000000"], capsys)
+    values = {v: LaurentPoly.monomial(vscale(a, scale))
+              for v, a in sym.alphas.items()}
+    path = tmp_path / f"proj3x{scale}.json"
+    path.write_text(json.dumps(graph_to_data(action, {"omega": values})))
+    return str(path), KClass(action, values)
+
+
+def test_steep_direction_character_matches_division_route(tmp_path, capsys):
+    # the polarized expansion is cut by the dual cones at each vertex, so
+    # a steep direction costs no more than the 4-term answer
+    path, kclass = _proj3_file(tmp_path, 1)
+    code, out, err = run(["character", path, "--xi=1,1000,1000000"], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.strip() == render_poly(character_oracle(kclass))
+
+
+def test_truncation_overflow_is_violation_not_traceback(tmp_path, capsys,
+                                                        monkeypatch):
+    # a term budget below the 20 terms of the answer makes the expansion
+    # overflow; the CLI must report that as one error line, not a traceback
+    monkeypatch.setattr(cli, "character_expand",
+                        functools.partial(character_expand, term_budget=8))
+    path, _ = _proj3_file(tmp_path, 3)
+    code, out, err = run(["character", path, "--xi", "1,2,3"], capsys)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+def _validate_doc(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return run(["validate", str(path)], capsys)
+
+
+def test_validate_non_object_document_is_violation(tmp_path, capsys):
+    code, out, err = _validate_doc(tmp_path, capsys, [1, 2])
+    assert code == 2
+    assert out.splitlines() == ["E_SCHEMA at document: not a JSON object"]
+    assert err == ""
+
+
+def test_validate_edge_without_alpha_is_violation(tmp_path, capsys):
+    with open(CP1) as fh:
+        doc = json.load(fh)
+    del doc["edges"][0]["alpha"]
+    code, out, err = _validate_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert out.splitlines() == ["E_SCHEMA at edge#0: missing alpha"]
+    assert err == ""
+    doc["edges"][0] = {"alpha": [1, 0]}
+    code, out, _ = _validate_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert out.splitlines() == ["E_SCHEMA at edge#0: missing from, to"]
+
+
+def test_negative_vector_flags_accept_both_spellings(capsys):
+    spaced = run(["multiplicity", CP1, "--xi", "-1,0", "--alpha", "-1,0"],
+                 capsys)
+    glued = run(["multiplicity", CP1, "--xi=-1,0", "--alpha=-1,0"], capsys)
+    assert spaced == glued
+    assert spaced[0] == 0
+    spaced = run(["character", CP1, "--xi", "-1,0"], capsys)
+    glued = run(["character", CP1, "--xi=-1,0"], capsys)
+    assert spaced == glued
+    assert spaced[1].strip() == "1*x^(-1,0) + 1 + 1*x^(1,0)"

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gkmchar.lattice import (NotPrimitive, ZeroVector, complete_to_basis,
-                             cyclic_fiber_order, det, dot, primitive_part,
-                             weight_from_basis, weight_in_basis)
+                             cyclic_fiber_order, det, dot, dual_basis,
+                             is_primitive, primitive_part, weight_from_basis,
+                             weight_in_basis)
 
 
 def test_primitive_part_coprime():
@@ -106,3 +108,48 @@ def test_primitive_vectors_pair_to_one_with_some_dual_row(rng):
         prim, _ = primitive_part(v)
         b = complete_to_basis(prim)
         assert any(dot(row, prim) == 1 for row in b.inverse)
+
+
+def _cofactor_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:]
+                                                    for row in m[1:]])
+               for j in range(len(m)))
+
+
+@st.composite
+def square_matrices(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        # often singular: one row a combination of two others
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_det_matches_cofactor_expansion(m):
+    assert det(m) == _cofactor_det(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_dual_basis_diagonalizes(m):
+    # the rows of m are the weights w_1..w_n
+    assume(_cofactor_det(m) != 0)
+    etas = dual_basis([tuple(row) for row in m])
+    assert len(etas) == len(m)
+    for i, eta in enumerate(etas):
+        assert is_primitive(eta)
+        for j, w in enumerate(m):
+            pairing = dot(eta, tuple(w))
+            assert pairing > 0 if i == j else pairing == 0
+
+
+def test_dual_basis_of_dependent_weights_is_none():
+    assert dual_basis([(1, 2), (2, 4)]) is None
+    assert dual_basis([(1, 0, 0), (0, 1, 0)]) is None
