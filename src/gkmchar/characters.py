@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import NotPrimitive, dot, dual_basis, is_primitive, \
@@ -122,10 +121,11 @@ def kostant_count(weights, target, xi=None) -> int:
             return 1 if all(x == 0 for x in v) else 0
         w, pw = weights[j - 1], pairings[j - 1]
         total = 0
-        rem = v
-        while dot(rem, xi) >= 0:
+        rem, level = v, dot(v, xi)
+        while level >= 0:
             total += count(j - 1, rem)
             rem = vsub(rem, w)
+            level -= pw
         return total
 
     return count(len(weights), target)
@@ -174,15 +174,16 @@ def character_expand(f: KClass, pol: Polarization,
     positive edges of a geometric series in the edge weight.  The series
     are truncated by support bounds of the character (see support_bound):
     the bound in the direction xi at every vertex and, at a vertex whose
-    positive weights w_1..w_n are linearly independent (d == n), also the
-    bounds in their dual basis eta_1..eta_n (eta_i . w_j == 0 for i != j,
-    eta_i . w_i > 0).  Every cut direction pairs nonnegatively with every
-    weight at its vertex, so cutting a partial product never drops a term
-    of the support.  The cuts differ from vertex to vertex; the summed
-    result is filtered once by every bound used, which makes the
-    truncation uniform and therefore exact.  A vertex with d == n thus
-    expands to at most prod_i (B(eta_i) - eta_i . base + 1) terms per base
-    monomial, however steep xi is; other vertices keep the xi cut alone.
+    positive weights w_1..w_d are linearly independent (d <= n), also the
+    bounds in their dual basis eta_1..eta_d (eta_i . w_j == 0 for i != j,
+    eta_i . w_i > 0; see lattice.dual_basis).  Every cut direction pairs
+    nonnegatively with every weight at its vertex, so cutting a partial
+    product never drops a term of the support.  The cuts differ from
+    vertex to vertex; the summed result is filtered once by every bound
+    used, which makes the truncation uniform and therefore exact.  A
+    vertex with independent weights thus expands to at most
+    prod_i (B(eta_i) - eta_i . base + 1) terms per base monomial, however
+    steep xi is; a vertex with dependent weights keeps the xi cut alone.
     """
     action = pol.action
     xi = pol.xi
@@ -345,9 +346,10 @@ def in_convex_hull(point, points) -> bool:
 
     Decided by one feasibility LP: find lambda >= 0 with
     sum(lambda_i * p_i) = point and sum(lambda_i) = 1.  The LP is solved
-    by an exact phase-1 simplex over the rationals with Bland's rule, which
-    terminates without perturbation.  Point sets whose affine hull is not
-    the whole space need no special case.
+    by an exact phase-1 simplex with Bland's rule, which terminates without
+    perturbation; its tableau stays integral (see _phase1_feasible), so no
+    Fraction is formed.  Point sets whose affine hull is not the whole
+    space need no special case.
     """
     point = tuple(point)
     pts = list(dict.fromkeys(tuple(p) for p in points))
@@ -376,31 +378,57 @@ def _phase1_feasible(rows) -> bool:
     Artificial i has index m + i, above every real column.  An artificial
     that leaves the basis is dropped, since every solution of A x = b has
     the artificials at zero, so artificial columns are never stored.
+
+    The tableau is kept over the integers (Edmonds' integer pivoting): the
+    stored rows are det(B) times the rational tableau of the current basis
+    B, and det(B) > 0 is the previous pivot.  A pivot p in row r keeps row
+    r and replaces every other row t by (p * t - t[col] * row_r) / prev,
+    a division that is always exact, as in Bareiss elimination.  Ratios
+    are compared by cross-multiplying, so each decision is the one the
+    rational tableau would make.
     """
     m = len(rows[0]) - 1
-    tab = [[Fraction(-x) for x in row] if row[m] < 0 else
-           [Fraction(x) for x in row] for row in rows]
+    tab = [[-x for x in row] if row[m] < 0 else list(row) for row in rows]
     basis = [m + i for i in range(len(tab))]
-    # excess[j]: sum of column j over rows with an artificial basic;
-    # excess[m] is the current sum of the artificials
+    # excess[j]: prev times the sum of column j over rows with an
+    # artificial basic; excess[m] is prev times the sum of the artificials
     excess = [sum(col) for col in zip(*tab)]
+    prev = 1
     while excess[m] != 0:
         col = next((j for j in range(m) if excess[j] > 0), None)
         if col is None:
             return False
         # some row has a positive entry in col, since excess[col] > 0
-        r = min((i for i, row in enumerate(tab) if row[col] > 0),
-                key=lambda i: (tab[i][m] / tab[i][col], basis[i]))
-        inv = 1 / tab[r][col]
-        prow = tab[r] = [x * inv if x else x for x in tab[r]]
+        r = None
         for i, row in enumerate(tab):
-            f = row[col]
-            if i != r and f:
-                tab[i] = [x - f * y if y else x for x, y in zip(row, prow)]
-        f = excess[col]
-        excess = [x - f * y if y else x for x, y in zip(excess, prow)]
+            a = row[col]
+            if a > 0:
+                if r is None:
+                    r, num, den = i, row[m], a
+                    continue
+                lhs, rhs = row[m] * den, num * a
+                if lhs < rhs or lhs == rhs and basis[i] < basis[r]:
+                    r, num, den = i, row[m], a
+        prow = tab[r]
+        p = prow[col]
+        for i, row in enumerate(tab):
+            if i != r:
+                tab[i] = _pivot_row(row, prow, p, row[col], prev)
+        excess = _pivot_row(excess, prow, p, excess[col], prev)
         basis[r] = col
+        prev = p
     return True
+
+
+def _pivot_row(row, prow, p, f, prev):
+    """(p * row - f * prow) / prev, exactly."""
+    if f == 0:
+        if p == prev:
+            return row
+        return [p * x // prev for x in row]
+    if p == prev == 1:
+        return [x - f * y for x, y in zip(row, prow)]
+    return [(p * x - f * y) // prev for x, y in zip(row, prow)]
 
 
 def hull_vertices(points):

@@ -144,16 +144,24 @@ def cmd_validate(args):
 
 def _shape_violations(doc):
     """Problems that stop the document from being read at all: a top level
-    that is not an object, or an edge without from, to or alpha."""
+    that is not an object, vertices or edges that are not a list, or an
+    edge without from, to or alpha, or whose alpha is not a list."""
     if not isinstance(doc, dict):
         return [Violation("E_SCHEMA", "document", "not a JSON object")]
-    out = []
+    out = [Violation("E_SCHEMA", key, "not a JSON list")
+           for key in ("vertices", "edges")
+           if not isinstance(doc.get(key, []), list)]
+    if out:
+        return out
     for idx, e in enumerate(doc.get("edges", [])):
         missing = [k for k in ("from", "to", "alpha")
                    if not isinstance(e, dict) or k not in e]
         if missing:
             out.append(Violation("E_SCHEMA", f"edge#{idx}",
                                  "missing " + ", ".join(missing)))
+        elif not isinstance(e["alpha"], list):
+            out.append(Violation("E_SCHEMA", f"edge#{idx}",
+                                 "alpha is not a JSON list"))
     return out
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 
 class ZeroVector(ValueError):
@@ -26,23 +28,23 @@ IntVec = tuple[int, ...]
 def dot(a, b) -> int:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vneg(a):
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vscale(a, c):
-    return tuple(c * x for x in a)
+    return tuple(map(mul, repeat(c), a))
 
 
 def vector_gcd(v) -> int:
@@ -130,22 +132,28 @@ def det(m) -> int:
 
 
 def dual_basis(weights):
-    """Primitive eta_1..eta_n with eta_i . w_j == 0 for i != j and
-    eta_i . w_i > 0, for n linearly independent weights in Z^n; None when
-    the weights are not n independent vectors of length n.
+    """Primitive eta_1..eta_d with eta_i . w_j == 0 for i != j and
+    eta_i . w_i > 0, for d <= n linearly independent weights w_1..w_d in
+    Z^n; None when the weights are dependent, of unequal length or more
+    than n.
 
-    eta_i is the primitive part of row i of adj(W) (times the sign of
-    det W), W holding the weights as columns, since adj(W) W = det(W) I.
+    With W holding the weights as columns and the Gram matrix G = W^T W,
+    eta_i is the primitive part of row i of adj(G) W^T, since
+    adj(G) W^T W = det(G) I and det G > 0 for independent weights.  For
+    d == n this row is det(W) times row i of adj(W), so the basis is the
+    one dual to the weights.
     """
-    n = len(weights)
-    if any(len(w) != n for w in weights):
-        return None
-    d, red = bareiss([[w[r] for w in weights] + [int(r == c) for c in range(n)]
-                      for r in range(n)])
+    d = len(weights)
     if d == 0:
+        return []
+    n = len(weights[0])
+    if d > n or any(len(w) != n for w in weights):
         return None
-    s = 1 if d > 0 else -1
-    return [primitive_part([s * x for x in row[n:]])[0] for row in red]
+    g, red = bareiss([[dot(u, w) for w in weights] + list(u)
+                      for u in weights])
+    if g == 0:
+        return None
+    return [primitive_part(row[d:])[0] for row in red]
 
 
 def complete_to_basis(xi) -> BasisChange:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import dot, vadd, vneg
 
@@ -298,24 +298,31 @@ POLE_EPS = 1e-9
 def eval_numeric(f, point) -> complex:
     """Evaluate a LaurentPoly or RationalChar at a torus point.
 
-    The point is a tuple of exact rationals in [0, 1); the monomial x^mu
-    becomes exp(2*pi*i * mu(point)).  Raises PoleAtPoint when a denominator
-    binomial is within 1e-9 of zero.
+    The point is a tuple of exact rationals (ints or Fractions) in [0, 1);
+    the monomial x^mu becomes exp(2*pi*i * mu(point)).  Raises PoleAtPoint
+    when a denominator binomial is within 1e-9 of zero.
+
+    The point is written once as integer numerators nums over its least
+    common denominator lcd, so each phase mu(point) is the integer
+    dot(mu, nums) divided by lcd.  Integer true division is correctly
+    rounded, like float(Fraction), so every phase float is the one the
+    exact rational phase rounds to.
     """
+    lcd = math.lcm(*(t.denominator for t in point))
+    nums = tuple(t.numerator * (lcd // t.denominator) for t in point)
     if isinstance(f, RationalChar):
         den = 1.0 + 0j
         for g in f.denominator:
-            factor = 1 - _unit(g, point)
+            factor = 1 - cmath.exp(TWO_PI_I * (dot(g, nums) / lcd))
             if abs(factor) <= POLE_EPS:
                 raise PoleAtPoint(f"denominator weight {g} vanishes at {point}")
             den *= factor
-        return eval_numeric(f.numerator, point) / den
+        return _eval_terms(f.numerator, nums, lcd) / den
+    return _eval_terms(f, nums, lcd)
+
+
+def _eval_terms(p: LaurentPoly, nums, lcd) -> complex:
     total = 0j
-    for e, c in f.terms.items():
-        total += c * _unit(e, point)
+    for e, c in p.terms.items():
+        total += c * cmath.exp(TWO_PI_I * (dot(e, nums) / lcd))
     return total
-
-
-def _unit(exp, point) -> complex:
-    phase = sum(Fraction(x) * t for x, t in zip(exp, point))
-    return cmath.exp(TWO_PI_I * float(phase))

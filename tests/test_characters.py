@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gkmchar.lattice import dot, primitive_part
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import KClass, constant_class, gen_cp1_in_plane, \
-    gen_product, gen_projective
+    gen_product, gen_projective, symplectic_class
 from gkmchar.characters import (CharacterResult, NotGeneric,
                                 character_expand,
                                 character_oracle, hull_report, hull_vertices,
@@ -141,6 +141,17 @@ def test_steep_expansion_cube_product_within_small_budget():
     pol = polarize(action, (1, 3, 9, 27, 81, 243))
     got = character_expand(sym.base, pol, term_budget=256)
     assert got.poly == character_oracle(sym.base)
+
+
+def test_steep_expansion_below_full_rank_within_small_budget(cp1):
+    # one positive weight per vertex in a 2-torus (d < n): the partial dual
+    # basis cuts each series, where xi alone allowed about 2 * 10^6 terms
+    action, _ = cp1
+    f = LaurentPoly(2, {(0, 1): 1, (0, -1): 1})
+    kclass = KClass(action, {"p": f, "q": f})
+    for xi in [(1, 1000000), (1, -1000000), (-1, 1000000)]:
+        got = character_expand(kclass, polarize(action, xi), term_budget=8)
+        assert got.poly == f
 
 
 @st.composite
@@ -307,6 +318,28 @@ def test_hull_report_cube_products(m):
     report = hull_report(sym, char)
     assert report.ok
     assert list(report.hull_vertices) == corners
+
+
+def test_hull_report_big_cube_product():
+    # (P1)^3 scaled by 10^6: the integer tableau carries pivots of order
+    # 10^6 and products of them, each divided exactly by the previous pivot
+    big = 10**6
+    action, sym = gen_projective(1)
+    p1 = (action, sym)
+    for _ in range(2):
+        action, sym = gen_product(action, sym, *p1)
+    sym = symplectic_class(action, {v: tuple(big * x for x in a)
+                                    for v, a in sym.alphas.items()})
+    corners = list(sym.alphas.values())
+    inside = [(big // 2,) * 3, (1, big - 1, 7), (big, 0, big - 3)]
+    outside = (big + 1, 0, 0)
+    char = CharacterResult(LaurentPoly(3, {mu: 1 for mu in
+                                           corners + inside + [outside]}))
+    report = hull_report(sym, char)
+    assert len(corners) == 8
+    assert list(report.hull_vertices) == corners
+    assert report.support_violations == (outside,)
+    assert not report.coeff_violations
 
 
 def test_hull_report_cp1(cp1):

@@ -196,6 +196,28 @@ def test_validate_edge_without_alpha_is_violation(tmp_path, capsys):
     assert out.splitlines() == ["E_SCHEMA at edge#0: missing from, to"]
 
 
+def test_validate_vertices_not_a_list_is_violation(tmp_path, capsys):
+    code, out, err = _validate_doc(tmp_path, capsys,
+                                   {"n": 2, "vertices": 5, "edges": []})
+    assert code == 2
+    assert out.splitlines() == ["E_SCHEMA at vertices: not a JSON list"]
+    assert err == ""
+
+
+def test_validate_edges_not_a_list_is_violation(tmp_path, capsys):
+    code, out, err = _validate_doc(tmp_path, capsys,
+                                   {"n": 2, "vertices": ["p"], "edges": 5})
+    assert code == 2
+    assert out.splitlines() == ["E_SCHEMA at edges: not a JSON list"]
+    assert err == ""
+    with open(CP1) as fh:
+        doc = json.load(fh)
+    doc["edges"][0]["alpha"] = 5
+    code, out, _ = _validate_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert out.splitlines() == ["E_SCHEMA at edge#0: alpha is not a JSON list"]
+
+
 def test_negative_vector_flags_accept_both_spellings(capsys):
     spaced = run(["multiplicity", CP1, "--xi", "-1,0", "--alpha", "-1,0"],
                  capsys)

@@ -136,11 +136,13 @@ def test_det_matches_cofactor_expansion(m):
     assert det(m) == _cofactor_det(m)
 
 
-@settings(max_examples=200, deadline=None)
-@given(square_matrices())
-def test_dual_basis_diagonalizes(m):
-    # the rows of m are the weights w_1..w_n
-    assume(_cofactor_det(m) != 0)
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(), st.integers(0, 3))
+def test_dual_basis_diagonalizes(m, drop):
+    # the first d = n - drop rows of m are the weights w_1..w_d in Z^n
+    m = m[:max(len(m) - drop, 1)]
+    gram = [[dot(u, w) for w in m] for u in m]
+    assume(_cofactor_det(gram) != 0)
     etas = dual_basis([tuple(row) for row in m])
     assert len(etas) == len(m)
     for i, eta in enumerate(etas):
@@ -150,6 +152,18 @@ def test_dual_basis_diagonalizes(m):
             assert pairing > 0 if i == j else pairing == 0
 
 
+def test_dual_basis_of_fewer_independent_weights():
+    assert dual_basis([(1, 0, 0), (0, 1, 0)]) == [(1, 0, 0), (0, 1, 0)]
+    assert dual_basis([(2, 1, 0)]) == [(2, 1, 0)]
+    assert dual_basis([(1, 1)]) == [(1, 1)]
+
+
 def test_dual_basis_of_dependent_weights_is_none():
     assert dual_basis([(1, 2), (2, 4)]) is None
-    assert dual_basis([(1, 0, 0), (0, 1, 0)]) is None
+    assert dual_basis([(1, 2, 0), (2, 4, 0)]) is None
+    assert dual_basis([(1, 0), (0, 1), (1, 1)]) is None
+
+
+def test_dot_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))

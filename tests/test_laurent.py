@@ -1,6 +1,9 @@
+import cmath
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmchar.laurent import (LaurentPoly, NotDivisible, PoleAtPoint,
                              RationalChar, ZeroWeight, congruent_mod_edge,
@@ -168,3 +171,52 @@ def test_eval_is_ring_homomorphism(rng):
         lhs = eval_numeric(a * b, g)
         rhs = eval_numeric(a, g) * eval_numeric(b, g)
         assert abs(lhs - rhs) < 1e-10
+
+
+def _fraction_phase_eval(f, point):
+    """Reference evaluation with every phase summed as a Fraction and
+    rounded once by float(Fraction)."""
+    def unit(exp):
+        phase = sum(Fraction(x) * t for x, t in zip(exp, point))
+        return cmath.exp(2j * cmath.pi * float(phase))
+
+    if isinstance(f, RationalChar):
+        den = 1.0 + 0j
+        for g in f.denominator:
+            factor = 1 - unit(g)
+            if abs(factor) <= 1e-9:
+                raise PoleAtPoint(g)
+            den *= factor
+        return _fraction_phase_eval(f.numerator, point) / den
+    total = 0j
+    for e, c in f.terms.items():
+        total += c * unit(e)
+    return total
+
+
+@st.composite
+def characters_and_points(draw):
+    dim = draw(st.integers(1, 4))
+    coord = st.integers(-50, 50) | st.integers(-10**7, 10**7)
+    exps = st.tuples(*[coord] * dim)
+    terms = draw(st.dictionaries(exps, st.integers(-5, 5), max_size=6))
+    den = draw(st.lists(exps.filter(any), max_size=3))
+    point = tuple(draw(st.just(0) | st.builds(
+        lambda q, a: Fraction(a % q, q), st.integers(1, 10**6),
+        st.integers(0, 10**6))) for _ in range(dim))
+    poly = LaurentPoly(dim, terms)
+    return (RationalChar(poly, tuple(den)) if den else poly), point
+
+
+@settings(max_examples=400, deadline=None)
+@given(characters_and_points())
+def test_eval_numeric_matches_fraction_phases_exactly(case):
+    f, point = case
+    try:
+        want = _fraction_phase_eval(f, point)
+    except PoleAtPoint:
+        with pytest.raises(PoleAtPoint):
+            eval_numeric(f, point)
+        return
+    got = eval_numeric(f, point)
+    assert (got.real, got.imag) == (want.real, want.imag)
