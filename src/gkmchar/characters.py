@@ -172,46 +172,51 @@ def character_expand(f: KClass, pol: Polarization,
 
     Each vertex contributes sign * x^prefix * f_v * product over its
     positive edges of a geometric series in the edge weight.  The series
-    are truncated by support bounds of the character (see support_bound):
-    the bound in the direction xi at every vertex and, at a vertex whose
-    positive weights w_1..w_d are linearly independent (d <= n), also the
-    bounds in their dual basis eta_1..eta_d (eta_i . w_j == 0 for i != j,
-    eta_i . w_i > 0; see lattice.dual_basis).  Every cut direction pairs
-    nonnegatively with every weight at its vertex, so cutting a partial
-    product never drops a term of the support.  The cuts differ from
-    vertex to vertex; the summed result is filtered once by every bound
-    used, which makes the truncation uniform and therefore exact.  A
-    vertex with independent weights thus expands to at most
+    are truncated by support bounds of the character (see support_bound)
+    from one cut set, built once per call: xi, and the dual basis
+    eta_1..eta_d of the positive weights w_1..w_d of every vertex with
+    f_v != 0 whose weights are linearly independent (d <= n;
+    eta_i . w_j == 0 for i != j, eta_i . w_i > 0; see lattice.dual_basis).
+    A vertex is cut by every direction of the set that pairs nonnegatively
+    with all of its positive weights (xi and its own dual basis always
+    do), so its partial products only grow in those pairings and cutting
+    them never drops a term of the support; each series in w stops at the
+    tightest such direction that pairs positively with w.  The vertex's
+    finished terms are then filtered by the remaining bounds of the set,
+    and only the survivors are summed.  Since each vertex's expansion then
+    agrees with its untruncated one on the region where every bound of the
+    set holds, which contains the support, the sum is exact.  A vertex
+    with independent weights expands to at most
     prod_i (B(eta_i) - eta_i . base + 1) terms per base monomial, however
-    steep xi is; a vertex with dependent weights keeps the xi cut alone.
+    steep xi is; a vertex with dependent weights is cut by xi and by the
+    dual directions of other vertices that pair nonnegatively with its
+    weights.
     """
     action = pol.action
-    xi = pol.xi
     rows = _bound_rows(f)
     if not rows:
         return CharacterResult(poly=LaurentPoly.zero(action.n))
-    b_max = _support_bound(xi, rows)
-    bounds = {}             # eta -> B(eta) for every dual direction used
-    duals = {}              # positive weights -> their dual basis or None
+    live = [v for v in action.vertices if f[v].terms]
+    weights = {v: pol.pos_weights(v) for v in live}
+    # the cut set: xi and the dual basis of every live vertex, one bound each
+    cuts = dict.fromkeys([pol.xi])
+    for ws in dict.fromkeys(tuple(ws) for ws in weights.values()):
+        cuts.update(dict.fromkeys(dual_basis(ws) or ()))
+    cuts = [(d, _support_bound(d, rows)) for d in cuts]
     total = {}
-    for v in action.vertices:
-        if not f[v].terms:
-            continue
-        ws = pol.pos_weights(v)
-        key = tuple(ws)
-        if key not in duals:
-            duals[key] = dual_basis(ws)
-        etas = duals[key] or ()
-        for eta in etas:
-            if eta not in bounds:
-                bounds[eta] = _support_bound(eta, rows)
-        xi_cut = [(xi, b_max)]
-        dual_cuts = [(eta, bounds[eta]) for eta in etas]
+    for v in live:
+        ws = weights[v]
+        used, rest = [], []     # cuts at v, and the bounds left to filter
+        for d, b in cuts:
+            pairs = [dot(w, d) for w in ws]
+            if min(pairs, default=0) >= 0:
+                used.append((d, b, pairs))
+            else:
+                rest.append((d, b))
         acc = {e: c for e, c in f[v].shift(pol.prefix(v)).terms.items()
-               if all(dot(e, d) <= b for d, b in xi_cut + dual_cuts)}
+               if all(dot(e, d) <= b for d, b, _ in used)}
         for i, w in enumerate(ws):
-            # of the cut directions only xi and eta_i pair positively with w
-            lims = [(d, b, dot(w, d)) for d, b in xi_cut + dual_cuts[i:i + 1]]
+            lims = [(d, b, pairs[i]) for d, b, pairs in used if pairs[i]]
             out = {}
             for e, c in acc.items():
                 exp = e
@@ -225,10 +230,9 @@ def character_expand(f: KClass, pol: Polarization,
             acc = out
         sign = pol.sign(v)
         for e, c in acc.items():
-            total[e] = total.get(e, 0) + sign * c
-    return CharacterResult(poly=LaurentPoly(action.n, {
-        e: c for e, c in total.items()
-        if c and all(dot(e, eta) <= b for eta, b in bounds.items())}))
+            if all(dot(e, d) <= b for d, b in rest):
+                total[e] = total.get(e, 0) + sign * c
+    return CharacterResult(poly=LaurentPoly(action.n, total))
 
 
 def support_bound(f: KClass, eta) -> int | None:

@@ -211,17 +211,16 @@ def divide_exact(p: LaurentPoly, gamma) -> LaurentPoly:
         raise ZeroWeight("cannot divide by 1 - x^0")
     if p.is_zero():
         return LaurentPoly.zero(p.dim)
-    grade = lambda e: dot(e, gamma)
-    gmax = max(grade(e) for e in p.terms)
     # remainder bucketed by grade, processed in increasing order
     buckets: dict[int, dict] = {}
-    heap: list[int] = []
     for e, c in p.terms.items():
-        g = grade(e)
+        g = dot(e, gamma)
         if g not in buckets:
             buckets[g] = {}
-            heapq.heappush(heap, g)
         buckets[g][e] = c
+    gmax = max(buckets)
+    heap = list(buckets)
+    heapq.heapify(heap)
     quotient = {}
     while heap:
         g = heapq.heappop(heap)

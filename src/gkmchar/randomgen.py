@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from .lattice import dot, primitive_part, vadd, vscale
 from .laurent import LaurentPoly, RationalChar, eval_numeric, PoleAtPoint
-from .graphs import GkmAction, KClass, SymplecticClass, constant_class, \
-    gen_cp1_in_plane, gen_hirzebruch, gen_product, gen_projective, \
-    symplectic_class
+from .graphs import GkmAction, KClass, SymplecticClass, _proportional, \
+    constant_class, gen_cp1_in_plane, gen_hirzebruch, gen_product, \
+    gen_projective, symplectic_class
 
 
 def standard_fixtures():
@@ -127,7 +127,7 @@ def random_vertex_star(n: int, d: int, rng: random.Random,
             w = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(n))
             if all(x == 0 for x in w):
                 continue
-            if any(_parallel(w, u) for u in weights):
+            if any(_proportional(w, u) for u in weights):
                 continue
             weights.append(w)
         mu = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(n))
@@ -137,9 +137,3 @@ def random_vertex_star(n: int, d: int, rng: random.Random,
             xi, _ = primitive_part(xi)
             if all(dot(w, xi) != 0 for w in weights):
                 return star, xi
-
-
-def _parallel(a, b):
-    n = len(a)
-    return all(a[i] * b[j] == a[j] * b[i]
-               for i in range(n) for j in range(i + 1, n))

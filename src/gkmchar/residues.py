@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import BasisChange, complete_to_basis, dot, vadd, vscale, \
-    weight_from_basis, weight_in_basis
+from .lattice import BasisChange, complete_to_basis, dot, vadd, vneg, \
+    vscale, vsub, weight_from_basis
 from .laurent import LaurentPoly, RationalChar, eval_numeric
 from .characters import NotGeneric
 
@@ -39,17 +39,18 @@ class ZForm:
 def to_z_form(f: RationalChar, xi) -> ZForm:
     """Rewrite f in a basis with xi last; exact and invertible."""
     basis = complete_to_basis(xi)
+    cols = tuple(zip(*basis.matrix))
     factors = []
     for g in f.denominator:
-        beta, k = weight_in_basis(g, basis)
+        *beta, k = (dot(g, col) for col in cols)
         if k == 0:
             raise NotGeneric(
                 f"denominator weight {g} pairs to zero with {tuple(xi)}")
-        factors.append((beta, k))
+        factors.append((tuple(beta), k))
     numer = []
     for exp, c in sorted(f.numerator.terms.items()):
-        beta, k = weight_in_basis(exp, basis)
-        numer.append((c, beta, k))
+        *beta, k = (dot(exp, col) for col in cols)
+        numer.append((c, tuple(beta), k))
     return ZForm(basis=basis, numer=tuple(numer), factors=tuple(factors))
 
 
@@ -89,7 +90,9 @@ def _accumulate_inner(out, coeff, beta, k, factors, m):
     Inside the unit circle each factor (1 - a*z^s) with s > 0 expands as
     sum_l a^l z^{s*l}; with s < 0 it contributes -a^{-(l+1)} z^{|s|*(l+1)}
     after clearing the negative power, shifting the effective z-degree of
-    the monomial by sum of |s| over the negative factors.
+    the monomial by sum of |s| over the negative factors.  The exponent l
+    of the last factor is fixed by the z-degree the others leave, so it is
+    solved for, not enumerated.
     """
     neg = [(beta_i, -k_i) for beta_i, k_i in factors if k_i < 0]
     pos = [(beta_i, k_i) for beta_i, k_i in factors if k_i > 0]
@@ -98,38 +101,37 @@ def _accumulate_inner(out, coeff, beta, k, factors, m):
     if target < 0:
         return
     sign = -1 if len(neg) % 2 else 1
-    steps = [s for _, s in neg] + [s for _, s in pos]
-    betas = [beta_i for beta_i, _ in neg] + [beta_i for beta_i, _ in pos]
-    negcount = len(neg)
+    # the l = 0 term of a negative factor carries y^(-beta_i); from there
+    # every factor steps its y-exponent by -beta_i or beta_i per l
+    start = tuple(beta)
+    for beta_i, _ in neg:
+        start = vsub(start, beta_i)
+    steps = [(s, vneg(beta_i)) for beta_i, s in neg] + \
+        [(s, beta_i) for beta_i, s in pos]
+    last = len(steps) - 1
+
+    def emit(key):
+        nc = out.get(key, 0) + sign * coeff
+        if nc:
+            out[key] = nc
+        else:
+            del out[key]
 
     def recurse(idx, remaining, acc_beta):
-        if idx == len(steps):
-            if remaining == 0:
-                key = acc_beta
-                nc = out.get(key, 0) + sign * coeff
-                if nc:
-                    out[key] = nc
-                else:
-                    del out[key]
+        s, step = steps[idx]
+        if idx == last:
+            l, r = divmod(remaining, s)
+            if r == 0:
+                emit(vadd(acc_beta, vscale(step, l)))
             return
-        s = steps[idx]
-        b = betas[idx]
-        lmax = remaining // s
-        for l in range(lmax + 1):
-            if idx < negcount:
-                nb = vadd(acc_beta, vscale(b, -(l + 1)))
-            else:
-                nb = vadd(acc_beta, vscale(b, l))
-            recurse(idx + 1, remaining - l * s, nb)
+        for _ in range(remaining // s + 1):
+            recurse(idx + 1, remaining, acc_beta)
+            remaining -= s
+            acc_beta = vadd(acc_beta, step)
 
-    start = tuple(beta)
     if not steps:
         if target == 0:
-            nc = out.get(start, 0) + sign * coeff
-            if nc:
-                out[start] = nc
-            else:
-                del out[start]
+            emit(start)
         return
     recurse(0, target, start)
 
@@ -169,12 +171,12 @@ def _embed(p: LaurentPoly, basis: BasisChange) -> LaurentPoly:
     produced by the extraction is an integer combination of the original
     weights whose z-degrees cancel.
     """
-    n = basis.n
+    cols = [col[:-1] for col in zip(*basis.inverse)]
     terms = {}
     for beta, c in p.terms.items():
-        exp = weight_from_basis(beta, 0, basis)
+        exp = tuple(dot(beta, col) for col in cols)
         terms[exp] = terms.get(exp, 0) + c
-    return LaurentPoly(n, terms)
+    return LaurentPoly(basis.n, terms)
 
 
 def fiber_average_numeric(f: RationalChar, alpha, xi, point) -> complex:

@@ -143,6 +143,21 @@ def test_steep_expansion_cube_product_within_small_budget():
     assert got.poly == character_oracle(sym.base)
 
 
+@pytest.mark.parametrize("xi", [(1, 2, 3, 4), (1, 3, 9, 27), (2, -1, 3, 1),
+                                (1, 10, 100, 1000)])
+def test_expansion_within_answer_size_budget(xi):
+    # projective 4-space scaled by 6 has a 210-term character; cutting each
+    # vertex by every dual direction that pairs nonnegatively with all its
+    # weights keeps every partial expansion within that size
+    action, sym = gen_projective(4)
+    sym = symplectic_class(action, {v: tuple(6 * x for x in a)
+                                    for v, a in sym.alphas.items()})
+    want = character_oracle(sym.base)
+    assert len(want) == 210
+    got = character_expand(sym.base, polarize(action, xi), term_budget=210)
+    assert got.poly == want
+
+
 def test_steep_expansion_below_full_rank_within_small_budget(cp1):
     # one positive weight per vertex in a 2-torus (d < n): the partial dual
     # basis cuts each series, where xi alone allowed about 2 * 10^6 terms

@@ -1,8 +1,10 @@
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gkmchar.lattice import dot
+from gkmchar.lattice import dot, vadd, vscale
 from gkmchar.laurent import LaurentPoly, RationalChar, eval_numeric
 from gkmchar.characters import NotGeneric, localization_terms
 from gkmchar.residues import (fiber_average_numeric, from_z_form, res_T,
@@ -171,3 +173,65 @@ def test_residue_equals_signed_fiber_average_sum(rng):
             sign = 1 if dot(w, xi) < 0 else -1
             rhs += sign * fiber_average_numeric(hat, w, xi, g)
         assert abs(lhs - rhs) < 1e-6
+
+
+def _enumerated_inner(out, coeff, beta, k, factors):
+    """Reference for residues._accumulate_inner: every exponent of every
+    factor, the last one included, runs over its full range, and a leaf
+    counts when the z-degrees add up to exactly zero."""
+    neg = [(beta_i, -k_i) for beta_i, k_i in factors if k_i < 0]
+    pos = [(beta_i, k_i) for beta_i, k_i in factors if k_i > 0]
+    target = -(k + sum(s for _, s in neg))
+    if target < 0:
+        return
+    sign = -1 if len(neg) % 2 else 1
+    steps = [s for _, s in neg] + [s for _, s in pos]
+    betas = [b for b, _ in neg] + [b for b, _ in pos]
+
+    def recurse(idx, remaining, acc_beta):
+        if idx == len(steps):
+            if remaining == 0:
+                out[acc_beta] = out.get(acc_beta, 0) + sign * coeff
+            return
+        s, b = steps[idx], betas[idx]
+        for l in range(remaining // s + 1):
+            power = -(l + 1) if idx < len(neg) else l
+            recurse(idx + 1, remaining - l * s,
+                    vadd(acc_beta, vscale(b, power)))
+
+    recurse(0, target, tuple(beta))
+
+
+def _enumerated_res_half(z, side):
+    flip = -1 if side == "plus" else 1
+    factors = [(beta, flip * k) for beta, k in z.factors]
+    out = {}
+    for c, beta, k in z.numer:
+        _enumerated_inner(out, c, beta, flip * k, factors)
+    return LaurentPoly(z.n - 1, out)
+
+
+@st.composite
+def wide_vertex_stars(draw):
+    """A random vertex star (n 2..4, 1..4 denominator weights, a direction
+    generic for them, so the z-degrees k_i mix signs) whose numerator is
+    widened to several monomials, so that many leaves have z-degree zero."""
+    n = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    star, xi = random_vertex_star(n, draw(st.integers(1, 4)), rng,
+                                  exp_bound=draw(st.integers(1, 3)))
+    exps = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * n),
+                         min_size=1, max_size=4))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(exps),
+                           max_size=len(exps)))
+    numer = LaurentPoly(n, dict(zip(exps, coeffs)))
+    return RationalChar(numer, star.denominator), xi
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_vertex_stars())
+def test_res_half_matches_full_enumeration(case):
+    star, xi = case
+    z = to_z_form(star, xi)
+    for side in ("plus", "minus"):
+        assert res_half(z, side) == _enumerated_res_half(z, side)
