@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .lattice import NotPrimitive, dot, is_primitive
+from .lattice import NotPrimitive, complete_to_basis, dot, is_primitive
 from .laurent import LaurentPoly, render_poly
 from .graphs import ValidationError, Violation, action_violations, \
     load_graph_file, symplectic_class, validate_class
@@ -211,7 +211,9 @@ def cmd_residue(args):
     name, kclass = _pick_class(action, classes, args.class_name)
     xi = _require_xi(args, action)
     terms = localization_terms(kclass)
-    per_vertex = {v: res_T(terms[v], xi).total for v in action.vertices}
+    basis = complete_to_basis(xi)
+    per_vertex = {v: res_T(terms[v], xi, basis=basis).total
+                  for v in action.vertices}
     total = LaurentPoly.zero(action.n)
     for p in per_vertex.values():
         total = total + p

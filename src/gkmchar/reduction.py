@@ -9,11 +9,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import dot, is_primitive, NotPrimitive, vscale
+from .lattice import complete_to_basis, dot, is_primitive, NotPrimitive, \
+    vscale
 from .laurent import LaurentPoly, PoleAtPoint, RationalChar, eval_numeric
 from .graphs import GkmAction, KClass, SymplecticClass
-from .characters import NotGeneric, Polarization, character_expand, \
-    localization_terms, polarize
+from .characters import NotGeneric, Polarization, character_expand, polarize
 from .residues import res_T
 
 
@@ -140,11 +140,15 @@ class CrossingSet:
     edges: tuple            # oriented edge ids crossing the level
 
 
+def _require_regular(mm: MomentMap, c: Fraction):
+    bad = next((v for v, x in mm.phi.items() if x == c), None)
+    if bad is not None:
+        raise NotRegular(f"level {c} hits the critical value at {bad}")
+
+
 def crossing_set(mm: MomentMap, c) -> CrossingSet:
     c = Fraction(c)
-    if c in mm.phi.values():
-        bad = next(v for v in mm.phi if mm.phi[v] == c)
-        raise NotRegular(f"level {c} hits the critical value at {bad}")
+    _require_regular(mm, c)
     eids = tuple(e.eid for e in mm.action.edges
                  if mm.phi[e.dst] > c > mm.phi[e.src])
     return CrossingSet(c=c, edges=eids)
@@ -155,15 +159,28 @@ class ReducedCharacter:
     value: LaurentPoly      # supported on the annihilator lattice of xi
 
 
+def _residues_above(f: KClass, mm: MomentMap, c: Fraction) -> dict:
+    """Total residue of the localized summand of every vertex above the
+    level c, each computed once, in one lattice basis for xi."""
+    basis = complete_to_basis(mm.xi)
+    action = f.action
+    return {v: res_T(RationalChar(f[v], tuple(action.out_weights(v))),
+                     mm.xi, basis=basis).total
+            for v in action.vertices if mm.phi[v] > c}
+
+
 def chi_reduced(f: KClass, mm: MomentMap, c) -> ReducedCharacter:
-    """Sum of vertex residues above the level: the reduced character."""
+    """The reduced character at the regular level c: the sum of the
+    residues of the vertices above c.
+
+    Each of those residues is computed once, all in one completion of xi
+    to a lattice basis; vertices below c cost nothing.
+    """
     c = Fraction(c)
-    crossing_set(mm, c)  # regularity check
-    terms = localization_terms(f)
+    _require_regular(mm, c)
     total = LaurentPoly.zero(f.action.n)
-    for v in f.action.vertices:
-        if mm.phi[v] > c:
-            total = total + res_T(terms[v], mm.xi).total
+    for r in _residues_above(f, mm, c).values():
+        total = total + r
     return ReducedCharacter(value=total)
 
 
@@ -177,7 +194,14 @@ class WallCrossingResult:
 
 def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
     """The drop in the reduced character across a single wall equals the
-    residue of the crossed vertex's localized summand."""
+    residue of the crossed vertex's localized summand.
+
+    The residues above the lower level are computed once, in one basis:
+    delta is their sum minus the sum of those above the upper level, and
+    the crossed vertex's own entry is the residue.  Exactly one critical
+    value must lie between the levels (WrongWallCount, checked first), and
+    both levels must be regular (NotRegular).
+    """
     c, cp = Fraction(c), Fraction(cp)
     if c > cp:
         c, cp = cp, c
@@ -186,8 +210,16 @@ def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
         raise WrongWallCount(
             f"{len(between)} critical values in ({c}, {cp}), expected 1")
     p = between[0]
-    delta = chi_reduced(f, mm, c).value - chi_reduced(f, mm, cp).value
-    residue = res_T(localization_terms(f)[p], mm.xi).total
+    _require_regular(mm, c)
+    _require_regular(mm, cp)
+    residues = _residues_above(f, mm, c)
+    total = upper = LaurentPoly.zero(f.action.n)
+    for v, r in residues.items():
+        total = total + r
+        if mm.phi[v] > cp:
+            upper = upper + r
+    delta = total - upper
+    residue = residues[p]
     return WallCrossingResult(ok=delta == residue, vertex=p,
                               delta=delta, residue=residue)
 

@@ -36,16 +36,26 @@ class ZForm:
         return self.basis.n
 
 
-def to_z_form(f: RationalChar, xi) -> ZForm:
-    """Rewrite f in a basis with xi last; exact and invertible."""
-    basis = complete_to_basis(xi)
+def to_z_form(f: RationalChar, xi, *, basis=None) -> ZForm:
+    """Rewrite f in a basis with xi last; exact and invertible.
+
+    basis is the lattice basis to use, built by `complete_to_basis(xi)`
+    when omitted; a caller that rewrites many characters along one xi
+    builds it once and passes it to every call.  A basis whose last
+    vector is not xi raises ValueError.
+    """
+    xi = tuple(xi)
+    if basis is None:
+        basis = complete_to_basis(xi)
+    elif basis.xi != xi:
+        raise ValueError(f"basis completes {basis.xi}, not {xi}")
     cols = tuple(zip(*basis.matrix))
     factors = []
     for g in f.denominator:
         *beta, k = (dot(g, col) for col in cols)
         if k == 0:
             raise NotGeneric(
-                f"denominator weight {g} pairs to zero with {tuple(xi)}")
+                f"denominator weight {g} pairs to zero with {xi}")
         factors.append((tuple(beta), k))
     numer = []
     for exp, c in sorted(f.numerator.terms.items()):
@@ -149,14 +159,15 @@ class ResidueValue:
     total: LaurentPoly
 
 
-def res_T(f: RationalChar, xi) -> ResidueValue:
+def res_T(f: RationalChar, xi, *, basis=None) -> ResidueValue:
     """Regularized circle residue of a rational character.
 
     The sign convention follows the orientation fixed by xi: replacing xi
-    by -xi negates the result.
+    by -xi negates the result.  basis is passed to `to_z_form`: omitted,
+    each call completes xi to a lattice basis of its own; a caller taking
+    many residues along one xi passes `complete_to_basis(xi)` once.
     """
-    xi = tuple(xi)
-    z = to_z_form(f, xi)
+    z = to_z_form(f, xi, basis=basis)
     plus_y = res_half(z, "plus")
     minus_y = res_half(z, "minus")
     plus = _embed(plus_y, z.basis)

@@ -146,18 +146,60 @@ def test_wall_crossing_projective2(rng):
 
 
 def test_telescoping(rng):
+    """Every chamber's reduced character is the sum of the residues above
+    it, and every wall crossing drops it by the crossed vertex's residue,
+    with each residue taken on its own through the public res_T."""
     for name, (action, sym) in standard_fixtures().items():
         f = random_class(action, sym, rng)
         xi = random_generic_xi(action, rng)
         mm = moment_map(action, xi)
         crits = mm.critical_values()
-        c = crits[0] - 1
+        levels = [crits[0] - 1] + [(a + b) / 2 for a, b in
+                                   zip(crits, crits[1:])] + [crits[-1] + 1]
         terms = localization_terms(f)
-        expected = LaurentPoly.zero(action.n)
-        for v in action.vertices:
-            if mm.phi[v] > c:
-                expected = expected + res_T(terms[v], xi).total
-        assert chi_reduced(f, mm, c).value == expected
+        residue = {v: res_T(terms[v], xi).total for v in action.vertices}
+
+        def expected(c):
+            total = LaurentPoly.zero(action.n)
+            for v in action.vertices:
+                if mm.phi[v] > c:
+                    total = total + residue[v]
+            return total
+
+        for c in levels:
+            assert chi_reduced(f, mm, c).value == expected(c), name
+        for lo, hi in zip(levels, levels[1:]):
+            res = wall_crossing_check(f, mm, lo, hi)
+            (p,) = [v for v in action.vertices if lo < mm.phi[v] < hi]
+            delta = expected(lo) - expected(hi)
+            assert res.vertex == p, name
+            assert res.delta == delta, name
+            assert res.residue == residue[p], name
+            assert res.ok == (delta == residue[p]), name
+
+
+def test_wall_crossing_rejects_critical_levels():
+    _, sym = gen_projective(2)
+    mm = symplectic_moment_map(sym, (2, 1))
+    low, mid, high = mm.critical_values()
+    at = {x: v for v, x in mm.phi.items()}
+
+    def rejects(c, cp, value):
+        with pytest.raises(NotRegular) as exc:
+            wall_crossing_check(sym.base, mm, c, cp)
+        assert str(exc.value) == \
+            f"level {value} hits the critical value at {at[value]}"
+
+    rejects(low, (mid + high) / 2, low)     # c is critical
+    rejects(low - 1, mid, mid)              # cp is critical
+    rejects(low, high, low)                 # both: c is reported first
+    rejects(high, low, low)                 # in either order
+    # no critical value strictly between two adjacent critical levels, or
+    # two of them in a wide interval: the wall count is reported first
+    with pytest.raises(WrongWallCount):
+        wall_crossing_check(sym.base, mm, low, mid)
+    with pytest.raises(WrongWallCount):
+        wall_crossing_check(sym.base, mm, low, high + 1)
 
 
 def test_edge_compat_cp1(cp1):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmchar.lattice import dot, vadd, vscale
+from gkmchar.lattice import complete_to_basis, dot, vadd, vscale
 from gkmchar.laurent import LaurentPoly, RationalChar, eval_numeric
 from gkmchar.characters import NotGeneric, localization_terms
 from gkmchar.residues import (fiber_average_numeric, from_z_form, res_T,
@@ -94,6 +94,28 @@ def test_res_T_sign_flips_with_direction(rng):
         a = res_T(star, xi).total
         b = res_T(star, tuple(-x for x in xi)).total
         assert a == -b
+
+
+def test_res_T_with_passed_basis_matches_own_basis(rng):
+    for _ in range(100):
+        star, xi = random_vertex_star(rng.choice([2, 3, 4]),
+                                      rng.randint(1, 4), rng)
+        basis = complete_to_basis(xi)
+        assert to_z_form(star, xi, basis=basis) == to_z_form(star, xi)
+        assert res_T(star, xi, basis=basis) == res_T(star, xi)
+
+
+def test_res_T_rejects_basis_of_another_direction(rng):
+    for _ in range(20):
+        star, xi = random_vertex_star(rng.choice([2, 3]), rng.randint(1, 3),
+                                      rng)
+        e0 = (1,) + (0,) * (len(xi) - 1)
+        for other in {tuple(-x for x in xi), e0} - {xi}:
+            basis = complete_to_basis(other)
+            with pytest.raises(ValueError, match="basis completes"):
+                res_T(star, xi, basis=basis)
+            with pytest.raises(ValueError, match="basis completes"):
+                to_z_form(star, xi, basis=basis)
 
 
 def test_res_T_linear_in_numerator(rng):
