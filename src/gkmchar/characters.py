@@ -278,37 +278,47 @@ def character_oracle(f: KClass) -> LaurentPoly:
     The localized sum is assembled over a common denominator of binomials
     in pairwise independent primitive directions, then each factor is
     stripped by exact division.  No polarization is involved.
+
+    Directions are collected by walking the vertices and their out-weights,
+    and divided out in that order.  After some divisions the partial
+    quotient is the character times the binomials not yet divided, so
+    removing one vertex's factors together keeps that product, and the
+    terms each division reads, small.  Each vertex's cofactor multiplies
+    its factors smallest first (monomials, then geometric sums and
+    binomials), which keeps the running product short.
     """
     action = f.action
     n = action.n
-    # direction classes: canonical primitive vector -> lcm of multiplicities
+    # direction classes: canonical primitive vector -> lcm of multiplicities;
+    # per vertex: canonical primitive vector -> (sign, multiplicity)
     lcms: dict = {}
-    for e in action.geometric_edges():
-        prim, mult = primitive_part(action.axial[e.eid])
-        prim = _canonical_sign(prim)
-        lcms[prim] = math.lcm(lcms.get(prim, 1), mult)
-    directions = sorted(lcms)
-    numerator = LaurentPoly.zero(n)
+    used_at = []
     for v in action.vertices:
-        cof = LaurentPoly.one(n)
         used = {}
         for w in action.out_weights(v):
             prim, mult = primitive_part(w)
             cprim = _canonical_sign(prim)
-            sign = 1 if prim == cprim else -1
-            used[cprim] = (sign, mult)
-        for prim in directions:
-            big = lcms[prim]
+            used[cprim] = (1 if prim == cprim else -1, mult)
+            lcms[cprim] = math.lcm(lcms.get(cprim, 1), mult)
+        used_at.append((v, used))
+    numerator = LaurentPoly.zero(n)
+    for v, used in used_at:
+        factors = []
+        for prim, big in lcms.items():
             if prim not in used:
-                cof = cof * _binomial(n, vscale(prim, big))
+                factors.append(_binomial(n, vscale(prim, big)))
             else:
                 sign, mult = used[prim]
-                cof = cof * _partial_geometric(n, prim, mult, big, sign)
+                factors.append(_partial_geometric(n, prim, mult, big, sign))
+        factors.sort(key=len)
+        cof = LaurentPoly.one(n)
+        for factor in factors:
+            cof = cof * factor
         numerator = numerator + f[v] * cof
     result = numerator
-    for prim in directions:
+    for prim, big in lcms.items():
         try:
-            result = divide_exact(result, vscale(prim, lcms[prim]))
+            result = divide_exact(result, vscale(prim, big))
         except NotDivisible as exc:
             raise InternalDivisionFailure(
                 f"division by the {prim} factor failed; "

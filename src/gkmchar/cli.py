@@ -9,6 +9,7 @@ given input, flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -257,7 +258,10 @@ def _poly_payload(p: LaurentPoly):
     return [{"coeff": c, "exp": list(e)} for e, c in sorted(p.terms.items())]
 
 
+@functools.cache
 def build_parser():
+    """The gkmchar argument parser, built once per process: parse_args
+    never mutates it, and building it costs more than a small job."""
     parser = argparse.ArgumentParser(
         prog="gkmchar",
         description="Exact characters, multiplicities and reductions for "

@@ -12,6 +12,7 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 from .lattice import dot, vadd, vneg
 
@@ -54,6 +55,15 @@ class LaurentPoly:
         self.terms = clean
 
     @classmethod
+    def _unchecked(cls, dim, terms):
+        """Wrap terms without re-checking them: every key must already be a
+        tuple of length dim and every coefficient nonzero."""
+        p = object.__new__(cls)
+        p.dim = dim
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, dim):
         return cls(dim)
 
@@ -88,9 +98,11 @@ class LaurentPoly:
             other = LaurentPoly.constant(self.dim, other)
         self._check(other)
         out = dict(self.terms)
+        get = out.get
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, 0) + c
-        return LaurentPoly(self.dim, out)
+            out[exp] = get(exp, 0) + c
+        return LaurentPoly._unchecked(self.dim,
+                                      {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
@@ -111,11 +123,13 @@ class LaurentPoly:
                                {e: c * other for e, c in self.terms.items()})
         self._check(other)
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = vadd(e1, e2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(self.dim, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._unchecked(self.dim,
+                                      {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -203,10 +217,14 @@ def divide_exact(p: LaurentPoly, gamma) -> LaurentPoly:
     Synthetic division graded by the pairing with gamma itself: repeatedly
     peel the minimal-grade term c*x^mu, add it to the quotient, and replace
     it by c*x^(mu+gamma).  If p is divisible the quotient's grades stay
-    below max-grade(p) - |gamma|^2, which bounds the loop.
+    below max-grade(p) - |gamma|^2, which bounds the loop.  A gamma whose
+    length is not p.dim raises DimMismatch before any work, zero p included.
     """
     gamma = tuple(gamma)
-    gg = dot(gamma, gamma)
+    if len(gamma) != p.dim:
+        raise DimMismatch(
+            f"weight {gamma} has length {len(gamma)}, expected {p.dim}")
+    gg = sum(map(mul, gamma, gamma))
     if gg == 0:
         raise ZeroWeight("cannot divide by 1 - x^0")
     if p.is_zero():
@@ -214,10 +232,12 @@ def divide_exact(p: LaurentPoly, gamma) -> LaurentPoly:
     # remainder bucketed by grade, processed in increasing order
     buckets: dict[int, dict] = {}
     for e, c in p.terms.items():
-        g = dot(e, gamma)
-        if g not in buckets:
-            buckets[g] = {}
-        buckets[g][e] = c
+        g = sum(map(mul, e, gamma))
+        bucket = buckets.get(g)
+        if bucket is None:
+            buckets[g] = {e: c}
+        else:
+            bucket[e] = c
     gmax = max(buckets)
     heap = list(buckets)
     heapq.heapify(heap)
@@ -230,19 +250,21 @@ def divide_exact(p: LaurentPoly, gamma) -> LaurentPoly:
         if g > gmax - gg:
             raise NotDivisible(f"remainder term survives at grade {g}")
         nxt = g + gg
-        if nxt not in buckets:
-            buckets[nxt] = {}
+        carry = buckets.get(nxt)
+        if carry is None:
+            carry = buckets[nxt] = {}
             heapq.heappush(heap, nxt)
-        carry = buckets[nxt]
+        # a grade's bucket is popped once, so its exponents are new here
+        quotient.update(bucket)
+        cget = carry.get
         for e, c in bucket.items():
-            quotient[e] = quotient.get(e, 0) + c
-            e2 = vadd(e, gamma)
-            nc = carry.get(e2, 0) + c
+            e2 = tuple(map(add, e, gamma))
+            nc = cget(e2, 0) + c
             if nc:
                 carry[e2] = nc
             else:
                 del carry[e2]
-    return LaurentPoly(p.dim, quotient)
+    return LaurentPoly._unchecked(p.dim, quotient)
 
 
 def reduce_mod_weight(exp, gamma, gg=None):

@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gkmchar import characters, laurent
 from gkmchar.lattice import dot, primitive_part
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import KClass, constant_class, gen_cp1_in_plane, \
@@ -156,6 +157,29 @@ def test_expansion_within_answer_size_budget(xi):
     assert len(want) == 210
     got = character_expand(sym.base, polarize(action, xi), term_budget=210)
     assert got.poly == want
+
+
+def test_oracle_division_reads_within_budget(monkeypatch):
+    # projective 5-space scaled by 6 has a 462-term character.  Dividing
+    # the direction classes in the order the vertices reach them removes
+    # each vertex's factors together and reads 16 296 terms in all, where
+    # dividing in sorted direction order read 30 935.
+    action, sym = gen_projective(5)
+    sym = symplectic_class(action, {v: tuple(6 * x for x in a)
+                                    for v, a in sym.alphas.items()})
+    sizes = []
+
+    def counting(p, gamma):
+        sizes.append(len(p))
+        return laurent.divide_exact(p, gamma)
+
+    monkeypatch.setattr(characters, "divide_exact", counting)
+    got = character_oracle(sym.base)
+    assert len(got) == 462
+    assert len(sizes) == 15          # one call per direction class
+    assert sum(sizes) <= 16296
+    assert got == character_expand(sym.base,
+                                   polarize(action, (1, 2, 3, 4, 5))).poly
 
 
 def test_steep_expansion_below_full_rank_within_small_budget(cp1):

@@ -95,6 +95,27 @@ def test_missing_flag_is_usage_error(capsys):
     assert code == 1
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    character_json = json.dumps(
+        {"character": [{"coeff": 1, "exp": [-1, 0]},
+                       {"coeff": 1, "exp": [0, 0]},
+                       {"coeff": 1, "exp": [1, 0]}],
+         "class": "omega"}, indent=2, sort_keys=True) + "\n"
+    calls = [
+        (["character", CP1, "--xi", "1,0", "--output", "json"],
+         0, character_json),
+        (["multiplicity", CP1, "--xi", "1,0", "--alpha", "0,0"],
+         0, "multiplicity of x^(0,0) = 1\n"),
+        (["character", CP1], 1, ""),
+        (["character", PROJ2, "--xi", "1,2"],
+         0, "1 + 1*x^(0,1) + 1*x^(1,0)\n"),
+    ]
+    for argv, want_code, want_out in calls:
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == (want_code, want_out), argv
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 1

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmchar.laurent import (LaurentPoly, NotDivisible, PoleAtPoint,
-                             RationalChar, ZeroWeight, congruent_mod_edge,
-                             divide_exact, eval_numeric,
+from gkmchar.laurent import (DimMismatch, LaurentPoly, NotDivisible,
+                             PoleAtPoint, RationalChar, ZeroWeight,
+                             congruent_mod_edge, divide_exact, eval_numeric,
                              pushforward_quotient, render_poly, ring_arith)
 from gkmchar.randomgen import random_ring_element, random_torus_point
 
@@ -62,6 +62,22 @@ def test_divide_exact_zero_weight():
         divide_exact(ONE, (0, 0))
 
 
+def test_divide_exact_rejects_weight_of_wrong_length():
+    for p in (ONE + X10, LaurentPoly.zero(2)):
+        for gamma in [(1,), (1, 0, 0), (0, 0, 0)]:
+            with pytest.raises(DimMismatch):
+                divide_exact(p, gamma)
+
+
+def _assert_clean(r, n):
+    # the invariant the public constructor enforces, on a result built
+    # without it
+    assert r.dim == n
+    assert all(c != 0 for c in r.terms.values())
+    assert all(type(e) is tuple and len(e) == n for e in r.terms)
+    assert r == LaurentPoly(n, dict(r.terms))
+
+
 def test_divide_exact_round_trip_random(rng):
     for _ in range(100):
         n = rng.randint(1, 3)
@@ -70,8 +86,17 @@ def test_divide_exact_round_trip_random(rng):
             continue
         q = random_ring_element(n, rng, terms=5, exp_bound=3)
         one_minus = LaurentPoly(n, {(0,) * n: 1, gamma: -1})
+        one_plus = LaurentPoly(n, {(0,) * n: 1, gamma: 1})
         p = q * one_minus
-        assert divide_exact(p, gamma) * one_minus == p
+        r = divide_exact(p, gamma)
+        assert r * one_minus == p
+        # (1 - x^g)(1 + x^g) cancels the middle terms; a + (-a) cancels all
+        for got in (p, r, one_minus * one_plus, q + (-q), p + (-p),
+                    p + q * LaurentPoly(n, {gamma: 1})):
+            _assert_clean(got, n)
+        assert (q + (-q)).is_zero()
+        assert one_minus * one_plus == LaurentPoly(
+            n, {(0,) * n: 1, tuple(2 * x for x in gamma): -1})
 
 
 def test_iterated_division_order_independent(rng):
