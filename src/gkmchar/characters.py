@@ -167,7 +167,8 @@ DEFAULT_TERM_BUDGET = 500_000
 
 
 def character_expand(f: KClass, pol: Polarization,
-                     term_budget: int = DEFAULT_TERM_BUDGET) -> CharacterResult:
+                     term_budget: int = DEFAULT_TERM_BUDGET, *,
+                     level: int | None = None) -> CharacterResult:
     """Exact character via the polarized geometric-series expansion.
 
     Each vertex contributes sign * x^prefix * f_v * product over its
@@ -190,34 +191,70 @@ def character_expand(f: KClass, pol: Polarization,
     prod_i (B(eta_i) - eta_i . base + 1) terms per base monomial, however
     steep xi is; a vertex with dependent weights is cut by xi and by the
     dual directions of other vertices that pair nonnegatively with its
-    weights.
+    weights.  Each direction of the set is paired with the out-weights of
+    every vertex once; the same pairings give its bound and the split of
+    every vertex into cuts and filters.
+
+    With level=k, only the terms mu with xi . mu == k are returned: the
+    character's slice at that level, which is empty when k > B(xi).  The
+    expansion is the same with the xi bound lowered to k, which is exact
+    for the same reason as the cuts: xi pairs positively with every
+    positive weight, so a partial product above level k never comes back
+    to it.  The last series of each vertex takes only its one step that
+    lands on level k.
     """
     action = pol.action
+    zero = CharacterResult(poly=LaurentPoly.zero(action.n))
     rows = _bound_rows(f)
     if not rows:
-        return CharacterResult(poly=LaurentPoly.zero(action.n))
-    live = [v for v in action.vertices if f[v].terms]
-    weights = {v: pol.pos_weights(v) for v in live}
+        return zero
+    xi = pol.xi
+    table = _cut_table([xi], rows)
+    # the positive weights at a vertex are its out-weights turned toward
+    # xi, in the same edge order
+    flips = [[p < 0 for p in ps] for ps in table[0][2]]
+    weights = [[vneg(u) if fl else u for u, fl in zip(outs, fls)]
+               for (_, outs), fls in zip(rows, flips)]
     # the cut set: xi and the dual basis of every live vertex, one bound each
-    cuts = dict.fromkeys([pol.xi])
-    for ws in dict.fromkeys(tuple(ws) for ws in weights.values()):
-        cuts.update(dict.fromkeys(dual_basis(ws) or ()))
-    cuts = [(d, _support_bound(d, rows)) for d in cuts]
+    duals = {}
+    for ws in dict.fromkeys(map(tuple, weights)):
+        duals.update(dict.fromkeys(dual_basis(ws) or ()))
+    duals.pop(xi, None)
+    table += _cut_table(duals, rows)
+    if level is not None:
+        if table[0][1] < level:
+            return zero
+        table[0] = (xi, level, table[0][2])
+    live = [v for v in action.vertices if f[v].terms]
     total = {}
-    for v in live:
-        ws = weights[v]
+    for r, v in enumerate(live):
+        ws, fls = weights[r], flips[r]
         used, rest = [], []     # cuts at v, and the bounds left to filter
-        for d, b in cuts:
-            pairs = [dot(w, d) for w in ws]
-            if min(pairs, default=0) >= 0:
-                used.append((d, b, pairs))
+        for d, b, pairs in table:
+            ps = [-p if fl else p for p, fl in zip(pairs[r], fls)]
+            if min(ps, default=0) >= 0:
+                used.append((d, b, ps))     # xi comes first
             else:
                 rest.append((d, b))
         acc = {e: c for e, c in f[v].shift(pol.prefix(v)).terms.items()
                if all(dot(e, d) <= b for d, b, _ in used)}
+        if level is not None and not ws:
+            acc = {e: c for e, c in acc.items() if dot(e, xi) == level}
+        last = len(ws) - 1 if level is not None else -1
         for i, w in enumerate(ws):
-            lims = [(d, b, pairs[i]) for d, b, pairs in used if pairs[i]]
+            lims = [(d, b, ps[i]) for d, b, ps in used if ps[i]]
             out = {}
+            if i == last:
+                # the one step of the series that lands on the level
+                pxi = lims[0][2]
+                for e, c in acc.items():
+                    j, off = divmod(level - dot(e, xi), pxi)
+                    if not off and all(dot(e, d) + j * p <= b
+                                       for d, b, p in lims[1:]):
+                        exp = vadd(e, vscale(w, j))
+                        out[exp] = out.get(exp, 0) + c
+                acc = out
+                break
             for e, c in acc.items():
                 exp = e
                 for _ in range(min((b - dot(e, d)) // p for d, b, p in lims)
@@ -247,11 +284,12 @@ def support_bound(f: KClass, eta) -> int | None:
     xi generic.
     """
     rows = _bound_rows(f)
-    return _support_bound(tuple(eta), rows) if rows else None
+    return _cut_table([tuple(eta)], rows)[0][1] if rows else None
 
 
 def _bound_rows(f: KClass) -> list:
-    """(terms of f_v, out-weights at v) for every vertex with f_v != 0."""
+    """(terms of f_v, out-weights at v in edge order) for every vertex with
+    f_v != 0."""
     action = f.action
     outs = {v: [] for v in action.vertices}
     for e in action.edges:
@@ -259,10 +297,17 @@ def _bound_rows(f: KClass) -> list:
     return [(f[v].terms, outs[v]) for v in action.vertices if f[v].terms]
 
 
-def _support_bound(eta, rows) -> int:
-    return max(max(dot(mu, eta) for mu in terms)
-               - sum(max(dot(u, eta), 0) for u in outs)
-               for terms, outs in rows)
+def _cut_table(directions, rows) -> list:
+    """(d, B(d), pairings) for each direction d, where pairings[r] lists
+    d . u for the out-weights u of rows[r]."""
+    table = []
+    for d in directions:
+        pairs = [[dot(u, d) for u in outs] for _, outs in rows]
+        bound = max(max(dot(mu, d) for mu in terms)
+                    - sum(p for p in ps if p > 0)
+                    for (terms, _), ps in zip(rows, pairs))
+        table.append((d, bound, pairs))
+    return table
 
 
 def localization_terms(f: KClass) -> dict:

@@ -383,25 +383,42 @@ def load_graph_data(doc):
 
     Schema: {"n": int, "vertices": [str], "edges": [{"from", "to",
     "alpha": [int]}], "classes": {name: {vertex: [{"coeff": int,
-    "exp": [int]}]}}}.  Reverse edges are implied with -alpha.
+    "exp": [int]}]}}}.  Reverse edges are implied with -alpha.  n, alpha,
+    exp and coeff must be JSON integers: a float or a bool there raises
+    ValidationError with one E_SCHEMA violation instead of being rounded.
     """
-    n = int(doc["n"])
+    n = _json_int(doc["n"], "n", "n")
     vertices = [str(v) for v in doc["vertices"]]
-    pairs = [(str(e["from"]), str(e["to"]), tuple(int(x) for x in e["alpha"]),
-              None)
-             for e in doc.get("edges", [])]
+    pairs = [(str(e["from"]), str(e["to"]),
+              _json_ints(e["alpha"], f"edge#{idx}", "alpha"), None)
+             for idx, e in enumerate(doc.get("edges", []))]
     action = validate_action(n, vertices, pairs)
     classes = {}
     for name, valmap in doc.get("classes", {}).items():
         values = {}
         for v, terms in valmap.items():
+            where = f"class {name} at {v}"
             acc = {}
             for t in terms:
-                exp = tuple(int(x) for x in t["exp"])
-                acc[exp] = acc.get(exp, 0) + int(t["coeff"])
+                exp = _json_ints(t["exp"], where, "exp")
+                acc[exp] = acc.get(exp, 0) + _json_int(t["coeff"], where,
+                                                       "coeff")
             values[str(v)] = LaurentPoly(n, acc)
         classes[name] = values
     return action, classes
+
+
+def _json_int(x, where, what):
+    """x, if it is a JSON integer: int() would truncate a float, and a bool
+    is an int to Python."""
+    if type(x) is not int:
+        raise ValidationError([Violation("E_SCHEMA", where,
+                                         f"{what} is not a JSON integer")])
+    return x
+
+
+def _json_ints(xs, where, what):
+    return tuple(_json_int(x, where, what) for x in xs)
 
 
 def load_graph_file(path):

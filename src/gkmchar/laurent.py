@@ -343,7 +343,11 @@ def eval_numeric(f, point) -> complex:
 
 
 def _eval_terms(p: LaurentPoly, nums, lcd) -> complex:
+    """Sum of the terms' phases in sorted exponent order, so that the float
+    result depends only on the polynomial, not on the order its terms were
+    built in."""
+    terms = p.terms
     total = 0j
-    for e, c in p.terms.items():
-        total += c * cmath.exp(TWO_PI_I * (dot(e, nums) / lcd))
+    for e in sorted(terms):
+        total += terms[e] * cmath.exp(TWO_PI_I * (dot(e, nums) / lcd))
     return total

@@ -288,9 +288,11 @@ class QrResult:
 def qr_check(sym: SymplecticClass, xi) -> QrResult:
     """Reduce-then-quantize versus quantize-then-restrict, bit exactly.
 
-    The invariant part keeps the character monomials whose xi-pairing is
-    zero; the reduced character sums vertex residues above the zero level
-    of the symplectic moment map.
+    The invariant part is the character's slice at xi-level zero, the
+    monomials whose xi-pairing is zero, expanded on its own
+    (character_expand with level=0) rather than cut out of the whole
+    character; the reduced character sums vertex residues above the zero
+    level of the symplectic moment map.
     """
     xi = tuple(xi)
     if not is_primitive(xi):
@@ -300,8 +302,7 @@ def qr_check(sym: SymplecticClass, xi) -> QrResult:
             raise ZeroNotRegular(
                 f"alpha_{v} pairs to zero with {xi}; zero is critical")
     pol = polarize(sym.action, xi)
-    chi = character_expand(sym.base, pol).poly
-    invariant = chi.filter_terms(lambda e: dot(e, xi) == 0)
+    invariant = character_expand(sym.base, pol, level=0).poly
     mm = symplectic_moment_map(sym, xi)
     reduced = chi_reduced(sym.base, mm, 0).value
     return QrResult(ok=invariant == reduced, invariant_part=invariant,

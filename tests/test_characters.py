@@ -9,15 +9,17 @@ from gkmchar import characters, laurent
 from gkmchar.lattice import dot, primitive_part
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import KClass, constant_class, gen_cp1_in_plane, \
-    gen_product, gen_projective, symplectic_class
+    gen_product, gen_projective, symplectic_class, validate_action
 from gkmchar.characters import (CharacterResult, NotGeneric,
-                                character_expand,
+                                TruncationOverflow, character_expand,
                                 character_oracle, hull_report, hull_vertices,
                                 in_convex_hull, kostant_count,
                                 localization_terms, multiplicity, polarize,
                                 support_bound)
 from gkmchar.randomgen import (random_class, random_generic_xi,
-                               random_pole_free_point, standard_fixtures)
+                               random_pole_free_point, random_symplectic,
+                               standard_fixtures)
+from gkmchar.reduction import qr_check
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +222,61 @@ def test_expansion_matches_oracle_and_support_bound_holds(fixtures, data):
     assert character_expand(f, polarize(f.action, xi)).poly == want
     bound = support_bound(f, eta)
     assert all(dot(mu, eta) <= bound for mu in want.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_level_slice_is_the_filtered_character(fixtures, data):
+    name = data.draw(st.sampled_from(sorted(fixtures)))
+    action, sym = fixtures[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        f = random_class(action, sym, rng)
+    else:
+        f = random_symplectic(action, sym, rng).base
+    scale = data.draw(st.sampled_from([3, 30, 1000]))
+    xi = data.draw(st.tuples(*[st.integers(-scale, scale)] * action.n))
+    assume(any(xi))
+    xi, _ = primitive_part(xi)
+    assume(all(dot(action.axial[e.eid], xi) != 0 for e in action.edges))
+    pol = polarize(action, xi)
+    full = character_expand(f, pol).poly
+    top = support_bound(f, xi) or 0
+    levels = sorted({dot(mu, xi) for mu in full.terms}) or [0]
+    level = data.draw(st.sampled_from(levels)               # in the support
+                      | st.integers(levels[0] - 5, top + 5)  # around it
+                      | st.integers(top + 1, top + 10**4))   # above B(xi)
+    got = character_expand(f, pol, level=level).poly
+    assert got == full.filter_terms(lambda e: dot(e, xi) == level)
+
+
+def test_level_slice_of_a_point():
+    # no edges, so no series to solve on: the slice filters the value
+    action = validate_action(2, ["p"], [])
+    f = KClass(action, {"p": LaurentPoly(2, {(1, 0): 1, (0, 1): 2,
+                                             (2, -1): 3})})
+    pol = polarize(action, (1, 2))
+    for level, want in [(0, {(2, -1): 3}), (1, {(1, 0): 1}),
+                        (2, {(0, 1): 2}), (3, {})]:
+        assert character_expand(f, pol, level=level).poly.terms == want
+
+
+@pytest.mark.parametrize("xi", [(1, 2, 3, -5), (1, -3, 9, -4), (2, -1, 3, -3),
+                                (1, 10, -100, 50), (3, -2, 5, -7)])
+def test_level_zero_slice_fits_where_the_full_expansion_overflows(xi):
+    # projective 4-space scaled by 6, moved so that the interior lattice
+    # point (1,1,1,1) is the origin: the full expansion needs 210 terms at
+    # these directions, its slice at xi-level zero at most 81
+    action, sym = gen_projective(4)
+    sym = symplectic_class(action, {v: tuple(6 * x - 1 for x in a)
+                                    for v, a in sym.alphas.items()})
+    pol = polarize(action, xi)
+    with pytest.raises(TruncationOverflow):
+        character_expand(sym.base, pol, term_budget=100)
+    got = character_expand(sym.base, pol, term_budget=100, level=0).poly
+    want = character_oracle(sym.base).filter_terms(lambda e: dot(e, xi) == 0)
+    assert got == want
+    assert qr_check(sym, xi).ok
 
 
 def test_numeric_localization(rng):

@@ -249,3 +249,27 @@ def test_negative_vector_flags_accept_both_spellings(capsys):
     glued = run(["character", CP1, "--xi=-1,0"], capsys)
     assert spaced == glued
     assert spaced[1].strip() == "1*x^(-1,0) + 1 + 1*x^(1,0)"
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (lambda d: d["edges"][0].update(alpha=[1.7, 0]), "edge#0: alpha"),
+    (lambda d: d["edges"][1].update(alpha=[0, True]), "edge#1: alpha"),
+    (lambda d: d.update(n=2.0), "n: n"),
+    (lambda d: d["classes"]["omega"]["P1"][0].update(coeff=1.0),
+     "class omega at P1: coeff"),
+    (lambda d: d["classes"]["omega"]["P2"][0].update(exp=[0, 1.0]),
+     "class omega at P2: exp"),
+])
+def test_non_integer_numbers_are_violations(tmp_path, capsys, mutate, where):
+    # JSON floats and bools used to be truncated by int() and accepted
+    with open(PROJ2) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)],
+                 ["character", str(path), "--xi", "1,2"],
+                 ["qr-check", str(path), "--xi", "1,2"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err == f"E_SCHEMA at {where} is not a JSON integer\n", argv

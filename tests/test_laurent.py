@@ -188,6 +188,23 @@ def test_eval_rational_at_half():
     assert abs(eval_numeric(f, (Fraction(1, 2), 0)) - 0.5) < 1e-12
 
 
+def test_eval_does_not_depend_on_term_insertion_order():
+    # a float sum depends on its order; summing in exponent order makes the
+    # value a function of the polynomial alone
+    exps = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    items = [(e, 1 + i % 3) for i, e in enumerate(exps)]
+    forward = LaurentPoly(2, dict(items))
+    backward = LaurentPoly(2, dict(reversed(items)))
+    assert list(forward.terms) != list(backward.terms)
+    assert forward == backward
+    for f, g in [(forward, backward),
+                 (RationalChar(forward, ((1, 1),)),
+                  RationalChar(backward, ((1, 1),)))]:
+        a = eval_numeric(f, (Fraction(1, 7), Fraction(2, 5)))
+        b = eval_numeric(g, (Fraction(1, 7), Fraction(2, 5)))
+        assert (a.real, a.imag) == (b.real, b.imag)
+
+
 def test_eval_is_ring_homomorphism(rng):
     for _ in range(20):
         a = random_ring_element(2, rng, terms=4, exp_bound=3)
@@ -200,7 +217,8 @@ def test_eval_is_ring_homomorphism(rng):
 
 def _fraction_phase_eval(f, point):
     """Reference evaluation with every phase summed as a Fraction and
-    rounded once by float(Fraction)."""
+    rounded once by float(Fraction), the terms added in sorted exponent
+    order as eval_numeric adds them."""
     def unit(exp):
         phase = sum(Fraction(x) * t for x, t in zip(exp, point))
         return cmath.exp(2j * cmath.pi * float(phase))
@@ -214,8 +232,8 @@ def _fraction_phase_eval(f, point):
             den *= factor
         return _fraction_phase_eval(f.numerator, point) / den
     total = 0j
-    for e, c in f.terms.items():
-        total += c * unit(e)
+    for e in sorted(f.terms):
+        total += f.terms[e] * unit(e)
     return total
 
 
