@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .lattice import NotPrimitive, complete_to_basis, dot, is_primitive
 from .laurent import LaurentPoly, render_poly
-from .graphs import ValidationError, Violation, action_violations, \
-    load_graph_file, symplectic_class, validate_class
+from .graphs import ValidationError, class_violations, load_graph_file, \
+    symplectic_class, validate_class
 from .characters import InternalDivisionFailure, NotGeneric, \
     TruncationOverflow, character_expand, character_oracle, \
     localization_terms, multiplicity, polarize
@@ -59,7 +59,7 @@ def _load(args):
         return load_graph_file(args.input)
     except ValidationError:
         raise
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # unreadable, or not JSON
         raise CliError(f"cannot parse {args.input}: {exc}")
 
 
@@ -107,27 +107,14 @@ def _emit(args, payload, text_lines):
 
 
 def cmd_validate(args):
-    import json as _json
     try:
-        with open(args.input) as fh:
-            doc = _json.load(fh)
-    except (OSError, _json.JSONDecodeError) as exc:
-        raise CliError(f"cannot parse {args.input}: {exc}")
-    violations = _shape_violations(doc)
-    if not violations:
-        n = int(doc.get("n", 0))
-        vertices = [str(v) for v in doc.get("vertices", [])]
-        pairs = [(str(e["from"]), str(e["to"]),
-                  tuple(int(x) for x in e["alpha"]), None)
-                 for e in doc.get("edges", [])]
-        violations = action_violations(n, vertices, pairs)
-    class_viols = []
-    if not violations:
-        action, classes = load_graph_file(args.input)
-        from .graphs import class_violations as _cv
-        for name, values in classes.items():
-            for v in _cv(action, values):
-                class_viols.append((name, v))
+        action, classes = _load(args)
+    except ValidationError as exc:
+        violations, class_viols = exc.violations, []
+    else:
+        violations = []
+        class_viols = [(name, v) for name, values in classes.items()
+                       for v in class_violations(action, values)]
     payload = {
         "graph_violations": [str(v) for v in violations],
         "class_violations": [f"class {name}: {v}" for name, v in class_viols],
@@ -141,29 +128,6 @@ def cmd_validate(args):
         lines.append("OK  graph and classes valid")
     _emit(args, payload, lines)
     return EXIT_OK if not violations and not class_viols else EXIT_VIOLATION
-
-
-def _shape_violations(doc):
-    """Problems that stop the document from being read at all: a top level
-    that is not an object, vertices or edges that are not a list, or an
-    edge without from, to or alpha, or whose alpha is not a list."""
-    if not isinstance(doc, dict):
-        return [Violation("E_SCHEMA", "document", "not a JSON object")]
-    out = [Violation("E_SCHEMA", key, "not a JSON list")
-           for key in ("vertices", "edges")
-           if not isinstance(doc.get(key, []), list)]
-    if out:
-        return out
-    for idx, e in enumerate(doc.get("edges", [])):
-        missing = [k for k in ("from", "to", "alpha")
-                   if not isinstance(e, dict) or k not in e]
-        if missing:
-            out.append(Violation("E_SCHEMA", f"edge#{idx}",
-                                 "missing " + ", ".join(missing)))
-        elif not isinstance(e["alpha"], list):
-            out.append(Violation("E_SCHEMA", f"edge#{idx}",
-                                 "alpha is not a JSON list"))
-    return out
 
 
 def cmd_character(args):

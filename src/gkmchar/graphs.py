@@ -8,6 +8,7 @@ Edges are stored oriented, in pairs swapped by a fixed-point-free involution
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,8 +74,13 @@ def action_violations(n, vertices, edge_pairs):
     edge_pairs is a list of (src, dst, alpha_fwd, alpha_rev); alpha_rev may
     be None, meaning -alpha_fwd.
     """
-    violations = []
+    if not vertices:
+        return [Violation("E_VERTEX", "vertices", "empty vertex set")]
     vset = set(vertices)
+    if len(vset) != len(vertices):
+        return [Violation("E_VERTEX", str(v), f"listed {k} times")
+                for v, k in Counter(vertices).items() if k > 1]
+    violations = []
     out_count = {v: 0 for v in vertices}
     out_w = {v: [] for v in vertices}
     resolved = []
@@ -212,7 +218,17 @@ class KClass:
 
 
 def class_violations(action: GkmAction, values) -> list:
-    out = []
+    """Why values is not a class on action: a vertex without a value or a
+    value on a vertex the graph does not have, else every edge whose
+    endpoint values are not congruent modulo its weight."""
+    out = [Violation("E_COMPAT", str(v), "missing value")
+           for v in action.vertices if v not in values]
+    if len(values) > len(action.vertices) - len(out):
+        vset = set(action.vertices)
+        out += [Violation("E_COMPAT", str(v), "unknown vertex")
+                for v in values if v not in vset]
+    if out:
+        return out
     for e in action.geometric_edges():
         if not congruent_mod_edge(values[e.src], values[e.dst],
                                   action.axial[e.eid]):
@@ -223,15 +239,10 @@ def class_violations(action: GkmAction, values) -> list:
 
 
 def validate_class(action: GkmAction, values) -> KClass:
-    values = {v: p for v, p in values.items()}
-    missing = [v for v in action.vertices if v not in values]
-    if missing:
-        raise ValidationError([Violation("E_COMPAT", str(v), "missing value")
-                               for v in missing])
     violations = class_violations(action, values)
     if violations:
         raise ValidationError(violations)
-    return KClass(action, values)
+    return KClass(action, dict(values))
 
 
 def constant_class(action: GkmAction, c=1) -> KClass:
@@ -379,46 +390,116 @@ def gen_product(a1: GkmAction, sym1: SymplecticClass,
 
 
 def load_graph_data(doc):
-    """Parse the JSON graph document into (GkmAction, named raw classes).
+    """Parse and validate the JSON graph document into (GkmAction, named
+    raw classes).
 
     Schema: {"n": int, "vertices": [str], "edges": [{"from", "to",
     "alpha": [int]}], "classes": {name: {vertex: [{"coeff": int,
-    "exp": [int]}]}}}.  Reverse edges are implied with -alpha.  n, alpha,
-    exp and coeff must be JSON integers: a float or a bool there raises
-    ValidationError with one E_SCHEMA violation instead of being rounded.
+    "exp": [int]}]}}}; edges and classes may be left out.  Reverse edges
+    are implied with -alpha.  A document that departs from the schema
+    raises ValidationError with E_SCHEMA violations: a missing key, a list
+    or object of another type, an exponent of the wrong length, or a
+    number in n, alpha, exp or coeff that is not a JSON integer (a float
+    or a bool is refused, not rounded).  The graph must then pass
+    validate_action, and a class value on a vertex the graph does not list
+    is an E_COMPAT violation.  Whether each class is compatible is left to
+    validate_class.
     """
-    n = _json_int(doc["n"], "n", "n")
-    vertices = [str(v) for v in doc["vertices"]]
-    pairs = [(str(e["from"]), str(e["to"]),
-              _json_ints(e["alpha"], f"edge#{idx}", "alpha"), None)
-             for idx, e in enumerate(doc.get("edges", []))]
-    action = validate_action(n, vertices, pairs)
+    violations = _graph_schema_violations(doc)
+    if violations:
+        raise ValidationError(violations)
+    n = doc["n"]
+    pairs = [(str(e["from"]), str(e["to"]), tuple(e["alpha"]), None)
+             for e in doc.get("edges", [])]
+    action = validate_action(n, [str(v) for v in doc["vertices"]], pairs)
+    vset = set(action.vertices)
     classes = {}
     for name, valmap in doc.get("classes", {}).items():
+        if not isinstance(valmap, dict):
+            violations.append(_schema(f"class {name}", "not a JSON object"))
+            continue
         values = {}
         for v, terms in valmap.items():
             where = f"class {name} at {v}"
+            if v not in vset:
+                violations.append(Violation("E_COMPAT", where,
+                                            "unknown vertex"))
+                continue
+            if not isinstance(terms, list):
+                violations.append(_schema(where, "not a JSON list"))
+                continue
             acc = {}
             for t in terms:
-                exp = _json_ints(t["exp"], where, "exp")
-                acc[exp] = acc.get(exp, 0) + _json_int(t["coeff"], where,
-                                                       "coeff")
-            values[str(v)] = LaurentPoly(n, acc)
+                problem = _term_problem(t, n)
+                if problem:
+                    violations.append(_schema(where, problem))
+                    break
+                exp = tuple(t["exp"])
+                acc[exp] = acc.get(exp, 0) + t["coeff"]
+            else:
+                values[v] = LaurentPoly(n, acc)
         classes[name] = values
+    if violations:
+        raise ValidationError(violations)
     return action, classes
 
 
-def _json_int(x, where, what):
-    """x, if it is a JSON integer: int() would truncate a float, and a bool
-    is an int to Python."""
-    if type(x) is not int:
-        raise ValidationError([Violation("E_SCHEMA", where,
-                                         f"{what} is not a JSON integer")])
-    return x
+def _schema(where, detail):
+    return Violation("E_SCHEMA", where, detail)
 
 
-def _json_ints(xs, where, what):
-    return tuple(_json_int(x, where, what) for x in xs)
+def _graph_schema_violations(doc):
+    """What stops the graph part of the document from being read."""
+    if not isinstance(doc, dict):
+        return [_schema("document", "not a JSON object")]
+    problem = _missing(doc, ("n", "vertices"))
+    if problem:
+        return [_schema("document", problem)]
+    out = [_schema(key, "not a JSON list") for key in ("vertices", "edges")
+           if not isinstance(doc.get(key, []), list)]
+    if not isinstance(doc.get("classes", {}), dict):
+        out.append(_schema("classes", "not a JSON object"))
+    if type(doc["n"]) is not int:
+        out.append(_schema("n", "n is not a JSON integer"))
+    if out:
+        return out
+    for idx, e in enumerate(doc.get("edges", [])):
+        problem = (_missing(e, ("from", "to", "alpha"))
+                   or _int_list_problem(e["alpha"], "alpha"))
+        if problem:
+            out.append(_schema(f"edge#{idx}", problem))
+    return out
+
+
+def _missing(obj, keys):
+    """None if obj is a JSON object with every key, else which are missing."""
+    missing = [key for key in keys if type(obj) is not dict or key not in obj]
+    return "missing " + ", ".join(missing) if missing else None
+
+
+def _term_problem(t, n):
+    """What stops one {coeff, exp} term of a class value from being read."""
+    if type(t) is not dict or "coeff" not in t or "exp" not in t:
+        return _missing(t, ("coeff", "exp"))
+    exp = t["exp"]
+    problem = _int_list_problem(exp, "exp")
+    if problem:
+        return problem
+    if len(exp) != n:
+        return f"exp length {len(exp)} != {n}"
+    if type(t["coeff"]) is not int:
+        return "coeff is not a JSON integer"
+    return None
+
+
+def _int_list_problem(xs, what):
+    """None if xs is a list of JSON integers: int() would truncate a float,
+    and a bool is an int to Python."""
+    if type(xs) is not list:
+        return f"{what} is not a JSON list"
+    if not all(type(x) is int for x in xs):
+        return f"{what} is not a JSON integer"
+    return None
 
 
 def load_graph_file(path):

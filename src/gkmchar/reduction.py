@@ -159,29 +159,43 @@ class ReducedCharacter:
     value: LaurentPoly      # supported on the annihilator lattice of xi
 
 
-def _residues_above(f: KClass, mm: MomentMap, c: Fraction) -> dict:
-    """Total residue of the localized summand of every vertex above the
-    level c, each computed once, in one lattice basis for xi."""
+def _residues(f: KClass, mm: MomentMap, vertices) -> dict:
+    """Total residue of the localized summand of each given vertex, each
+    computed once, all in one lattice basis for xi; no vertices, no basis."""
+    if not vertices:
+        return {}
     basis = complete_to_basis(mm.xi)
     action = f.action
     return {v: res_T(RationalChar(f[v], tuple(action.out_weights(v))),
                      mm.xi, basis=basis).total
-            for v in action.vertices if mm.phi[v] > c}
+            for v in vertices}
 
 
 def chi_reduced(f: KClass, mm: MomentMap, c) -> ReducedCharacter:
-    """The reduced character at the regular level c: the sum of the
-    residues of the vertices above c.
+    """The reduced character at the regular level c, taken from the
+    cheaper side of the level.
 
-    Each of those residues is computed once, all in one completion of xi
-    to a lattice basis; vertices below c cost nothing.
+    The localized character sum_v f_v / prod(1 - x^w) of a compatible
+    class is a Laurent polynomial, so the residues of all its vertices sum
+    to zero, and the reduced character is both the sum of the residues
+    above c and minus the sum of those below c.  Whichever side has fewer
+    vertices is taken, the side above on a tie; each of its residues is
+    computed once, all in one completion of xi to a lattice basis, and an
+    outer chamber costs nothing.  f must be compatible (every constructor
+    in the package makes a compatible class): otherwise the two sides
+    differ and the answer depends on which one is taken.
     """
     c = Fraction(c)
     _require_regular(mm, c)
-    total = LaurentPoly.zero(f.action.n)
-    for r in _residues_above(f, mm, c).values():
-        total = total + r
-    return ReducedCharacter(value=total)
+    vertices = f.action.vertices
+    above = [v for v in vertices if mm.phi[v] > c]
+    below = [v for v in vertices if mm.phi[v] < c]
+    zero = LaurentPoly.zero(f.action.n)
+    if len(above) <= len(below):
+        value = sum(_residues(f, mm, above).values(), zero)
+    else:
+        value = -sum(_residues(f, mm, below).values(), zero)
+    return ReducedCharacter(value=value)
 
 
 @dataclass(frozen=True)
@@ -196,29 +210,40 @@ def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
     """The drop in the reduced character across a single wall equals the
     residue of the crossed vertex's localized summand.
 
-    The residues above the lower level are computed once, in one basis:
-    delta is their sum minus the sum of those above the upper level, and
-    the crossed vertex's own entry is the residue.  Exactly one critical
+    With c < c' and p the one vertex between them, both chambers are read
+    off one set of residues, each computed once in one basis: those of
+    the vertices above c, or of those below c', whichever set is smaller
+    (the set above on a tie); both sets contain p.  Above, chi_c and
+    chi_c' are the sums over phi > c and phi > c'; below, they are minus
+    the sums over phi < c and phi < c', which is the same for a compatible
+    class, whose vertex residues sum to zero (see chi_reduced).  delta is
+    chi_c - chi_c' and residue is p's own entry.  Exactly one critical
     value must lie between the levels (WrongWallCount, checked first), and
     both levels must be regular (NotRegular).
     """
     c, cp = Fraction(c), Fraction(cp)
     if c > cp:
         c, cp = cp, c
-    between = [v for v in f.action.vertices if c < mm.phi[v] < cp]
+    vertices = f.action.vertices
+    between = [v for v in vertices if c < mm.phi[v] < cp]
     if len(between) != 1:
         raise WrongWallCount(
             f"{len(between)} critical values in ({c}, {cp}), expected 1")
     p = between[0]
     _require_regular(mm, c)
     _require_regular(mm, cp)
-    residues = _residues_above(f, mm, c)
-    total = upper = LaurentPoly.zero(f.action.n)
-    for v, r in residues.items():
-        total = total + r
-        if mm.phi[v] > cp:
-            upper = upper + r
-    delta = total - upper
+    above = [v for v in vertices if mm.phi[v] > c]
+    below = [v for v in vertices if mm.phi[v] < cp]
+    zero = LaurentPoly.zero(f.action.n)
+    if len(above) <= len(below):
+        residues = _residues(f, mm, above)
+        chi_c = sum(residues.values(), zero)
+        chi_cp = sum((r for v, r in residues.items() if mm.phi[v] > cp), zero)
+    else:
+        residues = _residues(f, mm, below)
+        chi_c = -sum((r for v, r in residues.items() if mm.phi[v] < c), zero)
+        chi_cp = -sum(residues.values(), zero)
+    delta = chi_c - chi_cp
     residue = residues[p]
     return WallCrossingResult(ok=delta == residue, vertex=p,
                               delta=delta, residue=residue)
@@ -291,8 +316,8 @@ def qr_check(sym: SymplecticClass, xi) -> QrResult:
     The invariant part is the character's slice at xi-level zero, the
     monomials whose xi-pairing is zero, expanded on its own
     (character_expand with level=0) rather than cut out of the whole
-    character; the reduced character sums vertex residues above the zero
-    level of the symplectic moment map.
+    character; the reduced character is chi_reduced at the zero level of
+    the symplectic moment map.
     """
     xi = tuple(xi)
     if not is_primitive(xi):

@@ -1,8 +1,10 @@
+import copy
 import functools
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmchar import cli
 from gkmchar.characters import character_expand, character_oracle
@@ -190,10 +192,14 @@ def test_truncation_overflow_is_violation_not_traceback(tmp_path, capsys,
     assert len(err.splitlines()) == 1
 
 
-def _validate_doc(tmp_path, capsys, doc):
+def _write_doc(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    return run(["validate", str(path)], capsys)
+    return str(path)
+
+
+def _validate_doc(tmp_path, capsys, doc):
+    return run(["validate", _write_doc(tmp_path, doc)], capsys)
 
 
 def test_validate_non_object_document_is_violation(tmp_path, capsys):
@@ -251,6 +257,14 @@ def test_negative_vector_flags_accept_both_spellings(capsys):
     assert spaced[1].strip() == "1*x^(-1,0) + 1 + 1*x^(1,0)"
 
 
+def _mutated_proj2(tmp_path, mutate):
+    """tests/data/proj2.json, changed in place by mutate and written anew."""
+    with open(PROJ2) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    return _write_doc(tmp_path, doc)
+
+
 @pytest.mark.parametrize("mutate, where", [
     (lambda d: d["edges"][0].update(alpha=[1.7, 0]), "edge#0: alpha"),
     (lambda d: d["edges"][1].update(alpha=[0, True]), "edge#1: alpha"),
@@ -261,15 +275,96 @@ def test_negative_vector_flags_accept_both_spellings(capsys):
      "class omega at P2: exp"),
 ])
 def test_non_integer_numbers_are_violations(tmp_path, capsys, mutate, where):
-    # JSON floats and bools used to be truncated by int() and accepted
-    with open(PROJ2) as fh:
+    # JSON floats and bools used to be truncated by int() and accepted;
+    # validate reports the violation on stdout, the others on stderr
+    path = _mutated_proj2(tmp_path, mutate)
+    line = f"E_SCHEMA at {where} is not a JSON integer\n"
+    assert run(["validate", path], capsys) == (2, line, "")
+    for argv in (["character", path, "--xi", "1,2"],
+                 ["qr-check", path, "--xi", "1,2"]):
+        assert run(argv, capsys) == (2, "", line), argv
+
+
+@pytest.mark.parametrize("mutate, line", [
+    (lambda d: d.update(n="x"), "E_SCHEMA at n: n is not a JSON integer"),
+    (lambda d: d["edges"][0].update(alpha=[1, "a"]),
+     "E_SCHEMA at edge#0: alpha is not a JSON integer"),
+    # truncated to (1, 1), this weight used to fail the edge compatibility
+    # check twice without the float being named
+    (lambda d: d["edges"][0].update(alpha=[1.7, 1]),
+     "E_SCHEMA at edge#0: alpha is not a JSON integer"),
+    (lambda d: d.update(classes={"c": 5}),
+     "E_SCHEMA at class c: not a JSON object"),
+    (lambda d: d.pop("n"), "E_SCHEMA at document: missing n"),
+    (lambda d: d.pop("vertices"), "E_SCHEMA at document: missing vertices"),
+    (lambda d: d["classes"]["omega"].update(P0=[{"coeff": 1}]),
+     "E_SCHEMA at class omega at P0: missing exp"),
+    (lambda d: d["classes"]["omega"]["P0"][0].update(exp=[0, 0, 0]),
+     "E_SCHEMA at class omega at P0: exp length 3 != 2"),
+])
+def test_malformed_document_is_one_schema_violation(tmp_path, capsys, mutate,
+                                                   line):
+    # each of these used to print a traceback in validate, or a different
+    # or missing violation; the loader now names the problem once
+    path = _mutated_proj2(tmp_path, mutate)
+    assert run(["validate", path], capsys) == (2, line + "\n", "")
+    assert run(["character", path, "--xi", "1,2"], capsys) == \
+        (2, "", line + "\n")
+
+
+def test_duplicate_vertex_is_violation(tmp_path, capsys):
+    path = _mutated_proj2(tmp_path, lambda d: d["vertices"].append("P0"))
+    line = "E_VERTEX at P0: listed 2 times\n"
+    assert run(["validate", path], capsys) == (2, line, "")
+    assert run(["reduce", path, "--xi", "1,2", "--c", "1/2"], capsys) == \
+        (2, "", line)
+
+
+def test_empty_vertex_set_is_violation(tmp_path, capsys):
+    path = _write_doc(tmp_path, {"n": 2, "vertices": [], "edges": []})
+    line = "E_VERTEX at vertices: empty vertex set\n"
+    assert run(["validate", path], capsys) == (2, line, "")
+    assert run(["character", path, "--xi", "1,2"], capsys) == (2, "", line)
+
+
+def test_class_value_on_unknown_vertex_is_violation(tmp_path, capsys):
+    path = _mutated_proj2(tmp_path, lambda d: d["classes"]["omega"].update(
+        P9=[{"coeff": 1, "exp": [0, 0]}]))
+    line = "E_COMPAT at class omega at P9: unknown vertex\n"
+    assert run(["validate", path], capsys) == (2, line, "")
+    assert run(["character", path, "--xi", "1,2"], capsys) == (2, "", line)
+
+
+def _json_paths(node, prefix=()):
+    """The path to every value inside a JSON document."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory,
+                                                       data):
+    # replace or delete one value anywhere in a shipped document: every
+    # subcommand answers 0, 1 or 2, and no exception leaves main
+    name = data.draw(st.sampled_from(sorted(os.listdir(DATA))))
+    with open(os.path.join(DATA, name)) as fh:
         doc = json.load(fh)
-    mutate(doc)
-    path = tmp_path / "mutated.json"
-    path.write_text(json.dumps(doc))
-    for argv in (["validate", str(path)],
-                 ["character", str(path), "--xi", "1,2"],
-                 ["qr-check", str(path), "--xi", "1,2"]):
-        code, out, err = run(argv, capsys)
-        assert (code, out) == (2, ""), argv
-        assert err == f"E_SCHEMA at {where} is not a JSON integer\n", argv
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(
+            [None, True, 1.5, -1, 0, "x", [], [1, "a"], {}, {"a": [1]}])))
+    target = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    target.write_text(json.dumps(doc))
+    for argv in (["validate"], ["character", "--xi", "1,2"],
+                 ["reduce", "--xi", "1,2", "--c", "1/2"],
+                 ["qr-check", "--xi", "1,2"]):
+        assert main(argv[:1] + [str(target)] + argv[1:]) in (0, 1, 2), argv

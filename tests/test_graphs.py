@@ -67,6 +67,22 @@ def test_cp1_incompatible_class():
         validate_class(action, values)
 
 
+def test_vertex_set_and_class_vertices_are_checked():
+    # an empty or repeated vertex list, and a value on a vertex the graph
+    # does not have, used to pass (an empty graph then failed on an index)
+    for vertices, where in (([], "vertices"), (["p", "q", "p"], "p")):
+        with pytest.raises(ValidationError) as exc:
+            validate_action(2, vertices, [("p", "q", (1, 0), None)])
+        assert [(v.code, v.where) for v in exc.value.violations] == \
+            [("E_VERTEX", where)]
+    action, _ = gen_cp1_in_plane()
+    one = LaurentPoly.one(2)
+    with pytest.raises(ValidationError) as exc:
+        validate_class(action, {"p": one, "q": one, "r": one})
+    assert [str(v) for v in exc.value.violations] == \
+        ["E_COMPAT at r: unknown vertex"]
+
+
 def test_cp1_symplectic_values_are_compatible():
     action, _ = gen_cp1_in_plane()
     values = {"p": LaurentPoly.monomial((-1, 0)),

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gkmchar import reduction
 from gkmchar.lattice import dot
 from gkmchar.laurent import LaurentPoly
 from gkmchar.graphs import Edge, GkmAction, constant_class, \
@@ -13,8 +16,8 @@ from gkmchar.reduction import (CycleError, NotRegular, WrongWallCount,
                                edge_compat_check, moment_map, qr_check,
                                symplectic_moment_map, wall_crossing_check)
 from gkmchar.randomgen import (random_class, random_generic_xi,
-                               random_symplectic, random_zero_regular_xi,
-                               standard_fixtures)
+                               random_ring_element, random_symplectic,
+                               random_zero_regular_xi, standard_fixtures)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,13 @@ def test_wall_crossing_projective2(rng):
         assert wall_crossing_check(sym.base, mm, lo, hi).ok
 
 
+def _chamber_levels(mm):
+    """One regular level in every chamber, outer chambers included."""
+    crits = mm.critical_values()
+    return [crits[0] - 1] + [(a + b) / 2 for a, b in
+                             zip(crits, crits[1:])] + [crits[-1] + 1]
+
+
 def test_telescoping(rng):
     """Every chamber's reduced character is the sum of the residues above
     it, and every wall crossing drops it by the crossed vertex's residue,
@@ -153,9 +163,7 @@ def test_telescoping(rng):
         f = random_class(action, sym, rng)
         xi = random_generic_xi(action, rng)
         mm = moment_map(action, xi)
-        crits = mm.critical_values()
-        levels = [crits[0] - 1] + [(a + b) / 2 for a, b in
-                                   zip(crits, crits[1:])] + [crits[-1] + 1]
+        levels = _chamber_levels(mm)
         terms = localization_terms(f)
         residue = {v: res_T(terms[v], xi).total for v in action.vertices}
 
@@ -176,6 +184,95 @@ def test_telescoping(rng):
             assert res.delta == delta, name
             assert res.residue == residue[p], name
             assert res.ok == (delta == residue[p]), name
+
+
+def test_each_level_pays_for_its_smaller_side(fixtures, rng, monkeypatch):
+    """A chamber takes the residues of the vertices on the side of its
+    level with fewer of them, a wall crossing those of the smaller of the
+    sets above the lower level and below the upper one, each set in one
+    basis; an outer chamber takes no residue and builds no basis."""
+    calls = {"res_T": 0, "complete_to_basis": 0}
+
+    def counted(name):
+        fn = getattr(reduction, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reduction, name, counted(name))
+
+    def cost():
+        got = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        return got
+
+    for name, (action, sym) in fixtures.items():
+        f = random_class(action, sym, rng)
+        mm = moment_map(action, random_generic_xi(action, rng))
+
+        def count(keep):
+            return sum(1 for x in mm.phi.values() if keep(x))
+
+        levels = _chamber_levels(mm)
+        for c in levels:
+            chi_reduced(f, mm, c)
+            k = min(count(lambda x: x > c), count(lambda x: x < c))
+            assert cost() == {"res_T": k, "complete_to_basis": int(k > 0)}, \
+                (name, c)
+        for outer in (levels[0], levels[-1]):
+            chi_reduced(f, mm, outer)
+            assert cost() == {"res_T": 0, "complete_to_basis": 0}, name
+        for lo, hi in zip(levels, levels[1:]):
+            wall_crossing_check(f, mm, lo, hi)
+            k = min(count(lambda x: x > lo), count(lambda x: x < hi))
+            assert cost() == {"res_T": k, "complete_to_basis": 1}, \
+                (name, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_vertex_residues_sum_to_zero_on_either_side(fixtures, data):
+    """The identity that lets a level take either side: the residues of
+    all vertices of a compatible class sum to zero, so every chamber and
+    wall reads the same from below as from above.  Checked against each
+    vertex's residue taken on its own through the public res_T."""
+    name = data.draw(st.sampled_from(sorted(fixtures)))
+    action, sym = fixtures[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    f = random_class(action, sym, rng)
+    if data.draw(st.booleans()):
+        # mixed: plus a ring multiple of another symplectic class
+        f = f + random_symplectic(action, sym, rng).base * \
+            random_ring_element(action.n, rng)
+    xi = random_generic_xi(action, rng)
+    if data.draw(st.booleans()):
+        mm = moment_map(action, xi)
+    else:
+        # explicit values: a symplectic moment map, each value moved by
+        # less than 1/2 so that it still increases along every edge
+        alphas = random_symplectic(action, sym, rng).alphas
+        shifts = rng.sample(range(1, 1000), len(action.vertices))
+        mm = moment_map(action, xi, phi={
+            v: dot(alphas[v], xi) + Fraction(s, 2000)
+            for v, s in zip(action.vertices, shifts)})
+    terms = localization_terms(f)
+    residue = {v: res_T(terms[v], xi).total for v in action.vertices}
+    zero = LaurentPoly.zero(action.n)
+    assert sum(residue.values(), zero) == zero
+
+    def above(c):
+        return sum((r for v, r in residue.items() if mm.phi[v] > c), zero)
+
+    levels = _chamber_levels(mm)
+    for c in levels:
+        assert chi_reduced(f, mm, c).value == above(c), (name, c)
+    for lo, hi in zip(levels, levels[1:]):
+        res = wall_crossing_check(f, mm, lo, hi)
+        assert res.delta == above(lo) - above(hi), (name, lo, hi)
+        assert res.residue == residue[res.vertex], (name, lo, hi)
 
 
 def test_wall_crossing_rejects_critical_levels():
