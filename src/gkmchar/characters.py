@@ -403,25 +403,41 @@ def _partial_geometric(n, prim, mult, big, sign):
 def in_convex_hull(point, points) -> bool:
     """Exact rational membership of point in the convex hull of points.
 
-    Decided by one feasibility LP: find lambda >= 0 with
-    sum(lambda_i * p_i) = point and sum(lambda_i) = 1.  The LP is solved
-    by an exact phase-1 simplex with Bland's rule, which terminates without
-    perturbation; its tableau stays integral (see _phase1_feasible), so no
-    Fraction is formed.  Point sets whose affine hull is not the whole
-    space need no special case.
+    Exact certificates settle most queries before anything is solved.  A
+    point of P is inside, and one outside the bounding box of P is outside.
+    Separation: with eta = |P| * point - sum(P), the direction from the
+    centroid of P to the point, if eta . point > eta . q for every q in P,
+    the hyperplane through the point normal to eta has all of P strictly
+    on one side, so the point is outside.  Midpoint: if point = (a + b) / 2
+    for a, b in P, it is inside.
+
+    Only when no certificate holds is one feasibility LP solved: find
+    lambda >= 0 with sum(lambda_i * p_i) = point and sum(lambda_i) = 1.  The
+    LP is solved by an exact phase-1 simplex with Bland's rule, which
+    terminates without perturbation; its tableau stays integral (see
+    _phase1_feasible), so no Fraction is formed.  Point sets whose affine
+    hull is not the whole space need no special case.
     """
     point = tuple(point)
-    pts = list(dict.fromkeys(tuple(p) for p in points))
+    pts = dict.fromkeys(tuple(p) for p in points)
     if point in pts:
         return True
     if not pts:
         return False
-    for i, x in enumerate(point):
-        coords = [p[i] for p in pts]
+    cols = list(zip(*pts))
+    for x, coords in zip(point, cols):
         if not min(coords) <= x <= max(coords):
             return False
+    eta = [len(pts) * x - sum(coords) for x, coords in zip(point, cols)]
+    top = dot(eta, point)
+    if all(dot(eta, q) < top for q in pts):
+        return False
+    # a != b, since a == b would put the point itself in P
+    twice = vscale(point, 2)
+    if any(vsub(twice, a) in pts for a in pts):
+        return True
     # rows: n coordinate equations plus the affine one, rhs last
-    rows = [[p[i] for p in pts] + [x] for i, x in enumerate(point)]
+    rows = [list(coords) + [x] for x, coords in zip(point, cols)]
     rows.append([1] * (len(pts) + 1))
     return _phase1_feasible(rows)
 
@@ -491,12 +507,17 @@ def _pivot_row(row, prow, p, f, prev):
 
 
 def hull_vertices(points):
-    """Points that are vertices of the convex hull of the collection."""
-    pts = []
-    for p in points:
-        p = tuple(p)
-        if p not in pts:
-            pts.append(p)
+    """Points that are vertices of the convex hull of the collection, in
+    the order first seen.
+
+    Each distinct point p is tested by in_convex_hull(p, others).  A strict
+    vertex is settled there by the separation certificate whenever the
+    direction from the centroid of the points to p exposes it, as at every
+    point of a set on a sphere about its centroid: the corners of a box,
+    or a Weyl group orbit.  Other points go on to the midpoint certificate
+    and then to the LP.
+    """
+    pts = list(dict.fromkeys(tuple(p) for p in points))
     out = []
     for p in pts:
         others = [q for q in pts if q != p]
@@ -515,11 +536,29 @@ class HullReport:
 
 def hull_report(sym: SymplecticClass, char: CharacterResult) -> HullReport:
     """Check support containment in the weight hull and multiplicity one at
-    its vertices."""
+    its vertices.
+
+    The support lies in the hull exactly when the extreme points of its own
+    convex hull do, and a support point mu with mu + u and mu - u both in
+    the support is a midpoint, never extreme.  So only the support points
+    for which no primitive edge direction u of the action does this are
+    sent to in_convex_hull, whose certificates and LP fallback decide them.
+    If one of them is outside, every support point is tested, in sorted
+    order, so support_violations lists all of them.
+    """
     alphas = list(sym.alphas.values())
     verts = tuple(hull_vertices(alphas))
-    support_bad = tuple(mu for mu in sorted(char.poly.terms)
-                        if not in_convex_hull(mu, alphas))
+    terms = char.poly.terms
+    support = sorted(terms)
+    dirs = dict.fromkeys(_canonical_sign(primitive_part(w)[0])
+                         for w in sym.action.axial.values())
+    tested = [mu for mu in support
+              if not any(vadd(mu, u) in terms and vsub(mu, u) in terms
+                         for u in dirs)]
+    support_bad = ()
+    if not all(in_convex_hull(mu, alphas) for mu in tested):
+        support_bad = tuple(mu for mu in support
+                            if not in_convex_hull(mu, alphas))
     coeff_bad = tuple((v, char.poly.coeff(v)) for v in verts
                       if char.poly.coeff(v) != 1)
     return HullReport(ok=not support_bad and not coeff_bad,

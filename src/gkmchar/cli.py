@@ -107,27 +107,22 @@ def _emit(args, payload, text_lines):
 
 
 def cmd_validate(args):
+    """Graph violations, then class violations, one line each.  The
+    loader's violations name their class themselves; those of
+    class_violations are prefixed with the class name."""
+    graph, classes_bad = [], []
     try:
         action, classes = _load(args)
     except ValidationError as exc:
-        violations, class_viols = exc.violations, []
+        lines = [str(v) for v in exc.violations]
+        (classes_bad if exc.stage == "class" else graph).extend(lines)
     else:
-        violations = []
-        class_viols = [(name, v) for name, values in classes.items()
+        classes_bad = [f"class {name}: {v}" for name, values in classes.items()
                        for v in class_violations(action, values)]
-    payload = {
-        "graph_violations": [str(v) for v in violations],
-        "class_violations": [f"class {name}: {v}" for name, v in class_viols],
-    }
-    lines = []
-    for v in violations:
-        lines.append(str(v))
-    for name, v in class_viols:
-        lines.append(f"class {name}: {v}")
-    if not violations and not class_viols:
-        lines.append("OK  graph and classes valid")
-    _emit(args, payload, lines)
-    return EXIT_OK if not violations and not class_viols else EXIT_VIOLATION
+        lines = classes_bad or ["OK  graph and classes valid"]
+    _emit(args, {"graph_violations": graph, "class_violations": classes_bad},
+          lines)
+    return EXIT_VIOLATION if graph or classes_bad else EXIT_OK
 
 
 def cmd_character(args):

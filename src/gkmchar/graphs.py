@@ -11,6 +11,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
 from .lattice import dot, primitive_part, vadd, vneg, vscale, vsub
 from .laurent import LaurentPoly, congruent_mod_edge, reduce_mod_weight
@@ -28,8 +29,12 @@ class Violation:
 
 
 class ValidationError(ValueError):
-    def __init__(self, violations):
+    """stage is "class" when every violation is in a class of the document
+    (see load_graph_data), else "graph"."""
+
+    def __init__(self, violations, stage="graph"):
         self.violations = list(violations)
+        self.stage = stage
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
@@ -385,6 +390,38 @@ def gen_product(a1: GkmAction, sym1: SymplecticClass,
     return action, sym
 
 
+def gen_flag_a(m: int, lam):
+    """GKM graph of the type-A flag variety Fl(m) in Z^m, with the
+    symplectic class of the orbit of lam.
+
+    The vertices are the permutations p of range(m), each named by its
+    entries joined with commas ("1,2,0"); alpha_p puts lam[k] at position
+    p[k].  Each p is joined to p∘(i j), p with entries i and j swapped, by
+    the primitive part of alpha_q - alpha_p, a root e_a - e_b.  So
+    d = m(m-1)/2 exceeds the rank m-1 of the weights once m >= 3.  lam
+    must have m distinct entries.
+    """
+    lam = tuple(lam)
+    if m < 2 or len(lam) != m or len(set(lam)) != m:
+        raise ValueError("need m >= 2 and m distinct entries in lam")
+    alphas = {p: tuple(lam[p.index(a)] for a in range(m))
+              for p in permutations(range(m))}
+    name = {p: ",".join(map(str, p)) for p in alphas}
+    pairs = []
+    for p in alphas:
+        for i in range(m):
+            for j in range(i + 1, m):
+                q = list(p)
+                q[i], q[j] = p[j], p[i]
+                q = tuple(q)
+                if p < q:
+                    w, _ = primitive_part(vsub(alphas[q], alphas[p]))
+                    pairs.append((name[p], name[q], w, None))
+    action = validate_action(m, list(name.values()), pairs)
+    sym = symplectic_class(action, {name[p]: a for p, a in alphas.items()})
+    return action, sym
+
+
 # ---------------------------------------------------------------------------
 # file format
 
@@ -403,7 +440,9 @@ def load_graph_data(doc):
     or a bool is refused, not rounded).  The graph must then pass
     validate_action, and a class value on a vertex the graph does not list
     is an E_COMPAT violation.  Whether each class is compatible is left to
-    validate_class.
+    validate_class.  The graph is read and validated before any class, so
+    the ValidationError carries the violations of one stage: its stage is
+    "class" when the graph passed and a class did not.
     """
     violations = _graph_schema_violations(doc)
     if violations:
@@ -440,7 +479,7 @@ def load_graph_data(doc):
                 values[v] = LaurentPoly(n, acc)
         classes[name] = values
     if violations:
-        raise ValidationError(violations)
+        raise ValidationError(violations, stage="class")
     return action, classes
 
 

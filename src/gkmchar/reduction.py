@@ -207,8 +207,14 @@ class WallCrossingResult:
 
 
 def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
-    """The drop in the reduced character across a single wall equals the
-    residue of the crossed vertex's localized summand.
+    """The drop in the reduced character across a single wall, and the
+    residue of the crossed vertex's localized summand, which it equals.
+
+    ok is a consistency check only: delta and residue are sums of the same
+    exact residues, so ok holds whatever res_T returns and can read false
+    only if the sums are assembled wrongly.  A drop is tested against a
+    value found without residues: chamber values known independently, or
+    the zero total of a compatible class's vertex residues.
 
     With c < c' and p the one vertex between them, both chambers are read
     off one set of residues, each computed once in one basis: those of

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gkmchar import characters, laurent
-from gkmchar.lattice import dot, primitive_part
+from gkmchar.lattice import dot, primitive_part, vscale, vsub
 from gkmchar.laurent import LaurentPoly, eval_numeric
-from gkmchar.graphs import KClass, constant_class, gen_cp1_in_plane, \
-    gen_product, gen_projective, symplectic_class, validate_action
-from gkmchar.characters import (CharacterResult, NotGeneric,
+from gkmchar.graphs import GkmAction, KClass, SymplecticClass, \
+    constant_class, gen_cp1_in_plane, gen_flag_a, gen_product, \
+    gen_projective, symplectic_class, validate_action
+from gkmchar.characters import (CharacterResult, HullReport, NotGeneric,
                                 TruncationOverflow, character_expand,
                                 character_oracle, hull_report, hull_vertices,
                                 in_convex_hull, kostant_count,
@@ -455,6 +456,192 @@ def test_hull_report_projective2():
     # every hull vertex carries coefficient one
     for v in report.hull_vertices:
         assert char.poly.coeff(v) == 1
+
+
+# --- the hull certificates against an LP-only reference -------------------
+
+
+def _lp_member(point, points):
+    """Membership by the phase-1 LP alone, with no certificate or shortcut."""
+    pts = list(dict.fromkeys(tuple(p) for p in points))
+    if not pts:
+        return False
+    rows = [[p[i] for p in pts] + [x] for i, x in enumerate(point)]
+    rows.append([1] * (len(pts) + 1))
+    return characters._phase1_feasible(rows)
+
+
+def _lp_hull_vertices(points):
+    pts = list(dict.fromkeys(tuple(p) for p in points))
+    return [p for p in pts
+            if not _lp_member(p, [q for q in pts if q != p])]
+
+
+def _lp_hull_report(sym, char):
+    """hull_report as it reads with every support point sent to the LP."""
+    alphas = list(sym.alphas.values())
+    verts = tuple(_lp_hull_vertices(alphas))
+    bad = tuple(mu for mu in sorted(char.poly.terms)
+                if not _lp_member(mu, alphas))
+    coeff = tuple((v, char.poly.coeff(v)) for v in verts
+                  if char.poly.coeff(v) != 1)
+    return HullReport(not bad and not coeff, verts, bad, coeff)
+
+
+def _point_class(points, directions):
+    """A stand-in symplectic class for hull_report, which reads only the
+    vertex weights and the edge weights of the action."""
+    n = len(points[0])
+    action = GkmAction(n=n, d=0, vertices=tuple(range(len(points))),
+                       edges=(), axial=dict(enumerate(directions)))
+    return SymplecticClass(action, dict(enumerate(points)), {})
+
+
+WIDE = st.integers(-5, 5)
+
+
+@st.composite
+def hull_cases(draw):
+    """Points as in hull_queries (duplicates, lines, planes); queries that
+    are points of the set, midpoints of two of them (rounded down), or
+    anywhere in [-5, 5]^n, so some lie outside the bounding box and some
+    inside the box but outside the hull; edge directions that are unit
+    vectors or primitive differences of two points."""
+    _, points = draw(hull_queries())
+    n = len(points[0])
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("point", "midpoint", "free")))
+        if kind == "point":
+            queries.append(draw(st.sampled_from(points)))
+        elif kind == "midpoint":
+            a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+            queries.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+        else:
+            queries.append(draw(st.tuples(*[WIDE] * n)))
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    diffs = [primitive_part(vsub(a, b))[0] for a in points for b in points
+             if a != b]
+    directions = draw(st.lists(st.sampled_from(units + diffs), min_size=1,
+                               max_size=6))
+    return points, queries, directions
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_cases())
+def test_hull_certificates_match_lp_only(case):
+    points, queries, directions = case
+    for q in queries:
+        assert in_convex_hull(q, points) == _lp_member(q, points), q
+    assert hull_vertices(points) == _lp_hull_vertices(points)
+    # the support: the queries, and the points too, with coefficient 2 at
+    # every other point so that coeff_violations is not always empty
+    terms = {q: 1 for q in queries}
+    terms.update((p, 1 + i % 2) for i, p in enumerate(points))
+    sym = _point_class(points, directions)
+    char = CharacterResult(LaurentPoly(len(points[0]), terms))
+    assert hull_report(sym, char) == _lp_hull_report(sym, char)
+
+
+def test_hull_report_with_outside_terms_matches_lp_only(rng):
+    # symplectic classes of every fixture, their characters with terms
+    # injected outside the weight hull, inside it and outside its box
+    for name, (action, sym) in standard_fixtures().items():
+        s2 = random_symplectic(action, sym, rng)
+        char = character_oracle(s2.base)
+        assert hull_report(s2, CharacterResult(char)) == \
+            _lp_hull_report(s2, CharacterResult(char))
+        for _ in range(5):
+            extra = {tuple(rng.randint(-6, 6) for _ in range(action.n)):
+                     rng.choice((-1, 1, 2)) for _ in range(rng.randint(1, 4))}
+            poly = char + LaurentPoly(action.n, extra)
+            got = hull_report(s2, CharacterResult(poly))
+            assert got == _lp_hull_report(s2, CharacterResult(poly)), name
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts the phase-1 LPs that in_convex_hull solves."""
+    calls = []
+    solve = characters._phase1_feasible
+
+    def counted(rows):
+        calls.append(len(rows))
+        return solve(rows)
+    monkeypatch.setattr(characters, "_phase1_feasible", counted)
+    return calls
+
+
+def test_thin_triangle_still_reaches_the_lp(lp_calls):
+    # (1, 1) is inside, but no two corners have it as their midpoint and
+    # the separation direction from the centroid is zero
+    tri = [(0, 0), (2, 1), (1, 2)]
+    assert in_convex_hull((1, 1), tri)
+    assert len(lp_calls) == 1
+    assert hull_vertices(tri + [(1, 1)]) == tri
+
+
+def test_certificates_settle_the_cube_report(lp_calls):
+    # (P1)^3 scaled by 2: every corner is exposed by separation and every
+    # other support point is a midpoint along an edge, so no LP is solved
+    action, sym = gen_projective(1)
+    p1 = (action, sym)
+    for _ in range(2):
+        action, sym = gen_product(action, sym, *p1)
+    sym = symplectic_class(action, {v: vscale(a, 2)
+                                    for v, a in sym.alphas.items()})
+    char = CharacterResult(LaurentPoly(3, {mu: 1 for mu in
+                                           product(range(3), repeat=3)}))
+    report = hull_report(sym, char)
+    assert report.ok and len(report.hull_vertices) == 8
+    assert lp_calls == []
+
+
+# --- type-A flag graphs: d = m(m-1)/2 > n - 1 --------------------------------
+
+
+def _weyl_dimension(lam):
+    """prod_{i<j} (mu_i - mu_j + j - i) / (j - i), mu = lam decreasing."""
+    mu = sorted(lam, reverse=True)
+    num = den = 1
+    for i, j in combinations(range(len(mu)), 2):
+        num *= mu[i] - mu[j] + j - i
+        den *= j - i
+    return num // den
+
+
+@pytest.mark.parametrize("m, lam, dim", [
+    (3, (0, 1, 2), 8),
+    (4, (0, 1, 2, 3), 64),
+    (4, (0, 2, 4, 6), 729),
+    (4, (3, 0, 2, 1), 64),
+    (5, (0, 1, 2, 3, 4), 1024),
+])
+def test_flag_character_has_weyl_dimension(m, lam, dim):
+    _, sym = gen_flag_a(m, lam)
+    chi = character_oracle(sym.base)
+    assert _weyl_dimension(lam) == dim
+    assert sum(chi.terms.values()) == dim
+    # the character is symmetric under permuting the coordinates
+    assert all(chi.coeff(tuple(e[i] for i in (1, 0) + tuple(range(2, m))))
+               == c for e, c in chi.terms.items())
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_flag_expansion_matches_oracle(m):
+    _, sym = gen_flag_a(m, range(m))
+    xi = (1, 3, 7, 15)[:m]
+    assert character_expand(sym.base, polarize(sym.action, xi)).poly == \
+        character_oracle(sym.base)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_flag_hull_report(m):
+    _, sym = gen_flag_a(m, range(m))
+    report = hull_report(sym, CharacterResult(character_oracle(sym.base)))
+    assert report.ok
+    assert set(report.hull_vertices) == set(permutations(range(m)))
+    assert len(report.hull_vertices) == len(sym.alphas)
 
 
 def test_support_outside_hull_has_zero_coefficient(cp1):

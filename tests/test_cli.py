@@ -335,6 +335,31 @@ def test_class_value_on_unknown_vertex_is_violation(tmp_path, capsys):
     assert run(["character", path, "--xi", "1,2"], capsys) == (2, "", line)
 
 
+@pytest.mark.parametrize("mutate, graph, classes", [
+    (lambda d: d["classes"]["omega"].update(
+        P9=[{"coeff": 1, "exp": [0, 0]}]),
+     [], ["E_COMPAT at class omega at P9: unknown vertex"]),
+    (lambda d: d["classes"]["omega"]["P0"][0].update(exp=[0, 0, 0]),
+     [], ["E_SCHEMA at class omega at P0: exp length 3 != 2"]),
+    (lambda d: d.update(classes={"c": 5}),
+     [], ["E_SCHEMA at class c: not a JSON object"]),
+    (lambda d: d["classes"]["omega"]["P1"][0].update(exp=[0, 0]),
+     [], ["class omega: E_COMPAT at edge P1->P2: vertex values are not "
+          "congruent modulo the edge weight"]),
+    (lambda d: d["edges"][0].update(alpha=[1.7, 0]),
+     ["E_SCHEMA at edge#0: alpha is not a JSON integer"], []),
+])
+def test_validate_json_splits_violations_by_stage(tmp_path, capsys, mutate,
+                                                  graph, classes):
+    # a class the loader refuses is listed with the class violations, as
+    # one that fails validate_class is
+    path = _mutated_proj2(tmp_path, mutate)
+    code, out, err = run(["validate", path, "--output", "json"], capsys)
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"graph_violations": graph,
+                               "class_violations": classes}
+
+
 def _json_paths(node, prefix=()):
     """The path to every value inside a JSON document."""
     items = (node.items() if isinstance(node, dict) else
@@ -353,6 +378,9 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory,
     name = data.draw(st.sampled_from(sorted(os.listdir(DATA))))
     with open(os.path.join(DATA, name)) as fh:
         doc = json.load(fh)
+    # a direction of the document's own dimension, generic on every shipped
+    # graph, so that a document the mutation leaves valid is computed on
+    xi = ",".join(str(i) for i in range(1, doc["n"] + 1))
     path = data.draw(st.sampled_from(list(_json_paths(doc))))
     parent = doc
     for key in path[:-1]:
@@ -364,7 +392,7 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory,
             [None, True, 1.5, -1, 0, "x", [], [1, "a"], {}, {"a": [1]}])))
     target = tmp_path_factory.mktemp("fuzz") / "doc.json"
     target.write_text(json.dumps(doc))
-    for argv in (["validate"], ["character", "--xi", "1,2"],
-                 ["reduce", "--xi", "1,2", "--c", "1/2"],
-                 ["qr-check", "--xi", "1,2"]):
+    for argv in (["validate"], ["character", "--xi", xi],
+                 ["reduce", "--xi", xi, "--c", "1/2"],
+                 ["qr-check", "--xi", xi]):
         assert main(argv[:1] + [str(target)] + argv[1:]) in (0, 1, 2), argv

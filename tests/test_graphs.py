@@ -1,12 +1,15 @@
 import json
+import os
+from math import factorial
 
 import pytest
 
 from gkmchar.laurent import LaurentPoly
 from gkmchar.graphs import (ValidationError, action_violations,
                             class_violations, constant_class,
-                            gen_cp1_in_plane, gen_hirzebruch, gen_product,
-                            gen_projective, graph_to_data, load_graph_data,
+                            gen_cp1_in_plane, gen_flag_a, gen_hirzebruch,
+                            gen_product, gen_projective, graph_to_data,
+                            load_graph_data, load_graph_file,
                             symplectic_class, validate_action, validate_class)
 from gkmchar.randomgen import random_class, standard_fixtures
 
@@ -131,6 +134,36 @@ def test_gen_product_valid():
     action, sym = gen_product(a, s, a, s)
     assert len(action.vertices) == 4
     assert action.n == 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_gen_flag_a_valid(m):
+    # one vertex per permutation, one edge per transposition: d = m(m-1)/2,
+    # above the rank m-1 of the weights once m >= 3
+    action, sym = gen_flag_a(m, range(m))
+    assert (action.n, action.d) == (m, m * (m - 1) // 2)
+    assert len(action.vertices) == factorial(m)
+    assert len(action.geometric_edges()) == factorial(m) * action.d // 2
+    assert sym.alphas[",".join(map(str, range(m)))] == tuple(range(m))
+    assert all(sum(w) == 0 and sorted(w) == [-1] + [0] * (m - 2) + [1]
+               for w in action.axial.values())
+    assert set(sym.m.values()) == set(range(1, m))
+
+
+def test_gen_flag_a_weights():
+    # alpha_p puts lam[k] at position p[k]
+    _, sym = gen_flag_a(3, (5, 7, 9))
+    assert sym.alphas["1,2,0"] == (9, 5, 7)
+    with pytest.raises(ValueError):
+        gen_flag_a(3, (0, 1, 1))
+
+
+def test_fl3_data_file_is_the_flag_graph():
+    action, classes = load_graph_file(
+        os.path.join(os.path.dirname(__file__), "data", "fl3.json"))
+    ref, sym = gen_flag_a(3, (0, 1, 2))
+    assert action == ref
+    assert classes["omega"] == sym.base.values
 
 
 def test_all_fixtures_valid():
