@@ -408,8 +408,7 @@ def in_convex_hull(point, points) -> bool:
     Separation: with eta = |P| * point - sum(P), the direction from the
     centroid of P to the point, if eta . point > eta . q for every q in P,
     the hyperplane through the point normal to eta has all of P strictly
-    on one side, so the point is outside.  Midpoint: if point = (a + b) / 2
-    for a, b in P, it is inside.
+    on one side, so the point is outside.
 
     Only when no certificate holds is one feasibility LP solved: find
     lambda >= 0 with sum(lambda_i * p_i) = point and sum(lambda_i) = 1.  The
@@ -432,10 +431,6 @@ def in_convex_hull(point, points) -> bool:
     top = dot(eta, point)
     if all(dot(eta, q) < top for q in pts):
         return False
-    # a != b, since a == b would put the point itself in P
-    twice = vscale(point, 2)
-    if any(vsub(twice, a) in pts for a in pts):
-        return True
     # rows: n coordinate equations plus the affine one, rhs last
     rows = [list(coords) + [x] for x, coords in zip(point, cols)]
     rows.append([1] * (len(pts) + 1))
@@ -514,8 +509,7 @@ def hull_vertices(points):
     vertex is settled there by the separation certificate whenever the
     direction from the centroid of the points to p exposes it, as at every
     point of a set on a sphere about its centroid: the corners of a box,
-    or a Weyl group orbit.  Other points go on to the midpoint certificate
-    and then to the LP.
+    or a Weyl group orbit.  Other points go on to the LP.
     """
     pts = list(dict.fromkeys(tuple(p) for p in points))
     out = []

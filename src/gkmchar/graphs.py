@@ -29,8 +29,9 @@ class Violation:
 
 
 class ValidationError(ValueError):
-    """stage is "class" when every violation is in a class of the document
-    (see load_graph_data), else "graph"."""
+    """stage is "class" when every violation is in a class: those raised by
+    validate_class, symplectic_class, and load_graph_data once the graph
+    has passed.  Else it is "graph"."""
 
     def __init__(self, violations, stage="graph"):
         self.violations = list(violations)
@@ -246,7 +247,7 @@ def class_violations(action: GkmAction, values) -> list:
 def validate_class(action: GkmAction, values) -> KClass:
     violations = class_violations(action, values)
     if violations:
-        raise ValidationError(violations)
+        raise ValidationError(violations, stage="class")
     return KClass(action, dict(values))
 
 
@@ -288,12 +289,12 @@ def symplectic_class(action: GkmAction, alphas) -> SymplecticClass:
         else:
             m[e.eid] = me
     if violations:
-        raise ValidationError(violations)
+        raise ValidationError(violations, stage="class")
     sym = SymplecticClass(action, {v: tuple(a) for v, a in alphas.items()}, m)
     # a symplectic class is in particular a valid class
     bad = class_violations(action, sym.base.values)
     if bad:
-        raise ValidationError(bad)
+        raise ValidationError(bad, stage="class")
     return sym
 
 

@@ -17,12 +17,24 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-sys.path.insert(0, str(BENCH))
 
-import run  # noqa: E402
-from layers import Tracer  # noqa: E402
-from speed import SpeedClock  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+
+def _bench_modules(*names):
+    """Import the benchmark's top-level modules with bench/ on sys.path
+    only while they load (run.py adds it again itself), so that it
+    shadows no top-level name for the tests collected after this one."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(BENCH))
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path[:] = saved
+
+
+run, layers, speed, workloads = _bench_modules("run", "layers", "speed",
+                                               "workloads")
+Tracer, SpeedClock, WORKLOADS = \
+    layers.Tracer, speed.SpeedClock, workloads.WORKLOADS
 
 
 @pytest.fixture(scope="module")

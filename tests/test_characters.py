@@ -573,8 +573,8 @@ def lp_calls(monkeypatch):
 
 
 def test_thin_triangle_still_reaches_the_lp(lp_calls):
-    # (1, 1) is inside, but no two corners have it as their midpoint and
-    # the separation direction from the centroid is zero
+    # (1, 1) is inside, is no midpoint of two corners, and is the centroid,
+    # so the separation direction is zero and no certificate settles it
     tri = [(0, 0), (2, 1), (1, 2)]
     assert in_convex_hull((1, 1), tri)
     assert len(lp_calls) == 1

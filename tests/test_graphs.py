@@ -66,8 +66,9 @@ def test_constant_class_is_valid():
 def test_cp1_incompatible_class():
     action, _ = gen_cp1_in_plane()
     values = {"p": LaurentPoly.one(2), "q": LaurentPoly.monomial((0, 1))}
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         validate_class(action, values)
+    assert exc.value.stage == "class"
 
 
 def test_vertex_set_and_class_vertices_are_checked():
@@ -76,6 +77,7 @@ def test_vertex_set_and_class_vertices_are_checked():
     for vertices, where in (([], "vertices"), (["p", "q", "p"], "p")):
         with pytest.raises(ValidationError) as exc:
             validate_action(2, vertices, [("p", "q", (1, 0), None)])
+        assert exc.value.stage == "graph"
         assert [(v.code, v.where) for v in exc.value.violations] == \
             [("E_VERTEX", where)]
     action, _ = gen_cp1_in_plane()
@@ -106,6 +108,7 @@ def test_cp1_nonpositive_multiple():
     with pytest.raises(ValidationError) as exc:
         symplectic_class(action, {"p": (1, 0), "q": (-1, 0)})
     assert any(v.code == "E_NONPOSITIVE" for v in exc.value.violations)
+    assert exc.value.stage == "class"
 
 
 def test_projective2_default_multiples_are_one():
