@@ -13,7 +13,8 @@ from .graphs import (GkmAction, KClass, SymplecticClass, ValidationError,
                      constant_class, gen_cp1_in_plane, gen_flag_a,
                      gen_hirzebruch, gen_product, gen_projective,
                      graph_to_data, load_graph_data, load_graph_file,
-                     symplectic_class, validate_action, validate_class)
+                     restrict, symplectic_class, validate_action,
+                     validate_class)
 from .characters import (CharacterResult, HullReport, InternalDivisionFailure,
                          NotGeneric, Polarization, TruncationOverflow,
                          character_expand, character_oracle, hull_report,
@@ -28,10 +29,10 @@ from .reduction import (CrossingSet, CycleError, MomentMap, NotRegular,
                         symplectic_moment_map, wall_crossing_check)
 
 from .randomgen import (random_class, random_generic_xi,
-                        random_pole_free_point, random_ring_element,
-                        random_symplectic, random_torus_point,
-                        random_vertex_star, random_zero_regular_xi,
-                        standard_fixtures)
+                        random_pole_free_point, random_restriction,
+                        random_ring_element, random_symplectic,
+                        random_torus_point, random_vertex_star,
+                        random_zero_regular_xi, standard_fixtures)
 from .selftest import CheckResult, run_selftest
 
 __version__ = "0.1.0"

@@ -321,16 +321,17 @@ def character_oracle(f: KClass) -> LaurentPoly:
     """Character by the independent exact-division route.
 
     The localized sum is assembled over a common denominator of binomials
-    in pairwise independent primitive directions, then each factor is
-    stripped by exact division.  No polarization is involved.
+    in pairwise independent primitive directions, then the numerator is
+    divided by all of them in one divide_exact call.  No polarization is
+    involved.
 
     Directions are collected by walking the vertices and their out-weights,
     and divided out in that order.  After some divisions the partial
     quotient is the character times the binomials not yet divided, so
     removing one vertex's factors together keeps that product, and the
-    terms each division reads, small.  Each vertex's cofactor multiplies
-    its factors smallest first (monomials, then geometric sums and
-    binomials), which keeps the running product short.
+    terms each division step walks, small.  Each vertex's cofactor
+    multiplies its factors smallest first (monomials, then geometric sums
+    and binomials), which keeps the running product short.
     """
     action = f.action
     n = action.n
@@ -360,15 +361,13 @@ def character_oracle(f: KClass) -> LaurentPoly:
         for factor in factors:
             cof = cof * factor
         numerator = numerator + f[v] * cof
-    result = numerator
-    for prim, big in lcms.items():
-        try:
-            result = divide_exact(result, vscale(prim, big))
-        except NotDivisible as exc:
-            raise InternalDivisionFailure(
-                f"division by the {prim} factor failed; "
-                "the input is not a compatible class") from exc
-    return result
+    try:
+        return divide_exact(numerator, *(vscale(prim, big)
+                                         for prim, big in lcms.items()))
+    except NotDivisible as exc:
+        raise InternalDivisionFailure(
+            "exact division by the direction binomials failed; "
+            "the input is not a compatible class") from exc
 
 
 def _canonical_sign(prim):

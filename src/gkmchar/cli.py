@@ -99,11 +99,47 @@ def _symplectic_from_class(action, values, name):
 
 
 def _emit(args, payload, text_lines):
+    """Print payload as JSON, or for text output the lines that
+    text_lines(), called only then, returns."""
     if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
+
+
+_ENCODE_STRING = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, newline="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
+    dicts with string keys, lists, strings, ints, bools and None.
+
+    With indent set, json.dumps falls back to its pure-Python encoder.
+    This writes the same layout, encodes strings with the C encoder and
+    writes ints in place.  Bools and None go to json.dumps, whose output
+    for a scalar does not depend on indent.
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _ENCODE_STRING(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _ENCODE_STRING(k) + ": " + (int.__repr__(v) if type(v) is int
+                                        else _json_text(v, inner))
+            for k, v in sorted(value.items())]) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            int.__repr__(v) if type(v) is int else _json_text(v, inner)
+            for v in value]) + newline + "]"
+    return json.dumps(value)
 
 
 def cmd_validate(args):
@@ -121,7 +157,7 @@ def cmd_validate(args):
                        for v in class_violations(action, values)]
         lines = classes_bad or ["OK  graph and classes valid"]
     _emit(args, {"graph_violations": graph, "class_violations": classes_bad},
-          lines)
+          lambda: lines)
     return EXIT_VIOLATION if graph or classes_bad else EXIT_OK
 
 
@@ -135,7 +171,7 @@ def cmd_character(args):
         raise CliError("internal cross-check failed: expansion != division "
                        "route", EXIT_VIOLATION)
     _emit(args, {"class": name, "character": _poly_payload(chi)},
-          [render_poly(chi)])
+          lambda: [render_poly(chi)])
     return EXIT_OK
 
 
@@ -147,7 +183,7 @@ def cmd_multiplicity(args):
     alpha = _parse_vec(args.alpha, action.n)
     m = multiplicity(sym, polarize(action, xi), alpha)
     _emit(args, {"class": name, "alpha": list(alpha), "multiplicity": m},
-          [f"multiplicity of x^({','.join(map(str, alpha))}) = {m}"])
+          lambda: [f"multiplicity of x^({','.join(map(str, alpha))}) = {m}"])
     return EXIT_OK
 
 
@@ -161,8 +197,9 @@ def cmd_reduce(args):
     _emit(args, {"class": name, "level": str(c),
                  "phi": {v: str(x) for v, x in mm.phi.items()},
                  "reduced_character": _poly_payload(red)},
-          [f"phi: " + ", ".join(f"{v}={mm.phi[v]}" for v in action.vertices),
-           f"chi_red at c={c}: {render_poly(red)}"])
+          lambda: [
+              "phi: " + ", ".join(f"{v}={mm.phi[v]}" for v in action.vertices),
+              f"chi_red at c={c}: {render_poly(red)}"])
     return EXIT_OK
 
 
@@ -181,8 +218,11 @@ def cmd_residue(args):
                "per_vertex": {v: _poly_payload(p)
                               for v, p in per_vertex.items()},
                "total": _poly_payload(total)}
-    lines = [f"{v}: {render_poly(p)}" for v, p in per_vertex.items()]
-    lines.append(f"total: {render_poly(total)}")
+
+    def lines():
+        return ([f"{v}: {render_poly(p)}" for v, p in per_vertex.items()]
+                + [f"total: {render_poly(total)}"])
+
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -198,7 +238,7 @@ def cmd_qr_check(args):
                "invariant_part": _poly_payload(res.invariant_part),
                "reduced": _poly_payload(res.reduced)}
     _emit(args, payload,
-          [f"{status}  chi_red = {render_poly(res.reduced)}"]
+          lambda: [f"{status}  chi_red = {render_poly(res.reduced)}"]
           + ([] if res.ok else
              [f"invariant part = {render_poly(res.invariant_part)}"]))
     return EXIT_OK if res.ok else EXIT_VIOLATION
@@ -209,7 +249,7 @@ def cmd_selftest(args):
     payload = {"seed": args.seed,
                "results": [{"name": r.name, "ok": r.ok, "detail": r.detail}
                            for r in results]}
-    _emit(args, payload, [r.line() for r in results])
+    _emit(args, payload, lambda: [r.line() for r in results])
     return EXIT_OK if all(r.ok for r in results) else EXIT_VIOLATION
 
 

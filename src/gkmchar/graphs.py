@@ -423,6 +423,30 @@ def gen_flag_a(m: int, lam):
     return action, sym
 
 
+def restrict(action: GkmAction, sym: SymplecticClass, P):
+    """Restriction to the subtorus given by an integer k x n matrix P.
+
+    Every edge weight and every alpha_p is mapped through P.  Edge
+    congruences and positive edge multiples survive any linear map, but
+    pairwise independence may not, so validate_action decides, raising
+    ValidationError, and symplectic_class checks the class again.  The
+    character of the restriction is the original character with every
+    exponent mapped through P.
+    """
+    P = [tuple(row) for row in P]
+    if not P or any(len(row) != action.n for row in P):
+        raise ValueError(f"P must be a nonempty k x {action.n} matrix")
+
+    def image(w):
+        return tuple(dot(row, w) for row in P)
+
+    pairs = [(e.src, e.dst, image(action.axial[e.eid]), None)
+             for e in action.geometric_edges()]
+    restricted = validate_action(len(P), action.vertices, pairs)
+    return restricted, symplectic_class(
+        restricted, {v: image(a) for v, a in sym.alphas.items()})
+
+
 # ---------------------------------------------------------------------------
 # file format
 

@@ -9,10 +9,9 @@ localized per-vertex summands that the character map sums over.
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub
 
 from .lattice import dot, vadd, vneg
 
@@ -211,60 +210,118 @@ def ring_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
     raise ValueError(f"unknown op {op!r}")
 
 
-def divide_exact(p: LaurentPoly, gamma) -> LaurentPoly:
-    """Exact quotient of p by (1 - x^gamma), or raise NotDivisible.
+def divide_exact(p: LaurentPoly, *gammas) -> LaurentPoly:
+    """Exact quotient of p by the product of (1 - x^gamma) over gammas, or
+    raise NotDivisible.  With no gamma, p is returned.
 
-    Synthetic division graded by the pairing with gamma itself: repeatedly
-    peel the minimal-grade term c*x^mu, add it to the quotient, and replace
-    it by c*x^(mu+gamma).  If p is divisible the quotient's grades stay
-    below max-grade(p) - |gamma|^2, which bounds the loop.  A gamma whose
-    length is not p.dim raises DimMismatch before any work, zero p included.
+    All divisions run in one pass through a Kronecker substitution.  With
+    B = max_i(span_i(p) + sum over gammas of |gamma_i|) + 1, the map
+    L(e) = sum_i e_i * B^(n-1-i) sends x^e to t^L(e).  It is a ring
+    homomorphism, injective on the box of p padded by the gammas, and it
+    orders exponents lexicographically, so a gamma whose first nonzero
+    entry is positive has L(gamma) > 0.  p, moved into the box [0, span],
+    is encoded once, divided by each 1 - t^L(gamma) in turn (see
+    _divide_univariate) and decoded once.
+
+    If p is divisible, every partial quotient lies in the box of p, so a
+    run of quotient terms along gamma takes at most
+    min over gamma_i != 0 of span_i // |gamma_i| steps and the quotient
+    decodes into the box.  A longer run, a run that never closes, or a
+    digit outside [0, span_i] therefore raises NotDivisible.  Conversely,
+    when the quotient q decodes into the box, L(q * prod) = L(p) with both
+    sides in the padded box, where L is injective, so q * prod = p.
+
+    Every gamma whose length is not p.dim raises DimMismatch before any
+    work, zero p included; a zero gamma raises ZeroWeight.
     """
-    gamma = tuple(gamma)
-    if len(gamma) != p.dim:
-        raise DimMismatch(
-            f"weight {gamma} has length {len(gamma)}, expected {p.dim}")
-    gg = sum(map(mul, gamma, gamma))
-    if gg == 0:
-        raise ZeroWeight("cannot divide by 1 - x^0")
-    if p.is_zero():
-        return LaurentPoly.zero(p.dim)
-    # remainder bucketed by grade, processed in increasing order
-    buckets: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        g = sum(map(mul, e, gamma))
-        bucket = buckets.get(g)
-        if bucket is None:
-            buckets[g] = {e: c}
-        else:
-            bucket[e] = c
-    gmax = max(buckets)
-    heap = list(buckets)
-    heapq.heapify(heap)
+    n = p.dim
+    for g in gammas:
+        if len(g) != n:
+            raise DimMismatch(
+                f"weight {tuple(g)} has length {len(g)}, expected {n}")
+    for g in gammas:
+        if not any(g):
+            raise ZeroWeight("cannot divide by 1 - x^0")
+    terms = p.terms
+    if not gammas or not terms:
+        return p
+    columns = list(zip(*terms))
+    lo = list(map(min, columns))
+    span = list(map(sub, map(max, columns), lo))
+    padded = span
+    for g in gammas:
+        padded = list(map(add, padded, map(abs, g)))
+    base = max(padded) + 1
+    # L(e - lo) by Horner's rule, one coordinate at a time
+    keys = [0] * len(terms)
+    for column, low in zip(columns, lo):
+        keys = [k * base + x - low for k, x in zip(keys, column)]
+    f = dict(zip(keys, terms.values()))
+    powers = [base ** i for i in range(n - 1, -1, -1)]
+    for g in gammas:
+        a = sum(map(mul, g, powers))
+        steps = min(s // abs(x) for s, x in zip(span, g) if x)
+        if a < 0:
+            # 1 / (1 - t^-a) = -t^a / (1 - t^a)
+            a = -a
+            f = {k + a: -c for k, c in f.items()}
+        f = _divide_univariate(f, a, steps * a)
+    # decode one digit at a time, most significant first
+    keys = list(f)
+    columns = []
+    for power, s, low in zip(powers, span, lo):
+        digits = [k // power for k in keys]
+        if min(digits) < 0 or max(digits) > s:
+            raise NotDivisible("the quotient leaves the box of p")
+        keys = [k % power for k in keys]
+        columns.append([d + low for d in digits])
+    quotient = dict(zip(zip(*columns), f.values()))
+    return LaurentPoly._unchecked(n, quotient)
+
+
+def _divide_univariate(f: dict, a: int, limit: int) -> dict:
+    """f / (1 - t^a) for a > 0, as a map of integer exponents to nonzero
+    coefficients, or raise NotDivisible.
+
+    The quotient's coefficient at k is the sum of f over k, k - a, k - 2a,
+    and so on.  f's keys are walked in increasing order, and each residue
+    class mod a keeps its open run of quotient terms: the run's first key,
+    its last key and its running sum.  The next key of the class fills the
+    gap from the last key with that sum, and the run ends where the sum
+    returns to zero.  A run that would span more than limit raises
+    NotDivisible before its gap is filled, and so does a run still open
+    at the end.
+    """
     quotient = {}
-    while heap:
-        g = heapq.heappop(heap)
-        bucket = buckets.pop(g)
-        if not bucket:
+    runs = {}
+    get = runs.get
+    for k in sorted(f):
+        r = k % a
+        run = get(r)
+        c = f[k]
+        if run is None:
+            quotient[k] = c
+            runs[r] = (k, k, c)
             continue
-        if g > gmax - gg:
-            raise NotDivisible(f"remainder term survives at grade {g}")
-        nxt = g + gg
-        carry = buckets.get(nxt)
-        if carry is None:
-            carry = buckets[nxt] = {}
-            heapq.heappush(heap, nxt)
-        # a grade's bucket is popped once, so its exponents are new here
-        quotient.update(bucket)
-        cget = carry.get
-        for e, c in bucket.items():
-            e2 = tuple(map(add, e, gamma))
-            nc = cget(e2, 0) + c
-            if nc:
-                carry[e2] = nc
-            else:
-                del carry[e2]
-    return LaurentPoly._unchecked(p.dim, quotient)
+        first, last, s = run
+        if k - last != a:
+            if k - a - first > limit:
+                raise NotDivisible(f"a run of quotient terms spans more "
+                                   f"than {limit}")
+            for j in range(last + a, k, a):
+                quotient[j] = s
+        s += c
+        if not s:
+            del runs[r]
+        elif k - first > limit:
+            raise NotDivisible(f"a run of quotient terms spans more "
+                               f"than {limit}")
+        else:
+            quotient[k] = s
+            runs[r] = (first, k, s)
+    if runs:
+        raise NotDivisible("a run of quotient terms never closes")
+    return quotient
 
 
 def reduce_mod_weight(exp, gamma, gg=None):

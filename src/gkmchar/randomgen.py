@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from .lattice import dot, primitive_part, vadd, vscale
 from .laurent import LaurentPoly, RationalChar, eval_numeric, PoleAtPoint
-from .graphs import GkmAction, KClass, SymplecticClass, _proportional, \
-    constant_class, gen_cp1_in_plane, gen_hirzebruch, gen_product, \
-    gen_projective, symplectic_class
+from .graphs import GkmAction, KClass, SymplecticClass, ValidationError, \
+    _proportional, constant_class, gen_cp1_in_plane, gen_hirzebruch, \
+    gen_product, gen_projective, restrict, symplectic_class
 
 
 def standard_fixtures():
@@ -95,6 +95,25 @@ def random_symplectic(action: GkmAction, sym: SymplecticClass,
     alphas = {v: vadd(vscale(a, scale), shift)
               for v, a in sym.alphas.items()}
     return symplectic_class(action, alphas)
+
+
+def random_restriction(action: GkmAction, sym: SymplecticClass,
+                       rng: random.Random):
+    """(P, action, sym) restricted to a random 2-dimensional subtorus.
+
+    P is a 2 x n integer matrix with entries in [-2, 2], redrawn until the
+    restriction validates (see graphs.restrict).  On a graph of valence
+    d > 2 this gives inputs with more weights per vertex than the rank.
+    Raises after 500 draws that all fail.
+    """
+    for _ in range(500):
+        P = [tuple(rng.randint(-2, 2) for _ in range(action.n))
+             for _ in range(2)]
+        try:
+            return (P,) + restrict(action, sym, P)
+        except ValidationError:
+            continue
+    raise ValueError("no restriction to a 2-torus validates")
 
 
 def random_torus_point(dim: int, rng: random.Random,

@@ -18,8 +18,8 @@ from gkmchar.characters import (CharacterResult, HullReport, NotGeneric,
                                 localization_terms, multiplicity, polarize,
                                 support_bound)
 from gkmchar.randomgen import (random_class, random_generic_xi,
-                               random_pole_free_point, random_symplectic,
-                               standard_fixtures)
+                               random_pole_free_point, random_restriction,
+                               random_symplectic, standard_fixtures)
 from gkmchar.reduction import qr_check
 
 
@@ -163,24 +163,22 @@ def test_expansion_within_answer_size_budget(xi):
 
 
 def test_oracle_division_reads_within_budget(monkeypatch):
-    # projective 5-space scaled by 6 has a 462-term character.  Dividing
-    # the direction classes in the order the vertices reach them removes
-    # each vertex's factors together and reads 16 296 terms in all, where
-    # dividing in sorted direction order read 30 935.
+    # projective 5-space scaled by 6 has a 462-term character.  The oracle
+    # divides its 720-term numerator by all 15 direction binomials in one
+    # divide_exact call.
     action, sym = gen_projective(5)
     sym = symplectic_class(action, {v: tuple(6 * x for x in a)
                                     for v, a in sym.alphas.items()})
-    sizes = []
+    calls = []
 
-    def counting(p, gamma):
-        sizes.append(len(p))
-        return laurent.divide_exact(p, gamma)
+    def counting(p, *gammas):
+        calls.append((len(p), len(gammas)))
+        return laurent.divide_exact(p, *gammas)
 
     monkeypatch.setattr(characters, "divide_exact", counting)
     got = character_oracle(sym.base)
+    assert calls == [(720, 15)]
     assert len(got) == 462
-    assert len(sizes) == 15          # one call per direction class
-    assert sum(sizes) <= 16296
     assert got == character_expand(sym.base,
                                    polarize(action, (1, 2, 3, 4, 5))).poly
 
@@ -642,6 +640,32 @@ def test_flag_hull_report(m):
     assert report.ok
     assert set(report.hull_vertices) == set(permutations(range(m)))
     assert len(report.hull_vertices) == len(sym.alphas)
+
+
+def _p1_power(k):
+    action, sym = gen_projective(1)
+    for _ in range(k - 1):
+        action, sym = gen_product(action, sym, *gen_projective(1))
+    return action, sym
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_restriction_oracle_is_the_pushed_forward_character(fixtures, data):
+    # restricting to a subtorus maps every weight through P, so the
+    # character of the restriction is the original one with its exponents
+    # mapped through P; with 2 < d these are d > n inputs
+    name = data.draw(st.sampled_from(["proj3", "p1xp2", "(P1)^4"]))
+    action, sym = _p1_power(4) if name == "(P1)^4" else fixtures[name]
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    sym = random_symplectic(action, sym, rng)
+    P, raction, rsym = random_restriction(action, sym, rng)
+    assert raction.n == 2 < raction.d
+    pushed = {}
+    for e, c in character_oracle(sym.base).terms.items():
+        image = tuple(dot(row, e) for row in P)
+        pushed[image] = pushed.get(image, 0) + c
+    assert character_oracle(rsym.base) == LaurentPoly(2, pushed)
 
 
 def test_support_outside_hull_has_zero_coefficient(cp1):

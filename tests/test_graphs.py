@@ -9,7 +9,7 @@ from gkmchar.graphs import (ValidationError, action_violations,
                             class_violations, constant_class,
                             gen_cp1_in_plane, gen_flag_a, gen_hirzebruch,
                             gen_product, gen_projective, graph_to_data,
-                            load_graph_data, load_graph_file,
+                            load_graph_data, load_graph_file, restrict,
                             symplectic_class, validate_action, validate_class)
 from gkmchar.randomgen import random_class, standard_fixtures
 
@@ -193,3 +193,31 @@ def test_json_round_trip():
     assert classes["omega"]["p"] == sym.base["p"]
     f = validate_class(action2, classes["omega"])
     assert f["q"] == LaurentPoly.monomial((1, 0))
+
+
+def test_restrict_maps_weights_and_vertex_weights():
+    action, sym = gen_projective(3)
+    P = [(1, 1, -2), (0, 2, 1)]
+    raction, rsym = restrict(action, sym, P)
+    assert (raction.n, raction.d) == (2, 3)
+    assert raction.vertices == action.vertices
+    for e in action.edges:
+        w = action.axial[e.eid]
+        assert raction.axial[e.eid] == (w[0] + w[1] - 2 * w[2],
+                                        2 * w[1] + w[2])
+    assert rsym.alphas == {"P0": (0, 0), "P1": (1, 0), "P2": (1, 2),
+                           "P3": (-2, 1)}
+
+
+def test_restrict_rejects_a_map_that_breaks_independence():
+    action, sym = gen_projective(2)
+    # (1, 0) and (0, 1) at P0 both map to 1
+    with pytest.raises(ValidationError):
+        restrict(action, sym, [(1, 1)])
+
+
+@pytest.mark.parametrize("P", [[], [(1, 0)], [(1, 0, 0), (0, 1)]])
+def test_restrict_rejects_a_matrix_of_the_wrong_shape(P):
+    action, sym = gen_projective(3)
+    with pytest.raises(ValueError):
+        restrict(action, sym, P)

@@ -1,5 +1,8 @@
 import cmath
+import heapq
 import itertools
+import operator
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -67,6 +70,114 @@ def test_divide_exact_rejects_weight_of_wrong_length():
         for gamma in [(1,), (1, 0, 0), (0, 0, 0)]:
             with pytest.raises(DimMismatch):
                 divide_exact(p, gamma)
+            # any bad length among several, even after a zero weight
+            for gammas in [((1, 0), gamma), (gamma, (0, 1)), ((0, 0), gamma)]:
+                with pytest.raises(DimMismatch):
+                    divide_exact(p, *gammas)
+
+
+def test_divide_exact_zero_weight_among_several():
+    p = (ONE - X10) * (ONE - X01)
+    with pytest.raises(ZeroWeight):
+        divide_exact(p, (1, 0), (0, 0))
+
+
+def test_divide_exact_without_weights_returns_p():
+    for p in (ONE + X10, LaurentPoly.zero(2)):
+        assert divide_exact(p) == p
+
+
+@pytest.mark.parametrize("p", [
+    ONE + LaurentPoly.monomial((0, 10**6)),
+    ONE + LaurentPoly.monomial((10**6, 1)),
+])
+def test_divide_exact_far_apart_terms_raise_at_once(p):
+    # a quotient run along (1, 0) would need 10^6 terms; the run bounds
+    # reject it before filling any
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotDivisible):
+            divide_exact(p, (1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def _divide_by_grades(p, gamma):
+    """Reference single division, independent of divide_exact: synthetic
+    division graded by the pairing with gamma.  The lowest-grade term
+    c*x^mu moves to the quotient and c*x^(mu+gamma) is added back; a term
+    left above max-grade(p) - |gamma|^2 means p is not divisible."""
+    gg = sum(x * x for x in gamma)
+    rest = dict(p.terms)
+    heap = [(sum(map(operator.mul, e, gamma)), e) for e in rest]
+    heapq.heapify(heap)
+    top = max((g for g, _ in heap), default=0)
+    quotient = {}
+    while heap:
+        g, mu = heapq.heappop(heap)
+        c = rest.pop(mu, 0)
+        if not c:
+            continue
+        if g > top - gg:
+            raise NotDivisible(mu)
+        quotient[mu] = c
+        nu = tuple(map(operator.add, mu, gamma))
+        if nu in rest:
+            rest[nu] += c
+            if not rest[nu]:
+                del rest[nu]
+        else:
+            rest[nu] = c
+            heapq.heappush(heap, (g + gg, nu))
+    return LaurentPoly(p.dim, quotient)
+
+
+def _chained(divide, p, gammas):
+    """The quotient of p by each gamma in turn, or None when some step
+    raises NotDivisible."""
+    try:
+        for g in gammas:
+            p = divide(p, g)
+    except NotDivisible:
+        return None
+    return p
+
+
+@st.composite
+def division_cases(draw):
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-1000, 1000)] * n)
+    q = LaurentPoly(n, draw(st.dictionaries(exps, st.integers(-5, 5),
+                                            min_size=1, max_size=5)))
+    weight = st.tuples(*[st.integers(-4, 4)] * n).filter(any)
+    gammas = draw(st.lists(weight, min_size=1, max_size=4))
+    p = q
+    for g in gammas:
+        p = p * LaurentPoly(n, {(0,) * n: 1, g: -1})
+    if draw(st.booleans()):
+        p = p + LaurentPoly(n, {draw(exps): draw(st.integers(-3, 3))})
+    return p, gammas
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+def test_divide_exact_by_many_equals_chained_divisions(case):
+    p, gammas = case
+    want = _chained(_divide_by_grades, p, gammas)
+    assert _chained(divide_exact, p, gammas) == want
+    try:
+        got = divide_exact(p, *gammas)
+    except NotDivisible:
+        got = None
+    assert got == want
+    if got is not None:
+        _assert_clean(got, p.dim)
+        back = got
+        for g in gammas:
+            back = back * LaurentPoly(p.dim, {(0,) * p.dim: 1, g: -1})
+        assert back == p
 
 
 def _assert_clean(r, n):
