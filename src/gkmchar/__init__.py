@@ -7,7 +7,7 @@ from .lattice import (BasisChange, NotPrimitive, ZeroVector,
 from .laurent import (DimMismatch, LaurentPoly, NotDivisible, PoleAtPoint,
                       RationalChar, ZeroWeight, congruent_mod_edge,
                       divide_exact, eval_numeric, pushforward_quotient,
-                      render_poly, ring_arith)
+                      render_poly)
 from .graphs import (GkmAction, KClass, SymplecticClass, ValidationError,
                      Violation, action_violations, class_violations,
                      constant_class, gen_cp1_in_plane, gen_flag_a,

@@ -1,0 +1,8 @@
+"""Run the gkmchar command line as ``python -m gkmchar``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul, sub
 
 from .lattice import NotPrimitive, dot, dual_basis, is_primitive, \
     primitive_part, vadd, vneg, vscale, vsub
-from .laurent import LaurentPoly, NotDivisible, RationalChar, divide_exact
+from .laurent import LaurentPoly, NotDivisible, RationalChar, _Kronecker, \
+    _box, divide_exact
 from .graphs import GkmAction, KClass, SymplecticClass
 
 
@@ -291,10 +293,8 @@ def _bound_rows(f: KClass) -> list:
     """(terms of f_v, out-weights at v in edge order) for every vertex with
     f_v != 0."""
     action = f.action
-    outs = {v: [] for v in action.vertices}
-    for e in action.edges:
-        outs[e.src].append(action.axial[e.eid])
-    return [(f[v].terms, outs[v]) for v in action.vertices if f[v].terms]
+    return [(f[v].terms, action.out_weights(v))
+            for v in action.vertices if f[v].terms]
 
 
 def _cut_table(directions, rows) -> list:
@@ -321,49 +321,99 @@ def character_oracle(f: KClass) -> LaurentPoly:
     """Character by the independent exact-division route.
 
     The localized sum is assembled over a common denominator of binomials
-    in pairwise independent primitive directions, then the numerator is
+    1 - x^gamma, gamma = big * prim, one per direction class: the
+    pairwise independent primitive directions prim of the edge weights, up
+    to sign, with big the lcm of their multiplicities.  The numerator is
     divided by all of them in one divide_exact call.  No polarization is
     involved.
 
-    Directions are collected by walking the vertices and their out-weights,
-    and divided out in that order.  After some divisions the partial
-    quotient is the character times the binomials not yet divided, so
-    removing one vertex's factors together keeps that product, and the
-    terms each division step walks, small.  Each vertex's cofactor
-    multiplies its factors smallest first (monomials, then geometric sums
-    and binomials), which keeps the running product short.
+    Vertex v puts f_v * own_v * prod over the classes absent at v of
+    (1 - x^gamma) into the numerator, where own_v is the product of the
+    partial geometric sums (1 - x^gamma) / (1 - x^w) of its own weights w
+    (see _partial_geometric): a monomial when big is w's multiplicity.  That
+    part is a LaurentPoly product, smallest factor first, and each distinct
+    sum is built once per call.  The absent binomials are applied on
+    Kronecker-packed integer keys (see laurent._Kronecker), one shifted
+    pass out[k + L(gamma)] -= c each, and every vertex adds into one
+    packed map, decoded once.
+
+    The packing is exact.  The box is the box of all the f_v * own_v,
+    widened in each coordinate i by the sum over all gammas of
+    min(0, gamma_i) below and of max(0, gamma_i) above, and B is its
+    largest coordinate span plus 1.  A map that vertex v builds is
+    f_v * own_v times the binomials of some of its absent classes, so it
+    lies in box(f_v * own_v) + the sum over those gammas of
+    [min(0, gamma_i), max(0, gamma_i)], inside the box, where each width
+    is below B and L is injective.  L is additive, so the shifted pass by
+    gamma sends the key of e to the key of e + gamma, and every pass is
+    exact.
     """
     action = f.action
     n = action.n
     # direction classes: canonical primitive vector -> lcm of multiplicities;
     # per vertex: canonical primitive vector -> (sign, multiplicity)
     lcms: dict = {}
+    kinds = {}      # weight -> (canonical primitive vector, (sign, mult))
     used_at = []
     for v in action.vertices:
         used = {}
-        for w in action.out_weights(v):
-            prim, mult = primitive_part(w)
-            cprim = _canonical_sign(prim)
-            used[cprim] = (1 if prim == cprim else -1, mult)
-            lcms[cprim] = math.lcm(lcms.get(cprim, 1), mult)
+        for e in action.out_index[v]:
+            w = action.axial[e.eid]
+            kind = kinds.get(w)
+            if kind is None:
+                prim, mult = primitive_part(w)
+                cprim = _canonical_sign(prim)
+                kind = kinds[w] = (cprim, (1 if prim == cprim else -1, mult))
+                lcms[cprim] = math.lcm(lcms.get(cprim, 1), mult)
+            used[kind[0]] = kind[1]
         used_at.append((v, used))
-    numerator = LaurentPoly.zero(n)
+    gammas = {prim: vscale(prim, big) for prim, big in lcms.items()}
+    geometric = {}  # (prim, (sign, mult)) -> its partial geometric sum
+    parts = []      # (f_v * own_v, the classes absent at v)
     for v, used in used_at:
-        factors = []
-        for prim, big in lcms.items():
-            if prim not in used:
-                factors.append(_binomial(n, vscale(prim, big)))
-            else:
-                sign, mult = used[prim]
-                factors.append(_partial_geometric(n, prim, mult, big, sign))
-        factors.sort(key=len)
-        cof = LaurentPoly.one(n)
-        for factor in factors:
-            cof = cof * factor
-        numerator = numerator + f[v] * cof
+        if f[v].terms:
+            factors = []
+            for key in used.items():
+                factor = geometric.get(key)
+                if factor is None:
+                    prim, (sign, mult) = key
+                    factor = geometric[key] = _partial_geometric(
+                        n, prim, mult, lcms[prim], sign)
+                factors.append(factor)
+            factors.sort(key=len)
+            own = f[v] * reduce(mul, factors) if factors else f[v]
+            parts.append((own.terms, [p for p in lcms if p not in used]))
+    numerator = {}
+    if parts:
+        exps = [e for own, _ in parts for e in own]
+        lo, hi = _box(exps)
+        for g in gammas.values():
+            lo = [x + min(y, 0) for x, y in zip(lo, g)]
+            hi = [x + max(y, 0) for x, y in zip(hi, g)]
+        span = list(map(sub, hi, lo))
+        codec = _Kronecker(lo, span, max(span) + 1)
+        shift = {prim: codec.key(g) for prim, g in gammas.items()}
+        keys = codec.keys(exps)
+        get = numerator.get
+        i = 0
+        for own, absent in parts:
+            packed = dict(zip(keys[i:i + len(own)], own.values()))
+            i += len(own)
+            for prim in absent:
+                # times 1 - t^a
+                a = shift[prim]
+                out = dict(packed)
+                out_get = out.get
+                for k, c in packed.items():
+                    k += a
+                    out[k] = out_get(k, 0) - c
+                packed = out
+            for k, c in packed.items():
+                numerator[k] = get(k, 0) + c
+        numerator = codec.decode({k: c for k, c in numerator.items() if c})
     try:
-        return divide_exact(numerator, *(vscale(prim, big)
-                                         for prim, big in lcms.items()))
+        return divide_exact(LaurentPoly._unchecked(n, numerator),
+                            *gammas.values())
     except NotDivisible as exc:
         raise InternalDivisionFailure(
             "exact division by the direction binomials failed; "
@@ -375,10 +425,6 @@ def _canonical_sign(prim):
         if x != 0:
             return prim if x > 0 else vneg(prim)
     raise ValueError("zero vector")
-
-
-def _binomial(n, gamma):
-    return LaurentPoly(n, {(0,) * n: 1, tuple(gamma): -1})
 
 
 def _partial_geometric(n, prim, mult, big, sign):

@@ -56,6 +56,15 @@ class GkmAction:
     vertices: tuple
     edges: tuple            # tuple of Edge
     axial: dict             # eid -> weight tuple
+    # vertex -> tuple of the edges leaving it, in edge order
+    out_index: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index = {v: [] for v in self.vertices}
+        for e in self.edges:
+            index[e.src].append(e)
+        object.__setattr__(self, "out_index",
+                           {v: tuple(es) for v, es in index.items()})
 
     def edge(self, eid) -> Edge:
         return self.edges[eid]
@@ -64,10 +73,10 @@ class GkmAction:
         return self.axial[eid]
 
     def out_edges(self, v):
-        return [e for e in self.edges if e.src == v]
+        return list(self.out_index[v])
 
     def out_weights(self, v):
-        return [self.axial[e.eid] for e in self.edges if e.src == v]
+        return [self.axial[e.eid] for e in self.out_index[v]]
 
     def geometric_edges(self):
         """One representative per unoriented edge (the one with eid < bar)."""

@@ -200,28 +200,17 @@ class RationalChar:
         return self.numerator.dim
 
 
-def ring_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def divide_exact(p: LaurentPoly, *gammas) -> LaurentPoly:
     """Exact quotient of p by the product of (1 - x^gamma) over gammas, or
     raise NotDivisible.  With no gamma, p is returned.
 
-    All divisions run in one pass through a Kronecker substitution.  With
-    B = max_i(span_i(p) + sum over gammas of |gamma_i|) + 1, the map
-    L(e) = sum_i e_i * B^(n-1-i) sends x^e to t^L(e).  It is a ring
-    homomorphism, injective on the box of p padded by the gammas, and it
-    orders exponents lexicographically, so a gamma whose first nonzero
-    entry is positive has L(gamma) > 0.  p, moved into the box [0, span],
-    is encoded once, divided by each 1 - t^L(gamma) in turn (see
-    _divide_univariate) and decoded once.
+    All divisions run in one pass through a Kronecker substitution (see
+    _Kronecker).  With B = max_i(span_i(p) + sum over gammas of
+    |gamma_i|) + 1, L is injective on the box of p padded by the gammas,
+    and it orders exponents lexicographically, so a gamma whose first
+    nonzero entry is positive has L(gamma) > 0.  p is encoded once, divided
+    by each 1 - t^L(gamma) in turn (see _divide_univariate) and decoded
+    once.
 
     If p is divisible, every partial quotient lies in the box of p, so a
     run of quotient terms along gamma takes at most
@@ -245,38 +234,80 @@ def divide_exact(p: LaurentPoly, *gammas) -> LaurentPoly:
     terms = p.terms
     if not gammas or not terms:
         return p
-    columns = list(zip(*terms))
-    lo = list(map(min, columns))
-    span = list(map(sub, map(max, columns), lo))
+    lo, hi = _box(terms)
+    span = list(map(sub, hi, lo))
     padded = span
     for g in gammas:
         padded = list(map(add, padded, map(abs, g)))
-    base = max(padded) + 1
-    # L(e - lo) by Horner's rule, one coordinate at a time
-    keys = [0] * len(terms)
-    for column, low in zip(columns, lo):
-        keys = [k * base + x - low for k, x in zip(keys, column)]
-    f = dict(zip(keys, terms.values()))
-    powers = [base ** i for i in range(n - 1, -1, -1)]
+    codec = _Kronecker(lo, span, max(padded) + 1)
+    f = dict(zip(codec.keys(terms), terms.values()))
     for g in gammas:
-        a = sum(map(mul, g, powers))
+        a = codec.key(g)
         steps = min(s // abs(x) for s, x in zip(span, g) if x)
         if a < 0:
             # 1 / (1 - t^-a) = -t^a / (1 - t^a)
             a = -a
             f = {k + a: -c for k, c in f.items()}
         f = _divide_univariate(f, a, steps * a)
-    # decode one digit at a time, most significant first
-    keys = list(f)
-    columns = []
-    for power, s, low in zip(powers, span, lo):
-        digits = [k // power for k in keys]
-        if min(digits) < 0 or max(digits) > s:
-            raise NotDivisible("the quotient leaves the box of p")
-        keys = [k % power for k in keys]
-        columns.append([d + low for d in digits])
-    quotient = dict(zip(zip(*columns), f.values()))
-    return LaurentPoly._unchecked(n, quotient)
+    return LaurentPoly._unchecked(n, codec.decode(f))
+
+
+def _box(terms) -> tuple:
+    """(lo, hi): the least and the largest entry in each coordinate of a
+    nonempty collection of exponents."""
+    columns = list(zip(*terms))
+    return list(map(min, columns)), list(map(max, columns))
+
+
+class _Kronecker:
+    """The Kronecker substitution x^e -> t^L(e - lo), with
+    L(e) = sum_i e_i * B^(n-1-i), on the box lo <= e <= lo + span.
+
+    L is additive, so L(e + g) = L(e) + L(g) for every integer g, and it is
+    injective on any box whose width is below B in each coordinate: two
+    distinct points there differ by a vector whose first nonzero entry, at
+    i, has |entry| * B^(n-1-i) > the most the later coordinates can add.
+    With B > max_i span_i the box maps into [0, B^n), and each key decodes
+    back to its exponent one digit at a time.
+    """
+
+    __slots__ = ("lo", "span", "base", "powers")
+
+    def __init__(self, lo, span, base):
+        self.lo = lo
+        self.span = span
+        self.base = base
+        self.powers = [base ** i for i in range(len(lo) - 1, -1, -1)]
+
+    def key(self, g) -> int:
+        """L(g): the shift of every key when an exponent moves by g."""
+        return sum(map(mul, g, self.powers))
+
+    def keys(self, exps) -> list:
+        """[L(e - lo) for e in exps], for a collection of exponents inside
+        the box."""
+        base = self.base
+        # by Horner's rule, one coordinate at a time
+        keys = [0] * len(exps)
+        for column, low in zip(zip(*exps), self.lo):
+            keys = [k * base + x - low for k, x in zip(keys, column)]
+        return keys
+
+    def decode(self, f: dict) -> dict:
+        """The term map with keys L(e - lo), or raise NotDivisible when a
+        digit of a key falls outside [0, span_i]."""
+        keys = list(f)
+        if not keys:
+            return {}
+        columns = []
+        # one digit at a time, most significant first
+        for power, s, low in zip(self.powers, self.span, self.lo):
+            digits = [k // power for k in keys]
+            if min(digits) < 0 or max(digits) > s:
+                raise NotDivisible("the quotient leaves the box of p")
+            keys = [k % power for k in keys]
+            columns.append([d + low for d in digits])
+        return dict(zip(zip(*columns), f.values()))
 
 
 def _divide_univariate(f: dict, a: int, limit: int) -> dict:

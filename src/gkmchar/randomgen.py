@@ -11,8 +11,8 @@ from fractions import Fraction
 from .lattice import dot, primitive_part, vadd, vscale
 from .laurent import LaurentPoly, RationalChar, eval_numeric, PoleAtPoint
 from .graphs import GkmAction, KClass, SymplecticClass, ValidationError, \
-    _proportional, constant_class, gen_cp1_in_plane, gen_hirzebruch, \
-    gen_product, gen_projective, restrict, symplectic_class
+    _proportional, constant_class, gen_cp1_in_plane, gen_flag_a, \
+    gen_hirzebruch, gen_product, gen_projective, restrict, symplectic_class
 
 
 def standard_fixtures():
@@ -30,6 +30,19 @@ def standard_fixtures():
     fixtures["p1xp1"] = gen_product(p1a, p1s, p1a, p1s)
     fixtures["p1xp2"] = gen_product(p1a, p1s, p2a, p2s)
     return fixtures
+
+
+def flag_fixtures():
+    """Type-A flag graphs, whose d = m(m-1)/2 exceeds the rank m-1: Fl(3)
+    and Fl(4) at rho and 2rho, and Fl(3) at (0, 2, 5).  They are kept out
+    of standard_fixtures(), which the selftest batteries draw from."""
+    return {
+        "fl3": gen_flag_a(3, (0, 1, 2)),
+        "fl3-2rho": gen_flag_a(3, (0, 2, 4)),
+        "fl3-025": gen_flag_a(3, (0, 2, 5)),
+        "fl4": gen_flag_a(4, (0, 1, 2, 3)),
+        "fl4-2rho": gen_flag_a(4, (0, 2, 4, 6)),
+    }
 
 
 def random_generic_xi(action: GkmAction, rng: random.Random, bound: int = 5):

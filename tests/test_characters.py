@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -6,19 +8,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gkmchar import characters, laurent
-from gkmchar.lattice import dot, primitive_part, vscale, vsub
+from gkmchar.lattice import dot, primitive_part, vneg, vscale, vsub
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import GkmAction, KClass, SymplecticClass, \
     constant_class, gen_cp1_in_plane, gen_flag_a, gen_product, \
     gen_projective, symplectic_class, validate_action
-from gkmchar.characters import (CharacterResult, HullReport, NotGeneric,
+from gkmchar.characters import (CharacterResult, HullReport,
+                                InternalDivisionFailure, NotGeneric,
                                 TruncationOverflow, character_expand,
                                 character_oracle, hull_report, hull_vertices,
                                 in_convex_hull, kostant_count,
                                 localization_terms, multiplicity, polarize,
                                 support_bound)
-from gkmchar.randomgen import (random_class, random_generic_xi,
-                               random_pole_free_point, random_restriction,
+from gkmchar.randomgen import (flag_fixtures, random_class,
+                               random_generic_xi, random_pole_free_point,
+                               random_restriction,
                                random_symplectic, standard_fixtures)
 from gkmchar.reduction import qr_check
 
@@ -165,19 +169,30 @@ def test_expansion_within_answer_size_budget(xi):
 def test_oracle_division_reads_within_budget(monkeypatch):
     # projective 5-space scaled by 6 has a 462-term character.  The oracle
     # divides its 720-term numerator by all 15 direction binomials in one
-    # divide_exact call.
+    # divide_exact call.  Each vertex multiplies its monomial f_v by the
+    # partial geometric sums of its 5 own directions, here monomials too;
+    # the binomials of the 10 directions absent at a vertex never go
+    # through LaurentPoly.__mul__.
     action, sym = gen_projective(5)
     sym = symplectic_class(action, {v: tuple(6 * x for x in a)
                                     for v, a in sym.alphas.items()})
     calls = []
+    products = []
 
     def counting(p, *gammas):
         calls.append((len(p), len(gammas)))
         return laurent.divide_exact(p, *gammas)
 
+    def multiplying(a, b, mul=LaurentPoly.__mul__):
+        products.append((len(a), len(b)))
+        return mul(a, b)
+
     monkeypatch.setattr(characters, "divide_exact", counting)
+    monkeypatch.setattr(LaurentPoly, "__mul__", multiplying)
     got = character_oracle(sym.base)
+    monkeypatch.undo()
     assert calls == [(720, 15)]
+    assert products == [(1, 1)] * (6 * 5)
     assert len(got) == 462
     assert got == character_expand(sym.base,
                                    polarize(action, (1, 2, 3, 4, 5))).poly
@@ -666,6 +681,75 @@ def test_restriction_oracle_is_the_pushed_forward_character(fixtures, data):
         image = tuple(dot(row, e) for row in P)
         pushed[image] = pushed.get(image, 0) + c
     assert character_oracle(rsym.base) == LaurentPoly(2, pushed)
+
+
+def test_restriction_oracle_with_a_shifted_geometric_sum(fixtures):
+    # seed 1 restricts projective 3-space so that some vertex has a weight
+    # -mult * prim whose class lcm exceeds mult: its partial geometric sum
+    # has several terms and a shift
+    action, sym = fixtures["proj3"]
+    P, raction, rsym = random_restriction(action, sym, random.Random(1))
+    parts = [primitive_part(w) for w in raction.axial.values()]
+    lcms = {}
+    for prim, mult in parts:
+        # the class of prim is named by whichever of +-prim is larger
+        key = max(prim, vneg(prim))
+        lcms[key] = math.lcm(lcms.get(key, 1), mult)
+    assert any(prim < vneg(prim) and mult < lcms[vneg(prim)]
+               for prim, mult in parts)
+    pushed = {}
+    for e, c in character_oracle(sym.base).terms.items():
+        image = tuple(dot(row, e) for row in P)
+        pushed[image] = pushed.get(image, 0) + c
+    assert character_oracle(rsym.base) == LaurentPoly(2, pushed)
+
+
+def test_oracle_rejects_a_corrupted_class():
+    action, sym = gen_projective(2)
+    values = dict(sym.base.values)
+    v = action.vertices[0]
+    values[v] = values[v] * 2
+    with pytest.raises(InternalDivisionFailure):
+        character_oracle(KClass(action, values))
+
+
+def _kostka(shape, content):
+    """Number of semistandard tableaux of the given shape (a partition) and
+    content: the last letter fills a horizontal strip of shape / inner,
+    inner_i between shape_(i+1) and shape_i."""
+    @functools.cache
+    def count(shape, k):
+        if k == 0:
+            return 0 if any(shape) else 1
+        ranges = [range(low, high + 1)
+                  for high, low in zip(shape, shape[1:] + (0,))]
+        return sum(count(inner, k - 1) for inner in product(*ranges)
+                   if sum(shape) - sum(inner) == content[k - 1])
+    return count(tuple(shape), len(content))
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("name", sorted(flag_fixtures()))
+def test_flag_character_is_given_by_kostka_numbers(name):
+    # Fl(m) with the orbit of lam carries the irreducible GL(m) character
+    # of highest weight lam sorted descending, whose multiplicity at mu is
+    # the Kostka number K_(lam, mu)
+    _, sym = flag_fixtures()[name]
+    lam = tuple(sorted(next(iter(sym.alphas.values())), reverse=True))
+    want = {}
+    for mu in _compositions(sum(lam), len(lam)):
+        k = _kostka(lam, mu)
+        if k:
+            want[mu] = k
+    assert character_oracle(sym.base).terms == want
 
 
 def test_support_outside_hull_has_zero_coefficient(cp1):

@@ -2,6 +2,8 @@ import copy
 import functools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -449,3 +451,16 @@ def test_json_output_renders_no_text(monkeypatch, capsys):
     for argv in _subcommands(CP1)[1:]:
         code, out, _ = run(argv + ["--output", "json"], capsys)
         assert code == 0 and out, argv
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    # a source checkout runs the CLI with the package directory on the path
+    # and nothing installed
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "gkmchar", "selftest",
+                           "--seed", "42"], env=env, capture_output=True,
+                          timeout=120)
+    code, out, _ = run(["selftest", "--seed", "42"], capsys)
+    assert (proc.returncode, code) == (0, 0)
+    assert proc.stdout == out.encode()

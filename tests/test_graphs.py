@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from math import factorial
 
 import pytest
@@ -11,7 +12,8 @@ from gkmchar.graphs import (ValidationError, action_violations,
                             gen_product, gen_projective, graph_to_data,
                             load_graph_data, load_graph_file, restrict,
                             symplectic_class, validate_action, validate_class)
-from gkmchar.randomgen import random_class, standard_fixtures
+from gkmchar.randomgen import (random_class, random_restriction,
+                               standard_fixtures)
 
 
 def test_gen_projective_2_is_valid():
@@ -24,6 +26,21 @@ def test_gen_projective_2_is_valid():
     flat = {w for pair in weights for w in pair}
     for w in expected:
         assert w in flat or tuple(-x for x in w) in flat
+
+
+def test_out_index_lists_the_edges_of_a_scan():
+    fixtures = standard_fixtures()
+    actions = [action for action, _ in fixtures.values()]
+    actions.append(gen_flag_a(4, range(4))[0])
+    actions.append(random_restriction(*fixtures["proj3"],
+                                      random.Random(1))[1])
+    for action in actions:
+        for v in action.vertices:
+            scan = [e for e in action.edges if e.src == v]
+            assert list(action.out_index[v]) == scan
+            assert action.out_edges(v) == scan
+            assert action.out_weights(v) == [action.axial[e.eid]
+                                             for e in scan]
 
 
 def test_orientation_axiom_violation():
