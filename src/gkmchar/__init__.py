@@ -2,12 +2,11 @@
 actions on labeled graphs."""
 
 from .lattice import (BasisChange, NotPrimitive, ZeroVector,
-                      complete_to_basis, cyclic_fiber_order, primitive_part,
-                      weight_from_basis, weight_in_basis)
+                      complete_to_basis, primitive_part, weight_from_basis,
+                      weight_in_basis)
 from .laurent import (DimMismatch, LaurentPoly, NotDivisible, PoleAtPoint,
                       RationalChar, ZeroWeight, congruent_mod_edge,
-                      divide_exact, eval_numeric, pushforward_quotient,
-                      render_poly)
+                      divide_exact, eval_numeric, render_poly)
 from .graphs import (GkmAction, KClass, SymplecticClass, ValidationError,
                      Violation, action_violations, class_violations,
                      constant_class, gen_cp1_in_plane, gen_flag_a,
@@ -22,10 +21,9 @@ from .characters import (CharacterResult, HullReport, InternalDivisionFailure,
                          localization_terms, multiplicity, polarize)
 from .residues import (ResidueValue, ZForm, fiber_average_numeric,
                        from_z_form, res_T, res_half, to_z_form)
-from .reduction import (CrossingSet, CycleError, MomentMap, NotRegular,
-                        QrResult, ReducedCharacter, WrongWallCount,
-                        ZeroNotRegular, chi_reduced, crossing_set,
-                        edge_compat_check, moment_map, qr_check,
+from .reduction import (CycleError, MomentMap, NotRegular, QrResult,
+                        ReducedCharacter, WrongWallCount, ZeroNotRegular,
+                        chi_reduced, edge_compat_check, moment_map, qr_check,
                         symplectic_moment_map, wall_crossing_check)
 
 from .randomgen import (random_class, random_generic_xi,

@@ -32,87 +32,77 @@ class InternalDivisionFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class Polarization:
-    """Per-vertex data attached to a generic direction xi.
+    """The orientation of the graph by a generic direction xi, read off at
+    each vertex.
 
-    For each vertex, pos_edges lists the edge ids at the vertex whose weight
-    pairs positively with xi (one per unoriented edge); sigma counts those
-    that point *into* the vertex; prefix is the sum of their weights over the
-    incoming ones, i.e. the monomial shift of the polarized expansion.
-    two_delta / two_delta_sharp store twice the half-sums, keeping everything
-    integral.
+    weights[v] lists the out-weights at v in out-edge order, each negated
+    when it pairs negatively with xi, so every one pairs positively with
+    xi; sign[v] is (-1) raised to the number of negated weights, and
+    prefix[v] is their sum, the monomial shift of v's polarized expansion
+    and of its partition-count argument.
     """
 
     action: GkmAction
     xi: tuple
-    pos_edges: dict         # vertex -> list of eids
-    sigma: dict             # vertex -> int
-    two_delta: dict         # vertex -> weight (2*delta_p)
-    two_delta_sharp: dict   # vertex -> weight (2*delta_p^#)
-
-    def sign(self, v) -> int:
-        return -1 if self.sigma[v] % 2 else 1
-
-    def shift(self, v):
-        """delta^# - delta: always an integer vector."""
-        diff = vsub(self.two_delta_sharp[v], self.two_delta[v])
-        assert all(x % 2 == 0 for x in diff)
-        return tuple(x // 2 for x in diff)
-
-    def prefix(self, v):
-        """Exponent of the monomial prefactor, -(delta^# - delta)."""
-        return vneg(self.shift(v))
-
-    def pos_weights(self, v):
-        return [self.action.axial[e] for e in self.pos_edges[v]]
+    weights: dict           # vertex -> tuple of weights turned toward xi
+    sign: dict              # vertex -> +1 or -1
+    prefix: dict            # vertex -> sum of the negated out-weights
 
 
-def polarize(action: GkmAction, xi) -> Polarization:
-    """Split the edges at each vertex by the sign of their xi-pairing."""
-    xi = tuple(xi)
-    if not is_primitive(xi):
-        raise NotPrimitive(f"{xi} is not primitive")
-    pos_edges = {v: [] for v in action.vertices}
-    sigma = {v: 0 for v in action.vertices}
-    for e in action.edges:
+def _edge_pairings(action: GkmAction, xi) -> dict:
+    """eid -> the xi-pairing of every oriented edge's weight, computed once
+    per geometric edge; NotGeneric names the first edge, in edge order,
+    that pairs to zero."""
+    pairs = {}
+    for e in action.geometric_edges():
         pairing = dot(action.axial[e.eid], xi)
         if pairing == 0:
             raise NotGeneric(f"edge {e.src}->{e.dst} pairs to zero with {xi}")
-        if pairing > 0:
-            pos_edges[e.src].append(e.eid)
-            pos_edges[e.dst].append(e.eid)
-            sigma[e.dst] += 1
-    two_delta = {}
-    two_delta_sharp = {}
-    for v in action.vertices:
-        assert len(pos_edges[v]) == action.d
-        td = (0,) * action.n
-        tds = (0,) * action.n
-        for eid in pos_edges[v]:
-            w = action.axial[eid]
-            td = vadd(td, w)
-            sgn = 1 if action.edges[eid].src == v else -1
-            tds = vadd(tds, vscale(w, sgn))
-        two_delta[v] = td
-        two_delta_sharp[v] = tds
-    return Polarization(action=action, xi=xi, pos_edges=pos_edges,
-                        sigma=sigma, two_delta=two_delta,
-                        two_delta_sharp=two_delta_sharp)
+        pairs[e.eid] = pairing
+        pairs[e.bar] = -pairing
+    return pairs
 
 
-def kostant_count(weights, target, xi=None) -> int:
+def polarize(action: GkmAction, xi) -> Polarization:
+    """Turn the out-weights at each vertex toward xi, in one pass over
+    every vertex's out-edges.
+
+    Raises NotPrimitive when xi is not primitive, and NotGeneric, naming
+    the first edge in edge order, when an edge weight pairs to zero.
+    """
+    xi = tuple(xi)
+    if not is_primitive(xi):
+        raise NotPrimitive(f"{xi} is not primitive")
+    pairs = _edge_pairings(action, xi)
+    zero = (0,) * action.n
+    weights, sign, prefix = {}, {}, {}
+    for v, es in action.out_index.items():
+        ws, flips, pre = [], 0, zero
+        for e in es:
+            w = action.axial[e.eid]
+            if pairs[e.eid] < 0:
+                w = vneg(w)
+                flips += 1
+                pre = vadd(pre, w)
+            ws.append(w)
+        weights[v] = tuple(ws)
+        sign[v] = -1 if flips % 2 else 1
+        prefix[v] = pre
+    return Polarization(action=action, xi=xi, weights=weights, sign=sign,
+                        prefix=prefix)
+
+
+def kostant_count(weights, target, xi) -> int:
     """Number of ways to write target as a non-negative integer combination
     of the given weights.
 
-    All weights must pair positively with some direction xi; if xi is not
-    supplied a simple search tries to find one.  The count is computed by a
-    memoized recursion over the weight list, bounded by the xi-pairing.
+    Every weight must pair positively with the direction xi (NotGeneric
+    otherwise).  The count is computed by a memoized recursion over the
+    weight list, bounded by the xi-pairing.
     """
     weights = [tuple(w) for w in weights]
     target = tuple(target)
-    if xi is None:
-        xi = _find_positive_direction(weights)
-    else:
-        xi = tuple(xi)
+    xi = tuple(xi)
     pairings = [dot(w, xi) for w in weights]
     if any(p <= 0 for p in pairings):
         raise NotGeneric("every weight must pair positively with xi")
@@ -133,30 +123,15 @@ def kostant_count(weights, target, xi=None) -> int:
     return count(len(weights), target)
 
 
-def _find_positive_direction(weights):
-    if not weights:
-        return None  # never consulted: the recursion ends immediately
-    n = len(weights[0])
-    candidates = [tuple(sum(w[i] for w in weights) for i in range(n))]
-    span = range(-3, 4)
-    if n <= 4:
-        from itertools import product
-        candidates += [c for c in product(span, repeat=n)]
-    for xi in candidates:
-        if xi and any(x != 0 for x in xi) and all(dot(w, xi) > 0 for w in weights):
-            return xi
-    raise NotGeneric("could not find a direction positive on all weights")
-
-
 def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
     """Coefficient of x^alpha in the character, by the signed partition-count
-    sum over vertices."""
+    sum over vertices: pol.sign[v] times the number of ways to write
+    alpha - alpha_v - pol.prefix[v] from the weights pol.weights[v]."""
     alpha = tuple(alpha)
     total = 0
     for v in pol.action.vertices:
-        arg = vadd(vsub(alpha, sym.alphas[v]), pol.shift(v))
-        n_v = kostant_count(pol.pos_weights(v), arg, pol.xi)
-        total += pol.sign(v) * n_v
+        arg = vsub(vsub(alpha, sym.alphas[v]), pol.prefix[v])
+        total += pol.sign[v] * kostant_count(pol.weights[v], arg, pol.xi)
     return total
 
 
@@ -173,13 +148,14 @@ def character_expand(f: KClass, pol: Polarization,
                      level: int | None = None) -> CharacterResult:
     """Exact character via the polarized geometric-series expansion.
 
-    Each vertex contributes sign * x^prefix * f_v * product over its
-    positive edges of a geometric series in the edge weight.  The series
-    are truncated by support bounds of the character (see support_bound)
-    from one cut set, built once per call: xi, and the dual basis
-    eta_1..eta_d of the positive weights w_1..w_d of every vertex with
-    f_v != 0 whose weights are linearly independent (d <= n;
-    eta_i . w_j == 0 for i != j, eta_i . w_i > 0; see lattice.dual_basis).
+    Each vertex v contributes pol.sign[v] * x^pol.prefix[v] * f_v *
+    product over its positive weights pol.weights[v] of a geometric series
+    in the weight.  The series are truncated by support bounds of the
+    character (see support_bound) from one cut set, built once per call:
+    xi, and the dual basis eta_1..eta_d of the positive weights w_1..w_d
+    of every vertex with f_v != 0 whose weights are linearly independent
+    (d <= n; eta_i . w_j == 0 for i != j, eta_i . w_i > 0; see
+    lattice.dual_basis).
     A vertex is cut by every direction of the set that pairs nonnegatively
     with all of its positive weights (xi and its own dual basis always
     do), so its partial products only grow in those pairings and cutting
@@ -193,9 +169,9 @@ def character_expand(f: KClass, pol: Polarization,
     prod_i (B(eta_i) - eta_i . base + 1) terms per base monomial, however
     steep xi is; a vertex with dependent weights is cut by xi and by the
     dual directions of other vertices that pair nonnegatively with its
-    weights.  Each direction of the set is paired with the out-weights of
-    every vertex once; the same pairings give its bound and the split of
-    every vertex into cuts and filters.
+    weights.  Each direction of the set is paired with the positive
+    weights of every vertex once; the same pairings give its bound and the
+    split of every vertex into cuts and filters.
 
     With level=k, only the terms mu with xi . mu == k are returned: the
     character's slice at that level, which is empty when k > B(xi).  The
@@ -207,38 +183,34 @@ def character_expand(f: KClass, pol: Polarization,
     """
     action = pol.action
     zero = CharacterResult(poly=LaurentPoly.zero(action.n))
-    rows = _bound_rows(f)
-    if not rows:
+    live = [v for v in action.vertices if f[v].terms]
+    if not live:
         return zero
+    # one row per live vertex: the terms of x^prefix * f_v, and the
+    # positive weights
+    rows = [(f[v].shift(pol.prefix[v]).terms, pol.weights[v]) for v in live]
     xi = pol.xi
-    table = _cut_table([xi], rows)
-    # the positive weights at a vertex are its out-weights turned toward
-    # xi, in the same edge order
-    flips = [[p < 0 for p in ps] for ps in table[0][2]]
-    weights = [[vneg(u) if fl else u for u, fl in zip(outs, fls)]
-               for (_, outs), fls in zip(rows, flips)]
     # the cut set: xi and the dual basis of every live vertex, one bound each
     duals = {}
-    for ws in dict.fromkeys(map(tuple, weights)):
+    for ws in dict.fromkeys(ws for _, ws in rows):
         duals.update(dict.fromkeys(dual_basis(ws) or ()))
     duals.pop(xi, None)
-    table += _cut_table(duals, rows)
+    table = _cut_table([xi, *duals], rows)
     if level is not None:
         if table[0][1] < level:
             return zero
         table[0] = (xi, level, table[0][2])
-    live = [v for v in action.vertices if f[v].terms]
     total = {}
     for r, v in enumerate(live):
-        ws, fls = weights[r], flips[r]
+        terms, ws = rows[r]
         used, rest = [], []     # cuts at v, and the bounds left to filter
         for d, b, pairs in table:
-            ps = [-p if fl else p for p, fl in zip(pairs[r], fls)]
+            ps = pairs[r]
             if min(ps, default=0) >= 0:
                 used.append((d, b, ps))     # xi comes first
             else:
                 rest.append((d, b))
-        acc = {e: c for e, c in f[v].shift(pol.prefix(v)).terms.items()
+        acc = {e: c for e, c in terms.items()
                if all(dot(e, d) <= b for d, b, _ in used)}
         if level is not None and not ws:
             acc = {e: c for e, c in acc.items() if dot(e, xi) == level}
@@ -267,7 +239,7 @@ def character_expand(f: KClass, pol: Polarization,
                         raise TruncationOverflow(
                             f"expansion exceeded {term_budget} terms")
             acc = out
-        sign = pol.sign(v)
+        sign = pol.sign[v]
         for e, c in acc.items():
             if all(dot(e, d) <= b for d, b in rest):
                 total[e] = total.get(e, 0) + sign * c
@@ -299,7 +271,14 @@ def _bound_rows(f: KClass) -> list:
 
 def _cut_table(directions, rows) -> list:
     """(d, B(d), pairings) for each direction d, where pairings[r] lists
-    d . u for the out-weights u of rows[r]."""
+    d . u for the weights u of rows[r].
+
+    Rows may hold f_v with the out-weights at v (_bound_rows), or
+    x^prefix * f_v with the weights of a polarization (character_expand):
+    B(d) is the same.  Turning out-weights u into w, with the turned ones
+    summing to prefix, sum_u max(d . u, 0) = sum_w max(d . w, 0) - d . prefix,
+    and the shift by prefix adds d . prefix to every term's pairing.
+    """
     table = []
     for d in directions:
         pairs = [[dot(u, d) for u in outs] for _, outs in rows]

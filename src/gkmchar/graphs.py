@@ -10,10 +10,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 
-from .lattice import dot, primitive_part, vadd, vneg, vscale, vsub
+from .lattice import dot, primitive_part, vneg, vscale, vsub
 from .laurent import LaurentPoly, congruent_mod_edge, reduce_mod_weight
 
 
@@ -68,9 +67,6 @@ class GkmAction:
 
     def edge(self, eid) -> Edge:
         return self.edges[eid]
-
-    def weight(self, eid):
-        return self.axial[eid]
 
     def out_edges(self, v):
         return list(self.out_index[v])

@@ -233,11 +233,3 @@ def weight_from_basis(beta, k: int, basis: BasisChange) -> IntVec:
     return tuple(sum(full[j] * basis.inverse[j][i] for j in range(n))
                  for i in range(n))
 
-
-def cyclic_fiber_order(alpha, xi) -> int:
-    """Order |alpha(xi)| of the finite cyclic intersection subgroup.
-
-    Returns 0 exactly when the pairing vanishes, i.e. when the circle
-    generated by xi sits inside the kernel of the character of alpha.
-    """
-    return abs(dot(alpha, xi))

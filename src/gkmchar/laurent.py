@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from operator import add, mul, sub
 
-from .lattice import dot, vadd, vneg
+from .lattice import dot, vadd
 
 
 class DimMismatch(ValueError):
@@ -81,9 +81,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def support(self):
-        return set(self.terms)
 
     def coeff(self, exp):
         return self.terms.get(tuple(exp), 0)
@@ -385,18 +382,6 @@ def congruent_mod_edge(p: LaurentPoly, q: LaurentPoly, gamma) -> bool:
             else:
                 out.pop(r, None)
     return not out
-
-
-def pushforward_quotient(p: LaurentPoly, xi, m: int) -> LaurentPoly:
-    """Push-forward along the quotient by the order-m cyclic group exp(xi/m).
-
-    Averaging a monomial over the m-th roots of unity keeps it unchanged
-    when its xi-pairing is divisible by m and kills it otherwise.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    xi = tuple(xi)
-    return p.filter_terms(lambda e: dot(e, xi) % m == 0)
 
 
 TWO_PI_I = 2j * cmath.pi

@@ -1,5 +1,5 @@
-"""Graph-side reduction at a circle subgroup: moment maps, crossing sets,
-reduced characters by per-vertex residues, wall crossing and the check that
+"""Graph-side reduction at a circle subgroup: moment maps, reduced
+characters by per-vertex residues, wall crossing and the check that
 reducing before or after quantizing gives the same answer.
 """
 
@@ -9,11 +9,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import complete_to_basis, dot, is_primitive, NotPrimitive, \
-    vscale
+from .lattice import complete_to_basis, dot, is_primitive, NotPrimitive
 from .laurent import LaurentPoly, PoleAtPoint, RationalChar, eval_numeric
 from .graphs import GkmAction, KClass, SymplecticClass
-from .characters import NotGeneric, Polarization, character_expand, polarize
+from .characters import _edge_pairings, character_expand, polarize
 from .residues import res_T
 
 
@@ -53,18 +52,18 @@ def moment_map(action: GkmAction, xi, phi=None) -> MomentMap:
     """Construct (or validate) a vertex function increasing along the
     xi-positive orientation.
 
-    Without explicit values, vertices get their longest-path rank in the
-    oriented graph, perturbed by the vertex index to make all values
-    distinct.  Explicit values are validated against the same monotonicity
-    condition.
+    Each edge is oriented by the sign of its xi-pairing, taken once per
+    geometric edge by the pairing helper polarize uses, so a zero pairing
+    raises the same NotGeneric.  Without explicit values, vertices get
+    their longest-path rank in the oriented graph, perturbed by the vertex
+    index to make all values distinct.  Explicit values are validated
+    against the same monotonicity condition.
     """
     xi = tuple(xi)
+    pairs = _edge_pairings(action, xi)
     succ = {v: [] for v in action.vertices}
     for e in action.edges:
-        pairing = dot(action.axial[e.eid], xi)
-        if pairing == 0:
-            raise NotGeneric(f"edge {e.src}->{e.dst} pairs to zero with {xi}")
-        if pairing > 0:
+        if pairs[e.eid] > 0:
             succ[e.src].append(e.dst)
     order = _toposort(action.vertices, succ)
     if phi is None:
@@ -78,7 +77,7 @@ def moment_map(action: GkmAction, xi, phi=None) -> MomentMap:
     else:
         phi = {v: Fraction(x) for v, x in phi.items()}
     mm = MomentMap(action=action, xi=xi, phi=phi)
-    _validate_moment(mm)
+    _validate_moment(mm, pairs)
     return mm
 
 
@@ -111,13 +110,12 @@ def _toposort(vertices, succ):
     return order
 
 
-def _validate_moment(mm: MomentMap):
+def _validate_moment(mm: MomentMap, pairs):
     values = list(mm.phi.values())
     if len(set(values)) != len(values):
         raise ValueError("critical values are not distinct")
     for e in mm.action.edges:
-        pairing = dot(mm.action.axial[e.eid], mm.xi)
-        if (mm.phi[e.dst] - mm.phi[e.src]) * pairing <= 0:
+        if (mm.phi[e.dst] - mm.phi[e.src]) * pairs[e.eid] <= 0:
             raise ValueError(
                 f"phi does not increase along edge {e.src}->{e.dst}")
 
@@ -134,24 +132,10 @@ def symplectic_moment_map(sym: SymplecticClass, xi) -> MomentMap:
     return moment_map(action, xi, phi)
 
 
-@dataclass(frozen=True)
-class CrossingSet:
-    c: Fraction
-    edges: tuple            # oriented edge ids crossing the level
-
-
 def _require_regular(mm: MomentMap, c: Fraction):
     bad = next((v for v, x in mm.phi.items() if x == c), None)
     if bad is not None:
         raise NotRegular(f"level {c} hits the critical value at {bad}")
-
-
-def crossing_set(mm: MomentMap, c) -> CrossingSet:
-    c = Fraction(c)
-    _require_regular(mm, c)
-    eids = tuple(e.eid for e in mm.action.edges
-                 if mm.phi[e.dst] > c > mm.phi[e.src])
-    return CrossingSet(c=c, edges=eids)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gkmchar import characters, laurent
-from gkmchar.lattice import dot, primitive_part, vneg, vscale, vsub
+from gkmchar.lattice import dot, primitive_part, vadd, vneg, vscale, vsub
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import GkmAction, KClass, SymplecticClass, \
     constant_class, gen_cp1_in_plane, gen_flag_a, gen_product, \
@@ -24,7 +25,7 @@ from gkmchar.randomgen import (flag_fixtures, random_class,
                                random_generic_xi, random_pole_free_point,
                                random_restriction,
                                random_symplectic, standard_fixtures)
-from gkmchar.reduction import qr_check
+from gkmchar.reduction import moment_map, qr_check
 
 
 @pytest.fixture(scope="module")
@@ -35,20 +36,26 @@ def cp1():
 def test_polarize_cp1(cp1):
     action, _ = cp1
     pol = polarize(action, (1, 0))
-    assert pol.sigma["p"] == 0
-    assert pol.sigma["q"] == 1
-    assert pol.two_delta["p"] == (1, 0)
-    assert pol.two_delta_sharp["p"] == (1, 0)
-    assert pol.two_delta["q"] == (1, 0)
-    assert pol.two_delta_sharp["q"] == (-1, 0)
-    assert pol.shift("p") == (0, 0)
-    assert pol.shift("q") == (-1, 0)
+    assert pol.weights == {"p": ((1, 0),), "q": ((1, 0),)}
+    assert pol.sign == {"p": 1, "q": -1}
+    assert pol.prefix == {"p": (0, 0), "q": (1, 0)}
 
 
 def test_polarize_rejects_degenerate_direction(cp1):
     action, _ = cp1
     with pytest.raises(NotGeneric):
         polarize(action, (0, 1))
+
+
+def test_polarize_and_moment_map_name_the_first_zero_edge():
+    # (1, 1) pairs to zero only with the edge P1 -> P2, which comes after
+    # both edges leaving P0; the message names it in its stored orientation
+    action, _ = gen_projective(2)
+    want = "edge P1->P2 pairs to zero with (1, 1)"
+    with pytest.raises(NotGeneric, match=re.escape(want)):
+        polarize(action, (1, 1))
+    with pytest.raises(NotGeneric, match=re.escape(want)):
+        moment_map(action, (1, 1))
 
 
 def test_polarize_projective2():
@@ -58,20 +65,56 @@ def test_polarize_projective2():
                       for e in action.geometric_edges())
     assert pairings == [1, 1, 2]
     for v in action.vertices:
-        assert len(pol.pos_edges[v]) == action.d
+        assert len(pol.weights[v]) == action.d
+
+
+@functools.cache
+def _standard_and_flag_fixtures():
+    return standard_fixtures(), flag_fixtures()
+
+
+@st.composite
+def polarized_inputs(draw):
+    """A standard or flag fixture, or a random restriction of a standard
+    fixture to a 2-torus, and a random generic primitive direction."""
+    standard, flags = _standard_and_flag_fixtures()
+    name = draw(st.sampled_from(sorted(standard) + sorted(flags)))
+    action, sym = standard.get(name) or flags[name]
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if name in standard and draw(st.booleans()):
+        _, action, sym = random_restriction(action, sym, rng)
+    return action, random_generic_xi(action, rng, bound=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polarized_inputs())
+def test_polarize_turns_each_out_weight_toward_xi(case):
+    action, xi = case
+    pol = polarize(action, xi)
+    assert pol.xi == xi
+    for v in action.vertices:
+        outs = action.out_weights(v)
+        ws = pol.weights[v]
+        assert len(ws) == len(outs)
+        assert all(w in (u, vneg(u)) and dot(w, xi) > 0
+                   for w, u in zip(ws, outs))
+        turned = [w for w, u in zip(ws, outs) if w != u]
+        assert pol.sign[v] == (-1) ** len(turned)
+        assert pol.prefix[v] == tuple(map(sum, zip((0,) * action.n,
+                                                   *turned)))
 
 
 def test_kostant_basis_case():
-    assert kostant_count([(1, 0), (0, 1)], (2, 3)) == 1
+    assert kostant_count([(1, 0), (0, 1)], (2, 3), (1, 1)) == 1
 
 
 def test_kostant_two_decompositions():
-    assert kostant_count([(1, 0), (0, 1), (1, 1)], (1, 1)) == 2
+    assert kostant_count([(1, 0), (0, 1), (1, 1)], (1, 1), (1, 1)) == 2
 
 
 def test_kostant_empty_sum():
-    assert kostant_count([(1, 0), (0, 1), (1, 1)], (0, 0)) == 1
-    assert kostant_count([(2, 1)], (0, 0)) == 1
+    assert kostant_count([(1, 0), (0, 1), (1, 1)], (0, 0), (1, 1)) == 1
+    assert kostant_count([(2, 1)], (0, 0), (1, 0)) == 1
 
 
 def test_multiplicity_cp1(cp1):
@@ -646,6 +689,26 @@ def test_flag_expansion_matches_oracle(m):
     xi = (1, 3, 7, 15)[:m]
     assert character_expand(sym.base, polarize(sym.action, xi)).poly == \
         character_oracle(sym.base)
+
+
+@pytest.mark.parametrize("m, lam", [
+    (3, (0, 1, 2)),
+    (3, (0, 2, 4)),
+    (3, (0, 2, 5)),
+    (4, (0, 1, 2, 3)),
+])
+def test_flag_multiplicity_matches_oracle(m, lam):
+    # d > n - 1: every vertex has more positive weights than the rank, so
+    # each partition count runs over a dependent weight list; checked on
+    # the support and on every weight one root step outside it
+    action, sym = gen_flag_a(m, lam)
+    pol = polarize(action, (1, 3, 7, 15)[:m])
+    chi = character_oracle(sym.base)
+    roots = {primitive_part(w)[0] for w in action.axial.values()}
+    outside = {vadd(mu, r) for mu in chi.terms for r in roots} - set(chi.terms)
+    assert outside
+    for mu in [*chi.terms, *sorted(outside)]:
+        assert multiplicity(sym, pol, mu) == chi.coeff(mu)
 
 
 @pytest.mark.parametrize("m", [4, 5])

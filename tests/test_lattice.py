@@ -2,8 +2,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gkmchar.lattice import (NotPrimitive, ZeroVector, complete_to_basis,
-                             cyclic_fiber_order, det, dot, dual_basis,
-                             is_primitive, primitive_part, weight_from_basis,
+                             det, dot, dual_basis, is_primitive,
+                             primitive_part, weight_from_basis,
                              weight_in_basis)
 
 
@@ -72,12 +72,6 @@ def test_weight_in_basis_round_trip():
     beta, k = weight_in_basis((1, 0), b)
     assert k == dot((1, 0), (2, 3)) == 2
     assert weight_from_basis(beta, k, b) == (1, 0)
-
-
-def test_cyclic_fiber_order():
-    assert cyclic_fiber_order((1, 0), (0, 1)) == 0
-    assert cyclic_fiber_order((3, 1), (1, 0)) == 3
-    assert cyclic_fiber_order((-2, 5), (1, 1)) == 3
 
 
 def test_random_basis_round_trips(rng):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gkmchar.laurent import (DimMismatch, LaurentPoly, NotDivisible,
                              PoleAtPoint, RationalChar, ZeroWeight,
                              congruent_mod_edge, divide_exact, eval_numeric,
-                             pushforward_quotient, render_poly)
+                             render_poly)
 from gkmchar.randomgen import random_ring_element, random_torus_point
 
 X10 = LaurentPoly.monomial((1, 0))
@@ -255,31 +255,6 @@ def test_congruence_agrees_with_division(rng):
         except NotDivisible:
             divisible = False
         assert congruent_mod_edge(p, q, gamma) == divisible
-
-
-def test_pushforward_trivial_group(rng):
-    p = random_ring_element(2, rng, terms=5, exp_bound=3)
-    assert pushforward_quotient(p, (1, 1), 1) == p
-
-
-def test_pushforward_kills_odd_pairing():
-    p = X10 + X01
-    assert pushforward_quotient(p, (0, 1), 2) == X10
-
-
-def test_pushforward_keeps_divisible_pairing():
-    p = LaurentPoly.monomial((2, 4), 3)
-    assert pushforward_quotient(p, (1, 1), 3) == p
-
-
-def test_pushforward_module_property(rng):
-    xi, m = (1, 2), 3
-    for _ in range(20):
-        p = random_ring_element(2, rng, terms=5, exp_bound=3)
-        q = random_ring_element(2, rng, terms=5, exp_bound=3)
-        q = pushforward_quotient(q, xi, m)  # supported on the invariant set
-        assert pushforward_quotient(p * q, xi, m) == \
-            pushforward_quotient(p, xi, m) * q
 
 
 def test_eval_poly_at_half():

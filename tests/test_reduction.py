@@ -12,7 +12,7 @@ from gkmchar.graphs import Edge, GkmAction, constant_class, \
 from gkmchar.characters import localization_terms
 from gkmchar.residues import res_T
 from gkmchar.reduction import (CycleError, NotRegular, WrongWallCount,
-                               ZeroNotRegular, chi_reduced, crossing_set,
+                               ZeroNotRegular, chi_reduced,
                                edge_compat_check, moment_map, qr_check,
                                symplectic_moment_map, wall_crossing_check)
 from gkmchar.randomgen import (random_class, random_generic_xi,
@@ -61,39 +61,6 @@ def test_moment_map_cycle():
     with pytest.raises(CycleError) as exc:
         moment_map(action, (1, 0))
     assert len(exc.value.cycle) >= 3
-
-
-def test_crossing_set_cp1(cp1):
-    action, _ = cp1
-    mm = moment_map(action, (1, 0), phi={"p": -1, "q": 1})
-    cs = crossing_set(mm, 0)
-    assert len(cs.edges) == 1
-    e = action.edge(cs.edges[0])
-    assert (e.src, e.dst) == ("p", "q")
-
-
-def test_crossing_set_below_min_is_empty(cp1):
-    action, _ = cp1
-    mm = moment_map(action, (1, 0), phi={"p": -1, "q": 1})
-    assert crossing_set(mm, -5).edges == ()
-
-
-def test_crossing_set_rejects_critical_level(cp1):
-    action, _ = cp1
-    mm = moment_map(action, (1, 0), phi={"p": -1, "q": 1})
-    with pytest.raises(NotRegular):
-        crossing_set(mm, 1)
-
-
-def test_crossing_set_projective2():
-    action, sym = gen_projective(2)
-    mm = symplectic_moment_map(sym, (1, 2))
-    crits = mm.critical_values()
-    c = (crits[0] + crits[1]) / 2
-    cs = crossing_set(mm, c)
-    assert len(cs.edges) == 2
-    bottom = min(mm.phi, key=mm.phi.get)
-    assert all(action.edge(eid).src == bottom for eid in cs.edges)
 
 
 def test_chi_reduced_cp1(cp1):
