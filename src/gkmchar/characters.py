@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import mul, sub
 
-from .lattice import NotPrimitive, dot, dual_basis, is_primitive, \
-    primitive_part, vadd, vneg, vscale, vsub
+from .lattice import NotPrimitive, dot, is_primitive, primitive_part, \
+    vadd, vneg, vscale, vsub
 from .laurent import LaurentPoly, NotDivisible, RationalChar, _Kronecker, \
     _box, divide_exact
 from .graphs import GkmAction, KClass, SymplecticClass
@@ -152,26 +152,27 @@ def character_expand(f: KClass, pol: Polarization,
     product over its positive weights pol.weights[v] of a geometric series
     in the weight.  The series are truncated by support bounds of the
     character (see support_bound) from one cut set, built once per call:
-    xi, and the dual basis eta_1..eta_d of the positive weights w_1..w_d
-    of every vertex with f_v != 0 whose weights are linearly independent
-    (d <= n; eta_i . w_j == 0 for i != j, eta_i . w_i > 0; see
-    lattice.dual_basis).
+    xi, and the dual-cone rays of the positive weights of every vertex
+    with f_v != 0 (see lattice.dual_cone_rays: eta . w >= 0 for each of
+    its weights w, and for linearly independent weights the dual basis).
+    The rays come from the graph (GkmAction.cone_rays), so vertices with
+    the same weights, and later calls on the graph, share one elimination.
     A vertex is cut by every direction of the set that pairs nonnegatively
-    with all of its positive weights (xi and its own dual basis always
-    do), so its partial products only grow in those pairings and cutting
-    them never drops a term of the support; each series in w stops at the
+    with all of its positive weights (xi and its own rays always do), so
+    its partial products only grow in those pairings and cutting them
+    never drops a term of the support; each series in w stops at the
     tightest such direction that pairs positively with w.  The vertex's
     finished terms are then filtered by the remaining bounds of the set,
     and only the survivors are summed.  Since each vertex's expansion then
     agrees with its untruncated one on the region where every bound of the
-    set holds, which contains the support, the sum is exact.  A vertex
-    with independent weights expands to at most
-    prod_i (B(eta_i) - eta_i . base + 1) terms per base monomial, however
-    steep xi is; a vertex with dependent weights is cut by xi and by the
-    dual directions of other vertices that pair nonnegatively with its
-    weights.  Each direction of the set is paired with the positive
-    weights of every vertex once; the same pairings give its bound and the
-    split of every vertex into cuts and filters.
+    set holds, which contains the support, the sum is exact.  The positive
+    weights of a vertex span a pointed cone, so every one of them pairs
+    positively with one of its own rays, and the vertex's expansion is
+    bounded by the rays' support bounds however steep xi is, with
+    dependent weights (d > n) as with independent ones.  Each direction of
+    the set is paired with the positive weights of every vertex once; the
+    same pairings give its bound and the split of every vertex into cuts
+    and filters.
 
     With level=k, only the terms mu with xi . mu == k are returned: the
     character's slice at that level, which is empty when k > B(xi).  The
@@ -190,12 +191,13 @@ def character_expand(f: KClass, pol: Polarization,
     # positive weights
     rows = [(f[v].shift(pol.prefix[v]).terms, pol.weights[v]) for v in live]
     xi = pol.xi
-    # the cut set: xi and the dual basis of every live vertex, one bound each
-    duals = {}
+    # the cut set: xi and the dual-cone rays of every live vertex, one
+    # bound each
+    rays = {}
     for ws in dict.fromkeys(ws for _, ws in rows):
-        duals.update(dict.fromkeys(dual_basis(ws) or ()))
-    duals.pop(xi, None)
-    table = _cut_table([xi, *duals], rows)
+        rays.update(dict.fromkeys(action.cone_rays(ws)))
+    rays.pop(xi, None)
+    table = _cut_table([xi, *rays], rows)
     if level is not None:
         if table[0][1] < level:
             return zero
@@ -272,6 +274,12 @@ def _bound_rows(f: KClass) -> list:
 def _cut_table(directions, rows) -> list:
     """(d, B(d), pairings) for each direction d, where pairings[r] lists
     d . u for the weights u of rows[r].
+
+    character_expand passes xi first and then the dual-cone rays of its
+    live vertices, support_bound one direction.  B(d) bounds the whole
+    character for any d, so a ray of one vertex bounds the terms of every
+    other: as a cut where it pairs nonnegatively with all of that vertex's
+    weights, as a filter elsewhere.
 
     Rows may hold f_v with the out-weights at v (_bound_rows), or
     x^prefix * f_v with the weights of a polarization (character_expand):

@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 
-from .lattice import dot, primitive_part, vneg, vscale, vsub
+from .lattice import dot, dual_cone_rays, primitive_part, vneg, vscale, \
+    vsub
 from .laurent import LaurentPoly, congruent_mod_edge, reduce_mod_weight
 
 
@@ -57,6 +58,8 @@ class GkmAction:
     axial: dict             # eid -> weight tuple
     # vertex -> tuple of the edges leaving it, in edge order
     out_index: dict = field(init=False, compare=False, repr=False)
+    # sorted weight set -> its dual_cone_rays, filled by cone_rays
+    _rays: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         index = {v: [] for v in self.vertices}
@@ -64,6 +67,7 @@ class GkmAction:
             index[e.src].append(e)
         object.__setattr__(self, "out_index",
                            {v: tuple(es) for v, es in index.items()})
+        object.__setattr__(self, "_rays", {})
 
     def edge(self, eid) -> Edge:
         return self.edges[eid]
@@ -73,6 +77,16 @@ class GkmAction:
 
     def out_weights(self, v):
         return [self.axial[e.eid] for e in self.out_index[v]]
+
+    def cone_rays(self, weights):
+        """lattice.dual_cone_rays of a set of weights, such as a vertex's
+        polarized weights, eliminated once per distinct set on this graph:
+        vertices with the same set, and later calls, read the same rays."""
+        key = tuple(sorted(weights))
+        rays = self._rays.get(key)
+        if rays is None:
+            rays = self._rays[key] = dual_cone_rays(key)
+        return rays
 
     def geometric_edges(self):
         """One representative per unoriented edge (the one with eid < bar)."""
@@ -425,6 +439,37 @@ def gen_flag_a(m: int, lam):
                     pairs.append((name[p], name[q], w, None))
     action = validate_action(m, list(name.values()), pairs)
     sym = symplectic_class(action, {name[p]: a for p, a in alphas.items()})
+    return action, sym
+
+
+def gen_grassmannian(k: int, m: int):
+    """GKM graph of the Grassmannian of k-planes in C^m in Z^m, with its
+    symplectic class.
+
+    The vertices are the k-subsets S of range(m), the Johnson graph
+    J(m, k), each named by its sorted entries joined with commas ("0,2");
+    alpha_S is the sum of e_i over i in S.  Each S is joined to
+    S - {i} + {j}, for i in S and j not in S, by the weight e_j - e_i.
+    So d = k(m-k), which exceeds the rank m-1 of the weights when
+    2 <= k <= m-2.
+    """
+    if not 0 < k < m:
+        raise ValueError("need 0 < k < m")
+    subsets = list(combinations(range(m), k))
+    name = {s: ",".join(map(str, s)) for s in subsets}
+    alphas = {s: tuple(int(i in s) for i in range(m)) for s in subsets}
+    pairs = []
+    for s in subsets:
+        for i in s:
+            for j in range(m):
+                if j in s:
+                    continue
+                t = tuple(sorted(set(s) - {i} | {j}))
+                if s < t:
+                    pairs.append((name[s], name[t],
+                                  vsub(alphas[t], alphas[s]), None))
+    action = validate_action(m, list(name.values()), pairs)
+    sym = symplectic_class(action, {name[s]: a for s, a in alphas.items()})
     return action, sym
 
 

@@ -9,8 +9,8 @@ dot product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, field
+from itertools import combinations, repeat
 from operator import add, mul, neg, sub
 
 
@@ -74,26 +74,27 @@ class BasisChange:
     """A unimodular change of basis whose last basis vector is a chosen xi.
 
     matrix holds the basis vectors as *columns* (row-major storage);
-    inverse is its exact integer inverse.
+    inverse is its exact integer inverse.  columns and inverse_columns
+    hold the columns of both, transposed once.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     inverse: tuple[tuple[int, ...], ...]
+    columns: tuple = field(init=False, compare=False, repr=False)
+    inverse_columns: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(zip(*self.matrix)))
+        object.__setattr__(self, "inverse_columns",
+                           tuple(zip(*self.inverse)))
 
     @property
     def n(self) -> int:
         return len(self.matrix)
 
-    def column(self, j) -> IntVec:
-        return tuple(row[j] for row in self.matrix)
-
     @property
     def xi(self) -> IntVec:
-        return self.column(self.n - 1)
-
-
-def _mat_mul_vec(m, v):
-    return tuple(dot(row, v) for row in m)
+        return self.columns[-1]
 
 
 def bareiss(rows) -> tuple[int, list]:
@@ -131,11 +132,10 @@ def det(m) -> int:
     return bareiss(m)[0]
 
 
-def dual_basis(weights):
+def _dual_basis(weights):
     """Primitive eta_1..eta_d with eta_i . w_j == 0 for i != j and
-    eta_i . w_i > 0, for d <= n linearly independent weights w_1..w_d in
-    Z^n; None when the weights are dependent, of unequal length or more
-    than n.
+    eta_i . w_i > 0, each inside the span of the weights w_1..w_d; None
+    when the weights are dependent.
 
     With W holding the weights as columns and the Gram matrix G = W^T W,
     eta_i is the primitive part of row i of adj(G) W^T, since
@@ -144,16 +144,51 @@ def dual_basis(weights):
     one dual to the weights.
     """
     d = len(weights)
-    if d == 0:
-        return []
-    n = len(weights[0])
-    if d > n or any(len(w) != n for w in weights):
-        return None
     g, red = bareiss([[dot(u, w) for w in weights] + list(u)
                       for u in weights])
     if g == 0:
         return None
     return [primitive_part(row[d:])[0] for row in red]
+
+
+def dual_cone_rays(weights):
+    """The extreme rays of the dual cone of the weights inside their span:
+    primitive eta in the span with eta . w >= 0 for every weight w, one
+    per facet of the cone the weights span.  Weights of unequal length
+    raise ValueError.
+
+    For linearly independent weights w_1..w_d these are their dual basis
+    eta_1..eta_d, in the order of the weights: eta_i . w_j == 0 for
+    i != j and eta_i . w_i > 0 (see _dual_basis).
+
+    For dependent weights of rank r, each facet is spanned by r - 1
+    independent weights T, and its normal inside the span is the last
+    vector of the dual basis of T and one more weight b that completes T
+    to a basis of the span.  That normal pairs positively with b, so it
+    faces the cone whenever T spans a facet: it is a ray when it pairs
+    >= 0 with every weight, and any other normal is dropped.  The rays are
+    deduplicated, in the order of the subsets T.  When the cone is
+    pointed, as it is for weights that all pair positively with one
+    direction, the rays span the dual cone, so every nonzero weight in
+    the cone pairs positively with some ray.
+    """
+    weights = [tuple(w) for w in weights]
+    rays = _dual_basis(weights)
+    if rays is not None:
+        return rays
+    basis = []              # a basis of the span, taken from the weights
+    for w in weights:
+        if _dual_basis([*basis, w]) is not None:
+            basis.append(w)
+    rays = {}
+    for face in combinations(weights, len(basis) - 1):
+        eta = next((etas[-1] for b in basis
+                    if (etas := _dual_basis([*face, b])) is not None), None)
+        if eta is None:
+            continue        # the face has rank below r - 1
+        if all(dot(eta, w) >= 0 for w in weights):
+            rays[eta] = None
+    return list(rays)
 
 
 def complete_to_basis(xi) -> BasisChange:
@@ -220,16 +255,12 @@ def weight_in_basis(alpha, basis: BasisChange) -> tuple[IntVec, int]:
     Returns (beta, k) where k = alpha(xi) and beta collects the pairings
     with the first n-1 basis vectors.  Inverted by weight_from_basis.
     """
-    alpha = tuple(alpha)
-    n = basis.n
-    full = tuple(dot(alpha, basis.column(j)) for j in range(n))
+    full = tuple(dot(alpha, col) for col in basis.columns)
     return full[:-1], full[-1]
 
 
 def weight_from_basis(beta, k: int, basis: BasisChange) -> IntVec:
     """Inverse of weight_in_basis: rebuild the weight from (beta, k)."""
     full = tuple(beta) + (k,)
-    n = basis.n
-    return tuple(sum(full[j] * basis.inverse[j][i] for j in range(n))
-                 for i in range(n))
+    return tuple(dot(full, col) for col in basis.inverse_columns)
 

@@ -49,7 +49,7 @@ def to_z_form(f: RationalChar, xi, *, basis=None) -> ZForm:
         basis = complete_to_basis(xi)
     elif basis.xi != xi:
         raise ValueError(f"basis completes {basis.xi}, not {xi}")
-    cols = tuple(zip(*basis.matrix))
+    cols = basis.columns
     factors = []
     for g in f.denominator:
         *beta, k = (dot(g, col) for col in cols)
@@ -182,7 +182,7 @@ def _embed(p: LaurentPoly, basis: BasisChange) -> LaurentPoly:
     produced by the extraction is an integer combination of the original
     weights whose z-degrees cancel.
     """
-    cols = [col[:-1] for col in zip(*basis.inverse)]
+    cols = [col[:-1] for col in basis.inverse_columns]
     terms = {}
     for beta, c in p.terms.items():
         exp = tuple(dot(beta, col) for col in cols)

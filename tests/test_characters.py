@@ -8,12 +8,12 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkmchar import characters, laurent
+from gkmchar import characters, graphs, laurent, lattice
 from gkmchar.lattice import dot, primitive_part, vadd, vneg, vscale, vsub
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import GkmAction, KClass, SymplecticClass, \
-    constant_class, gen_cp1_in_plane, gen_flag_a, gen_product, \
-    gen_projective, symplectic_class, validate_action
+    constant_class, gen_cp1_in_plane, gen_flag_a, gen_grassmannian, \
+    gen_product, gen_projective, symplectic_class, validate_action
 from gkmchar.characters import (CharacterResult, HullReport,
                                 InternalDivisionFailure, NotGeneric,
                                 TruncationOverflow, character_expand,
@@ -765,6 +765,110 @@ def test_restriction_oracle_with_a_shifted_geometric_sum(fixtures):
         image = tuple(dot(row, e) for row in P)
         pushed[image] = pushed.get(image, 0) + c
     assert character_oracle(rsym.base) == LaurentPoly(2, pushed)
+
+
+# --- d > n inputs, cut by the dual-cone rays of every vertex -----------------
+
+
+@functools.cache
+def _d_above_n_graphs():
+    return {
+        "fl4": gen_flag_a(4, (0, 1, 2, 3)),
+        "fl4-2rho": gen_flag_a(4, (0, 2, 4, 6)),
+        "fl5": gen_flag_a(5, (0, 1, 2, 3, 4)),
+        "(P1)^4|T2": random_restriction(*_p1_power(4), random.Random(0))[1:],
+    }
+
+
+# No vertex of these graphs has independent weights, so without its own
+# rays only xi cuts it: then all but the (P1)^4 restriction at (7, 3) need
+# more than 8 times the answer's terms, and Fl(4) at rho at the steep xi
+# more than 500 000.
+@pytest.mark.parametrize("graph, xi", [
+    ("fl4", (1, 3, 7, 15)),
+    ("fl4", (1, 100, 10**4, 10**6)),
+    ("fl4-2rho", (1, 3, 7, 15)),
+    ("fl4-2rho", (1, 100, 10**4, 10**6)),
+    ("fl5", (1, 3, 7, 15, 31)),
+    ("fl5", (1, 10, 100, 1000, 10**4)),
+    ("(P1)^4|T2", (7, 3)),
+    ("(P1)^4|T2", (1000, 3)),
+    ("(P1)^4|T2", (100000, 7)),
+])
+def test_d_above_n_expansion_within_answer_size_budget(graph, xi):
+    action, sym = _d_above_n_graphs()[graph]
+    assert action.d > action.n
+    want = character_oracle(sym.base)
+    got = character_expand(sym.base, polarize(action, xi),
+                           term_budget=8 * len(want))
+    assert got.poly == want
+
+
+@pytest.mark.parametrize("k, m", [(2, 4), (2, 5), (3, 6)])
+def test_grassmannian_character_is_the_sum_over_subsets(k, m):
+    # the k-th exterior power of C^m: x^(e_S) once for each k-subset S
+    action, sym = gen_grassmannian(k, m)
+    assert action.d > action.n - 1
+    want = LaurentPoly(m, {a: 1 for a in sym.alphas.values()})
+    assert len(want) == math.comb(m, k)
+    assert character_oracle(sym.base) == want
+    xi = tuple(100 ** i for i in range(m))
+    got = character_expand(sym.base, polarize(action, xi),
+                           term_budget=8 * len(want))
+    assert got.poly == want
+
+
+def test_cone_rays_are_eliminated_once_per_weight_set(monkeypatch):
+    calls = []
+
+    def counting(weights):
+        calls.append(weights)
+        return lattice.dual_cone_rays(weights)
+
+    monkeypatch.setattr(graphs, "dual_cone_rays", counting)
+    # every vertex of Fl(4) turns its weights into the same positive roots,
+    # and every vertex of a cube into the same signed axes
+    for action, sym in [gen_flag_a(4, range(4)), _p1_power(3)]:
+        calls.clear()
+        xi = (1, 3, 7, 15)[:action.n]
+        first = character_expand(sym.base, polarize(action, xi)).poly
+        assert len(calls) == 1
+        # later calls on the same graph, by any entry point, eliminate
+        # nothing
+        assert character_expand(sym.base, polarize(action, xi)).poly == first
+        character_expand(sym.base * sym.base, polarize(action, xi), level=1)
+        assert len(calls) == 1
+
+
+@st.composite
+def restricted_classes(draw):
+    """A random restriction of a standard or flag fixture to a 2-torus, its
+    symplectic class or a random class, and a generic direction with
+    entries up to 5 or up to 10^5."""
+    standard, flags = _standard_and_flag_fixtures()
+    name = draw(st.sampled_from(sorted(standard) + sorted(flags)))
+    action, sym = standard.get(name) or flags[name]
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    _, action, sym = random_restriction(action, sym, rng)
+    f = random_class(action, sym, rng) if draw(st.booleans()) else sym.base
+    bound = draw(st.sampled_from([5, 10**5]))
+    return f, random_generic_xi(action, rng, bound)
+
+
+# A vertex's expansion fills its cone cut by the rays' bounds, and when the
+# cone is nearly a half-plane that region holds many more lattice points
+# than the answer: the restriction of Fl(4) drawn by random.Random(1), at
+# xi = (-2, 5), needs 1 064 terms for a 38-term answer (28 times), and
+# cutting also by every facet normal of the answer's hull leaves 1 064.
+# So the budget is 64 times the answer.
+@settings(max_examples=100, deadline=None)
+@given(restricted_classes())
+def test_restricted_expansion_matches_oracle_within_answer_size_budget(case):
+    f, xi = case
+    want = character_oracle(f)
+    got = character_expand(f, polarize(f.action, xi),
+                           term_budget=max(64, 64 * len(want)))
+    assert got.poly == want
 
 
 def test_oracle_rejects_a_corrupted_class():

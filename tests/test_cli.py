@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gkmchar import cli
 from gkmchar.characters import character_expand, character_oracle
 from gkmchar.cli import main
-from gkmchar.graphs import KClass, gen_projective, graph_to_data
+from gkmchar.graphs import KClass, gen_flag_a, gen_projective, graph_to_data
 from gkmchar.lattice import vscale
 from gkmchar.laurent import LaurentPoly, render_poly
 
@@ -177,6 +177,24 @@ def test_steep_direction_character_matches_division_route(tmp_path, capsys):
     assert code == 0
     assert err == ""
     assert out.strip() == render_poly(character_oracle(kclass))
+
+
+def test_steep_direction_flag_character_matches_division_route(tmp_path,
+                                                               capsys):
+    # Fl(4) has 6 weights per vertex in rank 3, so xi and the dual bases
+    # of other vertices cannot cut its series; the dual-cone rays of each
+    # vertex do, and the expansion stays near the 38-term answer
+    action, sym = gen_flag_a(4, range(4))
+    values = {v: LaurentPoly.monomial(a) for v, a in sym.alphas.items()}
+    path = tmp_path / "fl4.json"
+    path.write_text(json.dumps(graph_to_data(action, {"omega": values})))
+    code, out, err = run(["character", str(path), "--xi=1,100,10000,1000000",
+                          "--output", "json"], capsys)
+    assert (code, err) == (0, "")
+    want = character_oracle(KClass(action, values))
+    got = {tuple(t["exp"]): t["coeff"] for t in json.loads(out)["character"]}
+    assert len(got) == 38
+    assert got == want.terms
 
 
 def test_truncation_overflow_is_violation_not_traceback(tmp_path, capsys,

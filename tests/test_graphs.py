@@ -1,14 +1,15 @@
 import json
 import os
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from gkmchar.laurent import LaurentPoly
 from gkmchar.graphs import (ValidationError, action_violations,
                             class_violations, constant_class,
-                            gen_cp1_in_plane, gen_flag_a, gen_hirzebruch,
+                            gen_cp1_in_plane, gen_flag_a, gen_grassmannian,
+                            gen_hirzebruch,
                             gen_product, gen_projective, graph_to_data,
                             load_graph_data, load_graph_file, restrict,
                             symplectic_class, validate_action, validate_class)
@@ -176,6 +177,24 @@ def test_gen_flag_a_weights():
     assert sym.alphas["1,2,0"] == (9, 5, 7)
     with pytest.raises(ValueError):
         gen_flag_a(3, (0, 1, 1))
+
+
+@pytest.mark.parametrize("k, m", [(1, 3), (2, 4), (2, 5), (3, 6)])
+def test_gen_grassmannian_valid(k, m):
+    # the Johnson graph J(m, k): d = k(m-k), above the rank m-1 of the
+    # weights once 2 <= k <= m-2
+    action, sym = gen_grassmannian(k, m)
+    assert (action.n, action.d) == (m, k * (m - k))
+    assert len(action.vertices) == comb(m, k)
+    first = ",".join(map(str, range(k)))
+    assert sym.alphas[first] == (1,) * k + (0,) * (m - k)
+    assert all(sorted(w) == [-1] + [0] * (m - 2) + [1]
+               for w in action.axial.values())
+    for e in action.edges:
+        assert action.axial[e.eid] == tuple(
+            a - b for a, b in zip(sym.alphas[e.dst], sym.alphas[e.src]))
+    with pytest.raises(ValueError):
+        gen_grassmannian(0, 3)
 
 
 def test_fl3_data_file_is_the_flag_graph():

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkmchar.lattice import (NotPrimitive, ZeroVector, complete_to_basis,
-                             det, dot, dual_basis, is_primitive,
-                             primitive_part, weight_from_basis,
+from gkmchar.characters import polarize
+from gkmchar.lattice import (NotPrimitive, ZeroVector, bareiss,
+                             complete_to_basis, det, dot, dual_cone_rays,
+                             is_primitive, primitive_part, weight_from_basis,
                              weight_in_basis)
+from gkmchar.randomgen import random_generic_xi
 
 
 def test_primitive_part_coprime():
@@ -130,14 +134,31 @@ def test_det_matches_cofactor_expansion(m):
     assert det(m) == _cofactor_det(m)
 
 
+def _reference_dual_basis(weights):
+    """Reference dual basis by the Gram adjugate: None for dependent
+    weights, weights of unequal length or more weights than n."""
+    d = len(weights)
+    if d == 0:
+        return []
+    n = len(weights[0])
+    if d > n or any(len(w) != n for w in weights):
+        return None
+    g, red = bareiss([[dot(u, w) for w in weights] + list(u)
+                      for u in weights])
+    if g == 0:
+        return None
+    return [primitive_part(row[d:])[0] for row in red]
+
+
 @settings(max_examples=300, deadline=None)
 @given(square_matrices(), st.integers(0, 3))
-def test_dual_basis_diagonalizes(m, drop):
+def test_dual_cone_rays_of_independent_weights_diagonalize(m, drop):
     # the first d = n - drop rows of m are the weights w_1..w_d in Z^n
     m = m[:max(len(m) - drop, 1)]
     gram = [[dot(u, w) for w in m] for u in m]
     assume(_cofactor_det(gram) != 0)
-    etas = dual_basis([tuple(row) for row in m])
+    etas = dual_cone_rays([tuple(row) for row in m])
+    assert etas == _reference_dual_basis([tuple(row) for row in m])
     assert len(etas) == len(m)
     for i, eta in enumerate(etas):
         assert is_primitive(eta)
@@ -146,16 +167,77 @@ def test_dual_basis_diagonalizes(m, drop):
             assert pairing > 0 if i == j else pairing == 0
 
 
-def test_dual_basis_of_fewer_independent_weights():
-    assert dual_basis([(1, 0, 0), (0, 1, 0)]) == [(1, 0, 0), (0, 1, 0)]
-    assert dual_basis([(2, 1, 0)]) == [(2, 1, 0)]
-    assert dual_basis([(1, 1)]) == [(1, 1)]
+def test_dual_cone_rays_of_fewer_independent_weights():
+    assert dual_cone_rays([(1, 0, 0), (0, 1, 0)]) == [(1, 0, 0), (0, 1, 0)]
+    assert dual_cone_rays([(2, 1, 0)]) == [(2, 1, 0)]
+    assert dual_cone_rays([(1, 1)]) == [(1, 1)]
+    assert dual_cone_rays([]) == []
 
 
-def test_dual_basis_of_dependent_weights_is_none():
-    assert dual_basis([(1, 2), (2, 4)]) is None
-    assert dual_basis([(1, 2, 0), (2, 4, 0)]) is None
-    assert dual_basis([(1, 0), (0, 1), (1, 1)]) is None
+def test_dual_cone_rays_of_dependent_weights():
+    # a cone on one line: its one ray, inside the span
+    assert dual_cone_rays([(1, 2), (2, 4)]) == [(1, 2)]
+    assert dual_cone_rays([(1, 2, 0), (2, 4, 0)]) == [(1, 2, 0)]
+    # (1, 1) lies inside the cone of (1, 0) and (0, 1)
+    assert dual_cone_rays([(1, 0), (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
+    # the positive roots of A2 in Z^3: the fundamental coweights, in the
+    # plane x + y + z = 0, primitive
+    roots = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
+    assert sorted(dual_cone_rays(roots)) == [(1, 1, -2), (2, -1, -1)]
+    # a cone that is not pointed: the normal (1, 0) of the face spanned by
+    # (0, 1) pairs with both signs and drops
+    assert dual_cone_rays([(1, 0), (-1, 0), (0, 1)]) == [(0, 1)]
+
+
+def _rank(vectors):
+    """Rank by the Gram determinants of a greedy independent subset."""
+    basis = []
+    for w in vectors:
+        if det([[dot(u, x) for x in basis + [w]] for u in basis + [w]]):
+            basis.append(w)
+    return len(basis)
+
+
+@st.composite
+def pointed_weight_sets(draw):
+    """Up to 6 nonzero weights in Z^2..Z^4 that pair positively with a
+    direction xi, so they span a pointed cone; often more than n."""
+    n = draw(st.integers(2, 4))
+    xi = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    assume(any(xi))
+    vecs = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    ws = draw(st.lists(vecs, min_size=1, max_size=6))
+    ws = [w if dot(w, xi) > 0 else tuple(-x for x in w)
+          for w in ws if dot(w, xi) != 0]
+    assume(ws)
+    return ws
+
+
+@settings(max_examples=300, deadline=None)
+@given(pointed_weight_sets())
+def test_dual_cone_rays_are_extreme_and_cut_every_weight(ws):
+    rays = dual_cone_rays(ws)
+    r = _rank(ws)
+    assert len(set(rays)) == len(rays) >= r
+    assert _rank(rays) == r
+    for eta in rays:
+        assert is_primitive(eta)
+        assert _rank(ws + [eta]) == r               # inside the span
+        pairs = [dot(eta, w) for w in ws]
+        assert min(pairs) >= 0
+        # extreme: the weights it annihilates span a facet, rank r - 1
+        assert _rank([w for w, p in zip(ws, pairs) if p == 0]) == r - 1
+    for w in ws:
+        assert any(dot(eta, w) > 0 for eta in rays)
+
+
+def test_dual_cone_rays_match_the_dual_basis_on_toric_vertices(fixtures):
+    rng = random.Random(2024)
+    for action, _ in fixtures.values():
+        for _ in range(4):
+            pol = polarize(action, random_generic_xi(action, rng, 20))
+            for ws in pol.weights.values():
+                assert dual_cone_rays(ws) == _reference_dual_basis(list(ws))
 
 
 def test_dot_rejects_length_mismatch():
