@@ -287,9 +287,11 @@ def _cut_table(directions, rows) -> list:
     summing to prefix, sum_u max(d . u, 0) = sum_w max(d . w, 0) - d . prefix,
     and the shift by prefix adds d . prefix to every term's pairing.
     """
+    weights = {u for _, outs in rows for u in outs}
     table = []
     for d in directions:
-        pairs = [[dot(u, d) for u in outs] for _, outs in rows]
+        paired = {u: dot(u, d) for u in weights}
+        pairs = [[paired[u] for u in outs] for _, outs in rows]
         bound = max(max(dot(mu, d) for mu in terms)
                     - sum(p for p in ps if p > 0)
                     for (terms, _), ps in zip(rows, pairs))

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .lattice import NotPrimitive, complete_to_basis, dot, is_primitive
-from .laurent import LaurentPoly, render_poly
+from .laurent import LaurentPoly, poly_sum, render_poly
 from .graphs import ValidationError, class_violations, load_graph_file, \
     symplectic_class, validate_class
 from .characters import InternalDivisionFailure, NotGeneric, \
@@ -211,9 +211,7 @@ def cmd_residue(args):
     basis = complete_to_basis(xi)
     per_vertex = {v: res_T(terms[v], xi, basis=basis).total
                   for v in action.vertices}
-    total = LaurentPoly.zero(action.n)
-    for p in per_vertex.values():
-        total = total + p
+    total = poly_sum(action.n, per_vertex.values())
     payload = {"class": name,
                "per_vertex": {v: _poly_payload(p)
                               for v, p in per_vertex.items()},

@@ -159,6 +159,16 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def poly_sum(dim, polys) -> LaurentPoly:
+    """The sum of polys, all of dimension dim, added into one dict."""
+    out = {}
+    get = out.get
+    for p in polys:
+        for exp, c in p.terms.items():
+            out[exp] = get(exp, 0) + c
+    return LaurentPoly._unchecked(dim, {e: c for e, c in out.items() if c})
+
+
 def render_poly(p: LaurentPoly) -> str:
     """Canonical textual form: terms in lexicographic exponent order.
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import complete_to_basis, dot, is_primitive, NotPrimitive
-from .laurent import LaurentPoly, PoleAtPoint, RationalChar, eval_numeric
+from .laurent import LaurentPoly, PoleAtPoint, RationalChar, eval_numeric, \
+    poly_sum
 from .graphs import GkmAction, KClass, SymplecticClass
 from .characters import _edge_pairings, character_expand, polarize
 from .residues import res_T
@@ -111,11 +112,10 @@ def _toposort(vertices, succ):
 
 
 def _validate_moment(mm: MomentMap, pairs):
-    values = list(mm.phi.values())
-    if len(set(values)) != len(values):
+    if len(set(mm.phi.values())) != len(mm.phi):
         raise ValueError("critical values are not distinct")
     for e in mm.action.edges:
-        if (mm.phi[e.dst] - mm.phi[e.src]) * pairs[e.eid] <= 0:
+        if (mm.phi[e.dst] > mm.phi[e.src]) != (pairs[e.eid] > 0):
             raise ValueError(
                 f"phi does not increase along edge {e.src}->{e.dst}")
 
@@ -174,11 +174,11 @@ def chi_reduced(f: KClass, mm: MomentMap, c) -> ReducedCharacter:
     vertices = f.action.vertices
     above = [v for v in vertices if mm.phi[v] > c]
     below = [v for v in vertices if mm.phi[v] < c]
-    zero = LaurentPoly.zero(f.action.n)
+    n = f.action.n
     if len(above) <= len(below):
-        value = sum(_residues(f, mm, above).values(), zero)
+        value = poly_sum(n, _residues(f, mm, above).values())
     else:
-        value = -sum(_residues(f, mm, below).values(), zero)
+        value = -poly_sum(n, _residues(f, mm, below).values())
     return ReducedCharacter(value=value)
 
 
@@ -214,25 +214,24 @@ def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
     c, cp = Fraction(c), Fraction(cp)
     if c > cp:
         c, cp = cp, c
-    vertices = f.action.vertices
-    between = [v for v in vertices if c < mm.phi[v] < cp]
+    vertices, phi, n = f.action.vertices, mm.phi, f.action.n
+    between = [v for v in vertices if c < phi[v] < cp]
     if len(between) != 1:
         raise WrongWallCount(
             f"{len(between)} critical values in ({c}, {cp}), expected 1")
     p = between[0]
     _require_regular(mm, c)
     _require_regular(mm, cp)
-    above = [v for v in vertices if mm.phi[v] > c]
-    below = [v for v in vertices if mm.phi[v] < cp]
-    zero = LaurentPoly.zero(f.action.n)
+    above = [v for v in vertices if phi[v] > c]
+    below = [v for v in vertices if phi[v] < cp]
     if len(above) <= len(below):
         residues = _residues(f, mm, above)
-        chi_c = sum(residues.values(), zero)
-        chi_cp = sum((r for v, r in residues.items() if mm.phi[v] > cp), zero)
+        chi_c = poly_sum(n, residues.values())
+        chi_cp = poly_sum(n, (r for v, r in residues.items() if phi[v] > cp))
     else:
         residues = _residues(f, mm, below)
-        chi_c = -sum((r for v, r in residues.items() if mm.phi[v] < c), zero)
-        chi_cp = -sum(residues.values(), zero)
+        chi_c = -poly_sum(n, (r for v, r in residues.items() if phi[v] < c))
+        chi_cp = -poly_sum(n, residues.values())
     delta = chi_c - chi_cp
     residue = residues[p]
     return WallCrossingResult(ok=delta == residue, vertex=p,

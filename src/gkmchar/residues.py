@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .lattice import BasisChange, complete_to_basis, dot, vadd, vneg, \
-    vscale, vsub, weight_from_basis
+    weight_from_basis
 from .laurent import LaurentPoly, RationalChar, eval_numeric
 from .characters import NotGeneric
 
@@ -49,17 +50,19 @@ def to_z_form(f: RationalChar, xi, *, basis=None) -> ZForm:
         basis = complete_to_basis(xi)
     elif basis.xi != xi:
         raise ValueError(f"basis completes {basis.xi}, not {xi}")
+    if f.dim != basis.n:
+        raise ValueError(f"dimension mismatch: {f.dim} vs {basis.n}")
     cols = basis.columns
     factors = []
     for g in f.denominator:
-        *beta, k = (dot(g, col) for col in cols)
+        *beta, k = [sum(map(mul, g, col)) for col in cols]
         if k == 0:
             raise NotGeneric(
                 f"denominator weight {g} pairs to zero with {xi}")
         factors.append((tuple(beta), k))
     numer = []
     for exp, c in sorted(f.numerator.terms.items()):
-        *beta, k = (dot(exp, col) for col in cols)
+        *beta, k = [sum(map(mul, exp, col)) for col in cols]
         numer.append((c, tuple(beta), k))
     return ZForm(basis=basis, numer=tuple(numer), factors=tuple(factors))
 
@@ -79,71 +82,67 @@ def res_half(z: ZForm, side: str) -> LaurentPoly:
     """One contour's worth of residue, as a polynomial in the y-variables.
 
     side "minus" extracts the z^0 coefficient of the expansion valid inside
-    the unit circle; side "plus" is the outer contour, obtained by the
-    substitution z -> 1/z which reduces it to the inner machinery with all
-    z-degrees negated.
+    the unit circle; side "plus" is the outer contour, the same extraction
+    after z -> 1/z negates every z-degree (see `_z0_terms`).
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    flip = -1 if side == "plus" else 1
-    m = z.n - 1
-    out: dict = {}
-    factors = [(beta, flip * k) for beta, k in z.factors]
-    for c, beta, k in z.numer:
-        _accumulate_inner(out, c, beta, flip * k, factors, m)
-    return LaurentPoly(m, out)
+    return LaurentPoly(z.n - 1, _z0_terms(z, -1 if side == "plus" else 1))
 
 
-def _accumulate_inner(out, coeff, beta, k, factors, m):
-    """z^0 coefficient of the inner expansion of one numerator monomial.
+def _z0_terms(z: ZForm, flip) -> dict:
+    """{y-exponent: coeff} of z^0 in the inner expansion of z with every
+    z-degree times flip (1: the inner contour, -1: the outer one).
 
-    Inside the unit circle each factor (1 - a*z^s) with s > 0 expands as
-    sum_l a^l z^{s*l}; with s < 0 it contributes -a^{-(l+1)} z^{|s|*(l+1)}
-    after clearing the negative power, shifting the effective z-degree of
-    the monomial by sum of |s| over the negative factors.  The exponent l
-    of the last factor is fixed by the z-degree the others leave, so it is
-    solved for, not enumerated.
+    Inside the unit circle 1/(1 - a*z^s) is sum_l a^l z^(s*l) for s > 0
+    and -sum_l a^-(l+1) z^(|s|*(l+1)) for s < 0.  The sign, the shift in
+    z and offset in y of the negative factors, and the steps (|s|, +-beta)
+    are the same for every monomial and set up once.  Each monomial walks
+    the l_i with sum l_i*|s_i| = -(k + shift) depth first, its stack
+    holding one next l per outer factor at most; the second to last
+    factor runs over its range in place, and the last factor's l is solved
+    for.
     """
-    neg = [(beta_i, -k_i) for beta_i, k_i in factors if k_i < 0]
-    pos = [(beta_i, k_i) for beta_i, k_i in factors if k_i > 0]
-    base_k = k + sum(s for _, s in neg)
-    target = -base_k
-    if target < 0:
-        return
-    sign = -1 if len(neg) % 2 else 1
-    # the l = 0 term of a negative factor carries y^(-beta_i); from there
-    # every factor steps its y-exponent by -beta_i or beta_i per l
-    start = tuple(beta)
-    for beta_i, _ in neg:
-        start = vsub(start, beta_i)
-    steps = [(s, vneg(beta_i)) for beta_i, s in neg] + \
-        [(s, beta_i) for beta_i, s in pos]
-    last = len(steps) - 1
-
-    def emit(key):
-        nc = out.get(key, 0) + sign * coeff
-        if nc:
-            out[key] = nc
-        else:
-            del out[key]
-
-    def recurse(idx, remaining, acc_beta):
-        s, step = steps[idx]
-        if idx == last:
-            l, r = divmod(remaining, s)
-            if r == 0:
-                emit(vadd(acc_beta, vscale(step, l)))
-            return
-        for _ in range(remaining // s + 1):
-            recurse(idx + 1, remaining, acc_beta)
-            remaining -= s
-            acc_beta = vadd(acc_beta, step)
-
-    if not steps:
-        if target == 0:
-            emit(start)
-        return
-    recurse(0, target, start)
+    shift = sum(max(-flip * k, 0) for _, k in z.factors)
+    targets = [-(flip * k + shift) for _, _, k in z.numer]
+    top = max(targets, default=-1)
+    if top < 0:
+        return {}
+    zero = offset = (0,) * (z.n - 1)
+    sign, steps = 1, []
+    for beta, k in z.factors:
+        if flip * k < 0:
+            sign, beta = -sign, vneg(beta)
+            offset = vadd(offset, beta)
+        steps.append((abs(k), beta))
+    # longest steps outermost; below two factors, padded by factors longer
+    # than any target, which take only l = 0
+    steps = [(top + 1, zero)] * (2 - len(steps)) + \
+        sorted(steps, key=lambda t: -t[0])
+    (in_s, in_step), (last_s, last_step) = steps.pop(-2), steps.pop()
+    depth = len(steps)
+    out = {}
+    get = out.get
+    for (c, beta, _), target in zip(z.numer, targets):
+        if target < 0:
+            continue
+        c *= sign
+        stack = [(0, target, vadd(beta, offset))]
+        while stack:
+            i, r, acc = stack.pop()
+            while i < depth:        # the outer factors from i on at l = 0
+                s, step = steps[i]
+                if r >= s:
+                    stack.append((i, r - s, tuple(map(add, acc, step))))
+                i += 1
+            while r >= 0:           # the second to last at every l
+                l, rest = divmod(r, last_s)
+                if not rest:
+                    key = tuple([a + l * y for a, y in zip(acc, last_step)])
+                    out[key] = get(key, 0) + c
+                r -= in_s
+                acc = tuple(map(add, acc, in_step))
+    return {key: c for key, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -162,32 +161,22 @@ class ResidueValue:
 def res_T(f: RationalChar, xi, *, basis=None) -> ResidueValue:
     """Regularized circle residue of a rational character.
 
-    The sign convention follows the orientation fixed by xi: replacing xi
-    by -xi negates the result.  basis is passed to `to_z_form`: omitted,
-    each call completes xi to a lattice basis of its own; a caller taking
-    many residues along one xi passes `complete_to_basis(xi)` once.
+    Both contours are taken from one `to_z_form` by `_z0_terms`, and each
+    is mapped back into Z^n by the inverse basis, canonically: every
+    monomial extracted is an integer combination of the original weights
+    whose z-degrees cancel.  Replacing xi by -xi negates the result.
+    basis goes to `to_z_form`: a caller taking many residues along one xi
+    passes `complete_to_basis(xi)` to every call.
     """
     z = to_z_form(f, xi, basis=basis)
-    plus_y = res_half(z, "plus")
-    minus_y = res_half(z, "minus")
-    plus = _embed(plus_y, z.basis)
-    minus = _embed(minus_y, z.basis)
-    return ResidueValue(plus=plus, minus=minus, total=plus - minus)
-
-
-def _embed(p: LaurentPoly, basis: BasisChange) -> LaurentPoly:
-    """Map y-exponents back into Z^n along the annihilator of xi.
-
-    Canonical despite the non-canonical basis completion: every y-monomial
-    produced by the extraction is an integer combination of the original
-    weights whose z-degrees cancel.
-    """
-    cols = [col[:-1] for col in basis.inverse_columns]
-    terms = {}
-    for beta, c in p.terms.items():
-        exp = tuple(dot(beta, col) for col in cols)
-        terms[exp] = terms.get(exp, 0) + c
-    return LaurentPoly(basis.n, terms)
+    cols = [col[:-1] for col in z.basis.inverse_columns]
+    plus, minus = ({tuple([sum(map(mul, beta, col)) for col in cols]): c
+                    for beta, c in _z0_terms(z, flip).items()}
+                   for flip in (-1, 1))
+    total = {exp: c for exp in {**plus, **minus}
+             if (c := plus.get(exp, 0) - minus.get(exp, 0))}
+    return ResidueValue(*(LaurentPoly._unchecked(z.n, terms)
+                          for terms in (plus, minus, total)))
 
 
 def fiber_average_numeric(f: RationalChar, alpha, xi, point) -> complex:

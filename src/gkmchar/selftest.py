@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from .lattice import complete_to_basis, det, dot, primitive_part, vneg, \
     weight_from_basis, weight_in_basis
 from .laurent import LaurentPoly, NotDivisible, RationalChar, \
-    congruent_mod_edge, divide_exact, eval_numeric
+    congruent_mod_edge, divide_exact, eval_numeric, poly_sum
 from .graphs import KClass
 from .characters import character_expand, character_oracle, hull_report, \
     localization_terms, multiplicity, polarize
@@ -177,9 +177,8 @@ def _check_residue_vanishing(rng, fixtures) -> CheckResult:
     for name, (action, sym) in fixtures.items():
         f = random_class(action, sym, rng)
         xi = random_generic_xi(action, rng)
-        total = LaurentPoly.zero(action.n)
-        for term in localization_terms(f).values():
-            total = total + res_T(term, xi).total
+        total = poly_sum(action.n, (res_T(t, xi).total
+                                    for t in localization_terms(f).values()))
         if not total.is_zero():
             return CheckResult("residue vanishing laws", False,
                                f"nonzero total residue on {name}")

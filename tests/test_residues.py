@@ -31,6 +31,11 @@ def test_to_z_form_rejects_zero_pairing():
         to_z_form(f, (1, 0))
 
 
+def test_to_z_form_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        to_z_form(_simple((0, 0), [(1, 0)]), (1, 0, 0))
+
+
 def test_to_z_form_annihilator_monomial():
     f = RationalChar(LaurentPoly.monomial((0, 5)), ())
     z = to_z_form(f, (1, 0))
@@ -198,9 +203,9 @@ def test_residue_equals_signed_fiber_average_sum(rng):
 
 
 def _enumerated_inner(out, coeff, beta, k, factors):
-    """Reference for residues._accumulate_inner: every exponent of every
-    factor, the last one included, runs over its full range, and a leaf
-    counts when the z-degrees add up to exactly zero."""
+    """Reference for one monomial of residues._z0_terms: every exponent of
+    every factor, the last one included, runs over its full range, and a
+    leaf counts when the z-degrees add up to exactly zero."""
     neg = [(beta_i, -k_i) for beta_i, k_i in factors if k_i < 0]
     pos = [(beta_i, k_i) for beta_i, k_i in factors if k_i > 0]
     target = -(k + sum(s for _, s in neg))
@@ -257,3 +262,44 @@ def test_res_half_matches_full_enumeration(case):
     z = to_z_form(star, xi)
     for side in ("plus", "minus"):
         assert res_half(z, side) == _enumerated_res_half(z, side)
+
+
+def _polarized_slice(star, xi):
+    """The xi-level-0 terms of the expansion of star with every weight
+    turned to pair positively with xi, in the original lattice: no basis,
+    no z-form.  1/(1 - x^w) with w . xi < 0 is -x^-w / (1 - x^-w); every
+    series exponent runs over its whole range while the level stays at
+    most 0, and a term counts when its level is exactly 0."""
+    sign, prefix, steps = 1, (0,) * star.dim, []
+    for w in star.denominator:
+        if dot(w, xi) < 0:
+            sign, w = -sign, tuple(-x for x in w)
+            prefix = vadd(prefix, w)
+        steps.append(w)
+    out = {}
+
+    def walk(idx, exp, c):
+        while dot(exp, xi) <= 0:
+            if idx == len(steps):
+                if dot(exp, xi) == 0:
+                    out[exp] = out.get(exp, 0) + c
+                return
+            walk(idx + 1, exp, c)
+            exp = vadd(exp, steps[idx])
+
+    for mu, c in star.numerator.terms.items():
+        walk(0, vadd(mu, prefix), sign * c)
+    return LaurentPoly(star.dim, out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_vertex_stars())
+def test_res_T_matches_basis_free_polarized_slices(case):
+    """minus and plus are the level-0 slices of the expansions polarized
+    by xi and by -xi, enumerated without the z-form that res_half and its
+    reference above share."""
+    star, xi = case
+    rv = res_T(star, xi)
+    assert rv.minus == _polarized_slice(star, xi)
+    assert rv.plus == _polarized_slice(star, tuple(-x for x in xi))
+    assert rv.total == rv.plus - rv.minus
