@@ -9,10 +9,10 @@ from .laurent import (DimMismatch, LaurentPoly, NotDivisible, PoleAtPoint,
                       divide_exact, eval_numeric, render_poly)
 from .graphs import (GkmAction, KClass, SymplecticClass, ValidationError,
                      Violation, action_violations, class_violations,
-                     constant_class, gen_cp1_in_plane, gen_flag_a,
-                     gen_grassmannian, gen_hirzebruch, gen_product,
-                     gen_projective, graph_to_data, load_graph_data,
-                     load_graph_file, restrict, symplectic_class,
+                     constant_class, gen_cp1_in_plane, gen_hirzebruch,
+                     gen_product, gen_projective, gen_weyl_orbit,
+                     graph_to_data, load_graph_data, load_graph_file,
+                     positive_roots, restrict, symplectic_class,
                      validate_action, validate_class)
 from .characters import (CharacterResult, HullReport, InternalDivisionFailure,
                          NotGeneric, Polarization, TruncationOverflow,

@@ -22,8 +22,8 @@ from .characters import InternalDivisionFailure, NotGeneric, \
     TruncationOverflow, character_expand, character_oracle, \
     localization_terms, multiplicity, polarize
 from .residues import res_T
-from .reduction import NotRegular, ZeroNotRegular, chi_reduced, moment_map, \
-    qr_check
+from .reduction import CycleError, NotRegular, ZeroNotRegular, chi_reduced, \
+    moment_map, qr_check
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -339,7 +339,7 @@ def main(argv=None):
         for v in exc.violations:
             print(str(v), file=sys.stderr)
         return EXIT_VIOLATION
-    except (NotPrimitive, NotGeneric, NotRegular, ZeroNotRegular,
+    except (NotPrimitive, NotGeneric, NotRegular, ZeroNotRegular, CycleError,
             TruncationOverflow, InternalDivisionFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .lattice import dot, dual_cone_rays, primitive_part, vneg, vscale, \
-    vsub
+from .lattice import dot, dual_cone_rays, primitive_part, vadd, vneg, \
+    vscale, vsub
 from .laurent import LaurentPoly, congruent_mod_edge, reduce_mod_weight
 
 
@@ -410,67 +410,58 @@ def gen_product(a1: GkmAction, sym1: SymplecticClass,
     return action, sym
 
 
-def gen_flag_a(m: int, lam):
-    """GKM graph of the type-A flag variety Fl(m) in Z^m, with the
-    symplectic class of the orbit of lam.
+def positive_roots(kind: str, rank: int):
+    """Positive roots of A_rank in Z^(rank+1), of B_rank, C_rank or D_rank
+    in Z^rank, or of G_2 in the sum-zero plane of Z^3: e_i - e_j (i < j)
+    in type A, those and e_i + e_j in D, and also e_i in B or 2e_i in C.
+    All pair positively with (rank, ..., 1), or with (0, -1, 2) in G_2.
+    """
+    if (kind, rank) == ("G", 2):
+        return [(1, -1, 0), (-1, 0, 1), (0, -1, 1),
+                (-2, 1, 1), (1, -2, 1), (-1, -1, 2)]
+    if kind not in ("A", "B", "C", "D") or rank < (1 if kind == "A" else 2):
+        raise ValueError(f"no root system {kind}_{rank}")
+    m = rank + 1 if kind == "A" else rank
+    e = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    roots = [vsub(e[i], e[j]) for i, j in combinations(range(m), 2)]
+    if kind != "A":
+        roots += [vadd(e[i], e[j]) for i, j in combinations(range(m), 2)]
+    if kind in ("B", "C"):
+        roots += [vscale(u, 1 if kind == "B" else 2) for u in e]
+    return roots
 
-    The vertices are the permutations p of range(m), each named by its
-    entries joined with commas ("1,2,0"); alpha_p puts lam[k] at position
-    p[k].  Each p is joined to p∘(i j), p with entries i and j swapped, by
-    the primitive part of alpha_q - alpha_p, a root e_a - e_b.  So
-    d = m(m-1)/2 exceeds the rank m-1 of the weights once m >= 3.  lam
-    must have m distinct entries.
+
+def gen_weyl_orbit(roots, lam):
+    """GKM graph of the coadjoint orbit G/P through lam, with the
+    symplectic class alpha_mu = mu (Guillemin-Holm-Zara).
+
+    roots are the positive roots of G (see positive_roots).  The vertices
+    are the orbit of lam under the reflections s_b(mu) = mu - <mu, b^v> b,
+    each named by its entries joined with commas ("0,1,2").  mu is joined
+    to s_b mu for every b with <mu, b^v> != 0 by the root +-b whose edge
+    multiple is positive; its primitive part would give type C the wrong
+    character.  A regular lam gives G/B and any other G/P: in type A,
+    lam = (1, ..., 1, 0, ..., 0) gives a Grassmannian.  Raises ValueError
+    when lam is not integral for some coroot.
     """
     lam = tuple(lam)
-    if m < 2 or len(lam) != m or len(set(lam)) != m:
-        raise ValueError("need m >= 2 and m distinct entries in lam")
-    alphas = {p: tuple(lam[p.index(a)] for a in range(m))
-              for p in permutations(range(m))}
-    name = {p: ",".join(map(str, p)) for p in alphas}
-    pairs = []
-    for p in alphas:
-        for i in range(m):
-            for j in range(i + 1, m):
-                q = list(p)
-                q[i], q[j] = p[j], p[i]
-                q = tuple(q)
-                if p < q:
-                    w, _ = primitive_part(vsub(alphas[q], alphas[p]))
-                    pairs.append((name[p], name[q], w, None))
-    action = validate_action(m, list(name.values()), pairs)
-    sym = symplectic_class(action, {name[p]: a for p, a in alphas.items()})
-    return action, sym
-
-
-def gen_grassmannian(k: int, m: int):
-    """GKM graph of the Grassmannian of k-planes in C^m in Z^m, with its
-    symplectic class.
-
-    The vertices are the k-subsets S of range(m), the Johnson graph
-    J(m, k), each named by its sorted entries joined with commas ("0,2");
-    alpha_S is the sum of e_i over i in S.  Each S is joined to
-    S - {i} + {j}, for i in S and j not in S, by the weight e_j - e_i.
-    So d = k(m-k), which exceeds the rank m-1 of the weights when
-    2 <= k <= m-2.
-    """
-    if not 0 < k < m:
-        raise ValueError("need 0 < k < m")
-    subsets = list(combinations(range(m), k))
-    name = {s: ",".join(map(str, s)) for s in subsets}
-    alphas = {s: tuple(int(i in s) for i in range(m)) for s in subsets}
-    pairs = []
-    for s in subsets:
-        for i in s:
-            for j in range(m):
-                if j in s:
-                    continue
-                t = tuple(sorted(set(s) - {i} | {j}))
-                if s < t:
-                    pairs.append((name[s], name[t],
-                                  vsub(alphas[t], alphas[s]), None))
-    action = validate_action(m, list(name.values()), pairs)
-    sym = symplectic_class(action, {name[s]: a for s, a in alphas.items()})
-    return action, sym
+    roots = [(tuple(b), dot(b, b)) for b in roots]
+    if any(2 * dot(lam, b) % bb for b, bb in roots):
+        raise ValueError(f"{lam} is not an integral weight of these roots")
+    orbit, seen, edges = [lam], {lam}, []
+    for mu in orbit:            # the orbit grows as the loop reads it
+        for b, bb in roots:
+            c = 2 * dot(mu, b) // bb
+            nu = vsub(mu, vscale(b, c))
+            if nu not in seen:
+                seen.add(nu)
+                orbit.append(nu)
+            if mu < nu:         # alpha_nu - alpha_mu = -c b
+                edges.append((mu, nu, vscale(b, -1 if c > 0 else 1)))
+    name = {mu: ",".join(map(str, mu)) for mu in orbit}
+    action = validate_action(len(lam), list(name.values()),
+                             [(name[p], name[q], w, None) for p, q, w in edges])
+    return action, symplectic_class(action, {name[mu]: mu for mu in orbit})
 
 
 def restrict(action: GkmAction, sym: SymplecticClass, P):

@@ -11,8 +11,9 @@ from fractions import Fraction
 from .lattice import dot, primitive_part, vadd, vscale
 from .laurent import LaurentPoly, RationalChar, eval_numeric, PoleAtPoint
 from .graphs import GkmAction, KClass, SymplecticClass, ValidationError, \
-    _proportional, constant_class, gen_cp1_in_plane, gen_flag_a, \
-    gen_hirzebruch, gen_product, gen_projective, restrict, symplectic_class
+    _proportional, constant_class, gen_cp1_in_plane, gen_hirzebruch, \
+    gen_product, gen_projective, gen_weyl_orbit, positive_roots, restrict, \
+    symplectic_class
 
 
 def standard_fixtures():
@@ -33,15 +34,21 @@ def standard_fixtures():
 
 
 def flag_fixtures():
-    """Type-A flag graphs, whose d = m(m-1)/2 exceeds the rank m-1: Fl(3)
-    and Fl(4) at rho and 2rho, and Fl(3) at (0, 2, 5).  They are kept out
-    of standard_fixtures(), which the selftest batteries draw from."""
+    """Coadjoint orbits, whose valence exceeds the rank of their weights:
+    Fl(3) and Fl(4) at rho and 2rho, Fl(3) at (0, 2, 5), the B2 and C2
+    flags at (2, 1) and the 5-quadric G2/P at (1, 0, -1).  The names of
+    the type-A entries start with "fl".  They are kept out of
+    standard_fixtures(), which the selftest batteries draw from."""
+    a2, a3 = positive_roots("A", 2), positive_roots("A", 3)
     return {
-        "fl3": gen_flag_a(3, (0, 1, 2)),
-        "fl3-2rho": gen_flag_a(3, (0, 2, 4)),
-        "fl3-025": gen_flag_a(3, (0, 2, 5)),
-        "fl4": gen_flag_a(4, (0, 1, 2, 3)),
-        "fl4-2rho": gen_flag_a(4, (0, 2, 4, 6)),
+        "fl3": gen_weyl_orbit(a2, (0, 1, 2)),
+        "fl3-2rho": gen_weyl_orbit(a2, (0, 2, 4)),
+        "fl3-025": gen_weyl_orbit(a2, (0, 2, 5)),
+        "fl4": gen_weyl_orbit(a3, (0, 1, 2, 3)),
+        "fl4-2rho": gen_weyl_orbit(a3, (0, 2, 4, 6)),
+        "b2": gen_weyl_orbit(positive_roots("B", 2), (2, 1)),
+        "c2": gen_weyl_orbit(positive_roots("C", 2), (2, 1)),
+        "g2-quadric": gen_weyl_orbit(positive_roots("G", 2), (1, 0, -1)),
     }
 
 

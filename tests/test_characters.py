@@ -12,8 +12,8 @@ from gkmchar import characters, graphs, laurent, lattice
 from gkmchar.lattice import dot, primitive_part, vadd, vneg, vscale, vsub
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import GkmAction, KClass, SymplecticClass, \
-    constant_class, gen_cp1_in_plane, gen_flag_a, gen_grassmannian, \
-    gen_product, gen_projective, symplectic_class, validate_action
+    constant_class, gen_cp1_in_plane, gen_product, gen_projective, \
+    gen_weyl_orbit, positive_roots, symplectic_class, validate_action
 from gkmchar.characters import (CharacterResult, HullReport,
                                 InternalDivisionFailure, NotGeneric,
                                 TruncationOverflow, character_expand,
@@ -653,17 +653,48 @@ def test_certificates_settle_the_cube_report(lp_calls):
     assert lp_calls == []
 
 
-# --- type-A flag graphs: d = m(m-1)/2 > n - 1 --------------------------------
+# --- coadjoint orbits G/P: d > n - 1 ------------------------------------------
 
 
-def _weyl_dimension(lam):
-    """prod_{i<j} (mu_i - mu_j + j - i) / (j - i), mu = lam decreasing."""
-    mu = sorted(lam, reverse=True)
+def _flag(m, lam=None):
+    """The type-A orbit of lam in Z^m: Fl(m) at rho, the default."""
+    return gen_weyl_orbit(positive_roots("A", m - 1),
+                          range(m) if lam is None else lam)
+
+
+# the Weyl-group checks below use no gkmchar code
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _reflect(mu, b):
+    return tuple(x - 2 * _dot(mu, b) // _dot(b, b) * y for x, y in zip(mu, b))
+
+
+def _weyl_dimension(roots, lam):
+    """prod over positive roots b of (lam + rho, b) / (rho, b), lam moved
+    into the dominant chamber by reflections."""
+    while any(_dot(lam, b) < 0 for b in roots):
+        lam = _reflect(lam, next(b for b in roots if _dot(lam, b) < 0))
+    rho2 = tuple(map(sum, zip(*roots)))          # 2 rho
     num = den = 1
-    for i, j in combinations(range(len(mu)), 2):
-        num *= mu[i] - mu[j] + j - i
-        den *= j - i
+    for b in roots:
+        num *= 2 * _dot(lam, b) + _dot(rho2, b)
+        den *= _dot(rho2, b)
+    assert num % den == 0
     return num // den
+
+
+def _check_weyl_dimension(roots, lam, dim):
+    # the character of G/P through lam is the irreducible one of highest
+    # weight lam made dominant: Weyl's dimension formula, and invariant
+    # under every root reflection
+    _, sym = gen_weyl_orbit(roots, lam)
+    chi = character_oracle(sym.base)
+    assert _weyl_dimension(roots, lam) == dim
+    assert sum(chi.terms.values()) == dim
+    assert all(chi.coeff(_reflect(mu, b)) == c
+               for mu, c in chi.terms.items() for b in roots)
 
 
 @pytest.mark.parametrize("m, lam, dim", [
@@ -674,21 +705,63 @@ def _weyl_dimension(lam):
     (5, (0, 1, 2, 3, 4), 1024),
 ])
 def test_flag_character_has_weyl_dimension(m, lam, dim):
-    _, sym = gen_flag_a(m, lam)
-    chi = character_oracle(sym.base)
-    assert _weyl_dimension(lam) == dim
-    assert sum(chi.terms.values()) == dim
-    # the character is symmetric under permuting the coordinates
-    assert all(chi.coeff(tuple(e[i] for i in (1, 0) + tuple(range(2, m))))
-               == c for e, c in chi.terms.items())
+    _check_weyl_dimension(positive_roots("A", m - 1), lam, dim)
+
+
+@pytest.mark.parametrize("kind, rank, lam, dim", [
+    ("A", 3, (1, 1, 0, 0), 6),
+    ("B", 2, (2, 1), 35),
+    ("B", 2, (1, 0), 5),
+    ("B", 2, (1, 1), 10),
+    ("C", 2, (2, 1), 16),
+    ("C", 2, (1, 0), 4),
+    ("C", 2, (1, 1), 5),
+    ("G", 2, (1, 0, -1), 7),
+    ("G", 2, (1, 1, -2), 14),
+    ("G", 2, (2, 1, -3), 64),
+    ("B", 3, (3, 2, 1), 1617),
+    ("C", 3, (3, 2, 1), 512),
+    ("D", 4, (3, 2, 1, 0), 4096),
+    ("D", 4, (1, 1, 0, 0), 28),
+])
+def test_orbit_character_has_weyl_dimension(kind, rank, lam, dim):
+    _check_weyl_dimension(positive_roots(kind, rank), lam, dim)
+
+
+def test_type_c_with_primitive_weights_has_the_wrong_dimension():
+    # the same C2 graph at (2, 1) with the long roots 2e_i replaced by
+    # their primitive parts still validates, but its character has
+    # dimension 35, where Weyl's formula gives 16
+    roots = positive_roots("C", 2)
+    action, sym = gen_weyl_orbit(roots, (2, 1))
+    pairs = [(e.src, e.dst, primitive_part(action.axial[e.eid])[0], None)
+             for e in action.geometric_edges()]
+    primitive = validate_action(2, list(action.vertices), pairs)
+    wrong = symplectic_class(primitive, sym.alphas)
+    assert sum(character_oracle(wrong.base).terms.values()) == 35
+    assert sum(character_oracle(sym.base).terms.values()) == 16 == \
+        _weyl_dimension(roots, (2, 1))
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_flag_expansion_matches_oracle(m):
-    _, sym = gen_flag_a(m, range(m))
+    _, sym = _flag(m)
     xi = (1, 3, 7, 15)[:m]
     assert character_expand(sym.base, polarize(sym.action, xi)).poly == \
         character_oracle(sym.base)
+
+
+@pytest.mark.parametrize("name", ["b2", "c2", "g2-quadric"])
+def test_rank_two_orbit_expansion_matches_oracle(name):
+    # at a random direction and at a steep one
+    _, sym = flag_fixtures()[name]
+    want = character_oracle(sym.base)
+    rng = random.Random(name)
+    steep = (1, 1000) if sym.action.n == 2 else (1, 100, 10**4)
+    for xi in (random_generic_xi(sym.action, rng, bound=20), steep):
+        got = character_expand(sym.base, polarize(sym.action, xi),
+                               term_budget=8 * len(want))
+        assert got.poly == want
 
 
 @pytest.mark.parametrize("m, lam", [
@@ -701,7 +774,7 @@ def test_flag_multiplicity_matches_oracle(m, lam):
     # d > n - 1: every vertex has more positive weights than the rank, so
     # each partition count runs over a dependent weight list; checked on
     # the support and on every weight one root step outside it
-    action, sym = gen_flag_a(m, lam)
+    action, sym = _flag(m, lam)
     pol = polarize(action, (1, 3, 7, 15)[:m])
     chi = character_oracle(sym.base)
     roots = {primitive_part(w)[0] for w in action.axial.values()}
@@ -713,7 +786,7 @@ def test_flag_multiplicity_matches_oracle(m, lam):
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_flag_hull_report(m):
-    _, sym = gen_flag_a(m, range(m))
+    _, sym = _flag(m)
     report = hull_report(sym, CharacterResult(character_oracle(sym.base)))
     assert report.ok
     assert set(report.hull_vertices) == set(permutations(range(m)))
@@ -773,9 +846,9 @@ def test_restriction_oracle_with_a_shifted_geometric_sum(fixtures):
 @functools.cache
 def _d_above_n_graphs():
     return {
-        "fl4": gen_flag_a(4, (0, 1, 2, 3)),
-        "fl4-2rho": gen_flag_a(4, (0, 2, 4, 6)),
-        "fl5": gen_flag_a(5, (0, 1, 2, 3, 4)),
+        "fl4": _flag(4),
+        "fl4-2rho": _flag(4, (0, 2, 4, 6)),
+        "fl5": _flag(5),
         "(P1)^4|T2": random_restriction(*_p1_power(4), random.Random(0))[1:],
     }
 
@@ -807,7 +880,7 @@ def test_d_above_n_expansion_within_answer_size_budget(graph, xi):
 @pytest.mark.parametrize("k, m", [(2, 4), (2, 5), (3, 6)])
 def test_grassmannian_character_is_the_sum_over_subsets(k, m):
     # the k-th exterior power of C^m: x^(e_S) once for each k-subset S
-    action, sym = gen_grassmannian(k, m)
+    action, sym = _flag(m, (1,) * k + (0,) * (m - k))
     assert action.d > action.n - 1
     want = LaurentPoly(m, {a: 1 for a in sym.alphas.values()})
     assert len(want) == math.comb(m, k)
@@ -828,7 +901,7 @@ def test_cone_rays_are_eliminated_once_per_weight_set(monkeypatch):
     monkeypatch.setattr(graphs, "dual_cone_rays", counting)
     # every vertex of Fl(4) turns its weights into the same positive roots,
     # and every vertex of a cube into the same signed axes
-    for action, sym in [gen_flag_a(4, range(4)), _p1_power(3)]:
+    for action, sym in [_flag(4), _p1_power(3)]:
         calls.clear()
         xi = (1, 3, 7, 15)[:action.n]
         first = character_expand(sym.base, polarize(action, xi)).poly
@@ -904,7 +977,8 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-@pytest.mark.parametrize("name", sorted(flag_fixtures()))
+@pytest.mark.parametrize("name", [name for name in sorted(flag_fixtures())
+                                  if name.startswith("fl")])
 def test_flag_character_is_given_by_kostka_numbers(name):
     # Fl(m) with the orbit of lam carries the irreducible GL(m) character
     # of highest weight lam sorted descending, whose multiplicity at mu is

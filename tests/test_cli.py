@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from gkmchar import cli
 from gkmchar.characters import character_expand, character_oracle
 from gkmchar.cli import main
-from gkmchar.graphs import KClass, gen_flag_a, gen_projective, graph_to_data
+from gkmchar.graphs import KClass, gen_projective, gen_weyl_orbit, \
+    graph_to_data, positive_roots
 from gkmchar.lattice import vscale
 from gkmchar.laurent import LaurentPoly, render_poly
 
@@ -19,6 +20,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 CP1 = os.path.join(DATA, "cp1.json")
 PROJ2 = os.path.join(DATA, "proj2.json")
 BAD = os.path.join(DATA, "bad.json")
+CYCLE = os.path.join(DATA, "cycle.json")
 
 
 def run(argv, capsys):
@@ -184,7 +186,7 @@ def test_steep_direction_flag_character_matches_division_route(tmp_path,
     # Fl(4) has 6 weights per vertex in rank 3, so xi and the dual bases
     # of other vertices cannot cut its series; the dual-cone rays of each
     # vertex do, and the expansion stays near the 38-term answer
-    action, sym = gen_flag_a(4, range(4))
+    action, sym = gen_weyl_orbit(positive_roots("A", 3), range(4))
     values = {v: LaurentPoly.monomial(a) for v, a in sym.alphas.items()}
     path = tmp_path / "fl4.json"
     path.write_text(json.dumps(graph_to_data(action, {"omega": values})))
@@ -210,6 +212,16 @@ def test_truncation_overflow_is_violation_not_traceback(tmp_path, capsys,
     assert "Traceback" not in err
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+def test_oriented_cycle_is_violation_not_traceback(capsys):
+    # the graph validates, but its edges 0->1->2->3->0 all pair
+    # positively with (4, 3), so reduce finds no moment map
+    assert run(["validate", CYCLE], capsys)[0] == 0
+    code, out, err = run(["reduce", CYCLE, "--xi", "4,3", "--c", "1/2"],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: oriented cycle: 0 -> 1 -> 2 -> 3 -> 0\n"
 
 
 def _write_doc(tmp_path, doc):

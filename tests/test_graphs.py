@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -8,11 +9,11 @@ import pytest
 from gkmchar.laurent import LaurentPoly
 from gkmchar.graphs import (ValidationError, action_violations,
                             class_violations, constant_class,
-                            gen_cp1_in_plane, gen_flag_a, gen_grassmannian,
-                            gen_hirzebruch,
-                            gen_product, gen_projective, graph_to_data,
-                            load_graph_data, load_graph_file, restrict,
-                            symplectic_class, validate_action, validate_class)
+                            gen_cp1_in_plane, gen_hirzebruch, gen_product,
+                            gen_projective, gen_weyl_orbit, graph_to_data,
+                            load_graph_data, load_graph_file, positive_roots,
+                            restrict, symplectic_class, validate_action,
+                            validate_class)
 from gkmchar.randomgen import (random_class, random_restriction,
                                standard_fixtures)
 
@@ -32,7 +33,7 @@ def test_gen_projective_2_is_valid():
 def test_out_index_lists_the_edges_of_a_scan():
     fixtures = standard_fixtures()
     actions = [action for action, _ in fixtures.values()]
-    actions.append(gen_flag_a(4, range(4))[0])
+    actions.append(gen_weyl_orbit(positive_roots("A", 3), range(4))[0])
     actions.append(random_restriction(*fixtures["proj3"],
                                       random.Random(1))[1])
     for action in actions:
@@ -159,48 +160,118 @@ def test_gen_product_valid():
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_gen_flag_a_valid(m):
-    # one vertex per permutation, one edge per transposition: d = m(m-1)/2,
+    # the type-A flag graph, the orbit of rho: one vertex per permutation,
+    # joined to the permutations one transposition away, so d = m(m-1)/2,
     # above the rank m-1 of the weights once m >= 3
-    action, sym = gen_flag_a(m, range(m))
+    action, sym = gen_weyl_orbit(positive_roots("A", m - 1), range(m))
     assert (action.n, action.d) == (m, m * (m - 1) // 2)
-    assert len(action.vertices) == factorial(m)
+    assert set(sym.alphas.values()) == set(permutations(range(m)))
     assert len(action.geometric_edges()) == factorial(m) * action.d // 2
-    assert sym.alphas[",".join(map(str, range(m)))] == tuple(range(m))
+    for e in action.edges:
+        p, q = sym.alphas[e.src], sym.alphas[e.dst]
+        assert sorted(p) == sorted(q)
+        assert sum(a != b for a, b in zip(p, q)) == 2
     assert all(sum(w) == 0 and sorted(w) == [-1] + [0] * (m - 2) + [1]
                for w in action.axial.values())
     assert set(sym.m.values()) == set(range(1, m))
 
 
 def test_gen_flag_a_weights():
-    # alpha_p puts lam[k] at position p[k]
-    _, sym = gen_flag_a(3, (5, 7, 9))
-    assert sym.alphas["1,2,0"] == (9, 5, 7)
-    with pytest.raises(ValueError):
-        gen_flag_a(3, (0, 1, 1))
+    # every orbit point names itself, and alpha_mu = mu
+    action, sym = gen_weyl_orbit(positive_roots("A", 2), (5, 7, 9))
+    assert action.vertices[0] == "5,7,9"
+    assert sym.alphas["9,5,7"] == (9, 5, 7)
+    _, sym = gen_weyl_orbit(positive_roots("B", 2), (1, 0))
+    assert sorted(sym.alphas) == ["-1,0", "0,-1", "0,1", "1,0"]
+    assert all(sym.alphas[v] == tuple(map(int, v.split(",")))
+               for v in sym.alphas)
 
 
 @pytest.mark.parametrize("k, m", [(1, 3), (2, 4), (2, 5), (3, 6)])
 def test_gen_grassmannian_valid(k, m):
-    # the Johnson graph J(m, k): d = k(m-k), above the rank m-1 of the
-    # weights once 2 <= k <= m-2
-    action, sym = gen_grassmannian(k, m)
+    # the type-A orbit of (1, ..., 1, 0, ..., 0) is the Johnson graph
+    # J(m, k): d = k(m-k), above the rank m-1 of the weights once
+    # 2 <= k <= m-2
+    lam = (1,) * k + (0,) * (m - k)
+    action, sym = gen_weyl_orbit(positive_roots("A", m - 1), lam)
     assert (action.n, action.d) == (m, k * (m - k))
     assert len(action.vertices) == comb(m, k)
-    first = ",".join(map(str, range(k)))
-    assert sym.alphas[first] == (1,) * k + (0,) * (m - k)
+    assert sym.alphas[",".join(map(str, lam))] == lam
     assert all(sorted(w) == [-1] + [0] * (m - 2) + [1]
                for w in action.axial.values())
     for e in action.edges:
         assert action.axial[e.eid] == tuple(
             a - b for a, b in zip(sym.alphas[e.dst], sym.alphas[e.src]))
+
+
+@pytest.mark.parametrize("kind, rank, count", [
+    ("A", 1, 1), ("A", 3, 6), ("B", 2, 4), ("B", 3, 9), ("C", 2, 4),
+    ("C", 3, 9), ("D", 3, 6), ("D", 4, 12), ("G", 2, 6),
+])
+def test_positive_roots_form_a_positive_system(kind, rank, count):
+    # the roots and their negatives are closed under every reflection, all
+    # Cartan integers are integers, and one vector pairs positively with
+    # every positive root
+    roots = positive_roots(kind, rank)
+    assert len(set(roots)) == len(roots) == count
+    system = set(roots) | {tuple(-x for x in b) for b in roots}
+    assert len(system) == 2 * count
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    for a in roots:
+        for b in roots:
+            c, r = divmod(2 * dot(a, b), dot(b, b))
+            assert r == 0
+            assert tuple(x - c * y for x, y in zip(a, b)) in system
+    xi = (0, -1, 2) if kind == "G" else tuple(range(len(roots[0]), 0, -1))
+    assert all(dot(b, xi) > 0 for b in roots)
+
+
+@pytest.mark.parametrize("kind, rank, lam, vertices, d", [
+    ("A", 3, (1, 1, 0, 0), 6, 4),        # Gr(2, 4)
+    ("A", 3, (2, 1, 1, 0), 12, 5),
+    ("B", 2, (1, 0), 4, 3),              # the 3-quadric
+    ("C", 2, (1, 0), 4, 3),              # projective 3-space
+    ("B", 3, (1, 1, 0), 12, 7),
+    ("D", 4, (1, 1, 0, 0), 24, 9),
+    ("D", 4, (1, 0, 0, 0), 8, 6),        # the 6-quadric
+    ("G", 2, (1, 0, -1), 6, 5),          # the 5-quadric
+])
+def test_weyl_orbit_of_a_singular_weight_is_a_partial_flag(kind, rank, lam,
+                                                           vertices, d):
+    # G/P has |W| / |W_lam| fixed points and complex dimension the number
+    # of positive roots not orthogonal to lam
+    roots = positive_roots(kind, rank)
+    assert d == sum(1 for b in roots
+                    if sum(x * y for x, y in zip(lam, b)) != 0)
+    action, _ = gen_weyl_orbit(roots, lam)
+    assert (len(action.vertices), action.d) == (vertices, d)
+
+
+@pytest.mark.parametrize("kind, rank, lam", [
+    ("B", 2, (1, 0, 0)),                 # wrong length
+    ("G", 2, (1, 0, 0)),                 # <lam, (-2, 1, 1)^v> = -2/3
+    ("G", 2, (1, -1, 1)),                # <lam, (1, -2, 1)^v> = 4/3
+])
+def test_weyl_orbit_refuses_a_weight_that_is_not_integral(kind, rank, lam):
     with pytest.raises(ValueError):
-        gen_grassmannian(0, 3)
+        gen_weyl_orbit(positive_roots(kind, rank), lam)
+
+
+@pytest.mark.parametrize("kind, rank", [
+    ("E", 6), ("G", 3), ("A", 0), ("B", 1), ("D", 1), ("a", 2), ("", 2),
+])
+def test_positive_roots_refuses_an_unknown_root_system(kind, rank):
+    with pytest.raises(ValueError):
+        positive_roots(kind, rank)
 
 
 def test_fl3_data_file_is_the_flag_graph():
     action, classes = load_graph_file(
         os.path.join(os.path.dirname(__file__), "data", "fl3.json"))
-    ref, sym = gen_flag_a(3, (0, 1, 2))
+    ref, sym = gen_weyl_orbit(positive_roots("A", 2), (0, 1, 2))
     assert action == ref
     assert classes["omega"] == sym.base.values
 

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from gkmchar import reduction
 from gkmchar.lattice import dot
 from gkmchar.laurent import LaurentPoly
-from gkmchar.graphs import Edge, GkmAction, constant_class, \
-    gen_cp1_in_plane, gen_projective, symplectic_class
+from gkmchar.graphs import constant_class, gen_cp1_in_plane, \
+    gen_projective, load_graph_file, symplectic_class
 from gkmchar.characters import localization_terms
 from gkmchar.residues import res_T
 from gkmchar.reduction import (CycleError, NotRegular, WrongWallCount,
@@ -18,6 +19,8 @@ from gkmchar.reduction import (CycleError, NotRegular, WrongWallCount,
 from gkmchar.randomgen import (random_class, random_generic_xi,
                                random_ring_element, random_symplectic,
                                random_zero_regular_xi, standard_fixtures)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture(scope="module")
@@ -44,23 +47,13 @@ def test_moment_map_rejects_nonmonotone_values(cp1):
 
 
 def test_moment_map_cycle():
-    # hand-built 1-valent triangle whose edges all pair positively with
-    # (1,0): the orientation has a directed cycle, so no moment map exists
-    edges = []
-    axial = {}
-    names = ["a", "b", "c"]
-    for i in range(3):
-        src, dst = names[i], names[(i + 1) % 3]
-        k = len(edges)
-        edges.append(Edge(k, src, dst, k + 1))
-        edges.append(Edge(k + 1, dst, src, k))
-        axial[k] = (1, 0)
-        axial[k + 1] = (-1, 0)
-    action = GkmAction(n=2, d=2, vertices=tuple(names),
-                       edges=tuple(edges), axial=axial)
+    # a graph that validates, but whose edges 0->1->2->3->0 all pair
+    # positively with (4, 3): the orientation has a directed cycle, so no
+    # moment map exists
+    action, _ = load_graph_file(os.path.join(DATA, "cycle.json"))
     with pytest.raises(CycleError) as exc:
-        moment_map(action, (1, 0))
-    assert len(exc.value.cycle) >= 3
+        moment_map(action, (4, 3))
+    assert exc.value.cycle == ["0", "1", "2", "3", "0"]
 
 
 def test_chi_reduced_cp1(cp1):
