@@ -8,8 +8,8 @@ of the crossed vertex.
 
 from fractions import Fraction
 
-from gkmchar import (chi_reduced, gen_projective, localization_terms,
-                     render_poly, res_T, symplectic_moment_map,
+from gkmchar import (LaurentPoly, chi_reduced, gen_projective, render_poly,
+                     symplectic_moment_map, vertex_residues,
                      wall_crossing_check)
 
 
@@ -17,14 +17,12 @@ def main():
     action, sym = gen_projective(2)
     xi = (2, 1)
     f = sym.base
-    terms = localization_terms(f)
 
     print(f"xi = {xi}")
-    total = None
-    for v in action.vertices:
-        rv = res_T(terms[v], xi)
-        print(f"residue at {v}: {render_poly(rv.total)}")
-        total = rv.total if total is None else total + rv.total
+    residues = vertex_residues(f, xi, action.vertices)
+    for v, r in residues.items():
+        print(f"residue at {v}: {render_poly(r)}")
+    total = sum(residues.values(), LaurentPoly.zero(action.n))
     print(f"sum over vertices: {render_poly(total)}  (must be 0)")
     print()
 

@@ -19,12 +19,13 @@ from .characters import (CharacterResult, HullReport, InternalDivisionFailure,
                          character_expand, character_oracle, hull_report,
                          hull_vertices, in_convex_hull, kostant_count,
                          localization_terms, multiplicity, polarize)
-from .residues import (ResidueValue, ZForm, fiber_average_numeric,
-                       from_z_form, res_T, res_half, to_z_form)
+from .residues import (ResidueValue, ZForm, fiber_average_numeric, res_T,
+                       to_z_form)
 from .reduction import (CycleError, MomentMap, NotRegular, QrResult,
                         ReducedCharacter, WrongWallCount, ZeroNotRegular,
                         chi_reduced, edge_compat_check, moment_map, qr_check,
-                        symplectic_moment_map, wall_crossing_check)
+                        symplectic_moment_map, vertex_residues,
+                        wall_crossing_check)
 
 from .randomgen import (random_class, random_generic_xi,
                         random_pole_free_point, random_restriction,

@@ -14,16 +14,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .lattice import NotPrimitive, complete_to_basis, dot, is_primitive
+from .lattice import NotPrimitive, dot, is_primitive
 from .laurent import LaurentPoly, poly_sum, render_poly
 from .graphs import ValidationError, class_violations, load_graph_file, \
     symplectic_class, validate_class
 from .characters import InternalDivisionFailure, NotGeneric, \
-    TruncationOverflow, character_expand, character_oracle, \
-    localization_terms, multiplicity, polarize
-from .residues import res_T
+    TruncationOverflow, character_expand, character_oracle, multiplicity, \
+    polarize
 from .reduction import CycleError, NotRegular, ZeroNotRegular, chi_reduced, \
-    moment_map, qr_check
+    moment_map, qr_check, vertex_residues
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -207,10 +206,7 @@ def cmd_residue(args):
     action, classes = _load(args)
     name, kclass = _pick_class(action, classes, args.class_name)
     xi = _require_xi(args, action)
-    terms = localization_terms(kclass)
-    basis = complete_to_basis(xi)
-    per_vertex = {v: res_T(terms[v], xi, basis=basis).total
-                  for v in action.vertices}
+    per_vertex = vertex_residues(kclass, xi, action.vertices)
     total = poly_sum(action.n, per_vertex.values())
     payload = {"class": name,
                "per_vertex": {v: _poly_payload(p)

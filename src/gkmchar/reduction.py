@@ -143,43 +143,52 @@ class ReducedCharacter:
     value: LaurentPoly      # supported on the annihilator lattice of xi
 
 
-def _residues(f: KClass, mm: MomentMap, vertices) -> dict:
-    """Total residue of the localized summand of each given vertex, each
-    computed once, all in one lattice basis for xi; no vertices, no basis."""
+def vertex_residues(f: KClass, xi, vertices) -> dict:
+    """{v: total residue along xi of v's localized summand} for the given
+    vertices of f, each computed once, all in one completion of xi to a
+    lattice basis; no vertices, no basis."""
     if not vertices:
         return {}
-    basis = complete_to_basis(mm.xi)
+    basis = complete_to_basis(xi)
     action = f.action
     return {v: res_T(RationalChar(f[v], tuple(action.out_weights(v))),
-                     mm.xi, basis=basis).total
+                     xi, basis=basis).total
             for v in vertices}
 
 
-def chi_reduced(f: KClass, mm: MomentMap, c) -> ReducedCharacter:
-    """The reduced character at the regular level c, taken from the
-    cheaper side of the level.
+def _chambers(f: KClass, mm: MomentMap, lo, hi):
+    """The vertex residues of the cheaper side of the levels lo <= hi, and
+    the reduced character of every regular level in [lo, hi] read off them.
 
     The localized character sum_v f_v / prod(1 - x^w) of a compatible
     class is a Laurent polynomial, so the residues of all its vertices sum
-    to zero, and the reduced character is both the sum of the residues
-    above c and minus the sum of those below c.  Whichever side has fewer
-    vertices is taken, the side above on a tie; each of its residues is
-    computed once, all in one completion of xi to a lattice basis, and an
-    outer chamber costs nothing.  f must be compatible (every constructor
-    in the package makes a compatible class): otherwise the two sides
-    differ and the answer depends on which one is taken.
+    to zero, and the reduced character at c is both the sum of the
+    residues above c and minus the sum of those below c.  The smaller of
+    the sets above lo and below hi is taken, the set above on a tie: every
+    level in [lo, hi] reads its side off it, and an outer chamber costs
+    nothing.  f must be compatible (every constructor in the package makes
+    a compatible class): otherwise the two sides differ and the answer
+    depends on which one is taken.
     """
+    phi, n = mm.phi, f.action.n
+    above = [v for v in f.action.vertices if phi[v] > lo]
+    below = [v for v in f.action.vertices if phi[v] < hi]
+    if len(above) <= len(below):
+        residues = vertex_residues(f, mm.xi, above)
+        return residues, lambda c: poly_sum(
+            n, (r for v, r in residues.items() if phi[v] > c))
+    residues = vertex_residues(f, mm.xi, below)
+    return residues, lambda c: -poly_sum(
+        n, (r for v, r in residues.items() if phi[v] < c))
+
+
+def chi_reduced(f: KClass, mm: MomentMap, c) -> ReducedCharacter:
+    """The reduced character at the regular level c, taken from the side
+    of c with fewer vertices (see _chambers).  f must be compatible."""
     c = Fraction(c)
     _require_regular(mm, c)
-    vertices = f.action.vertices
-    above = [v for v in vertices if mm.phi[v] > c]
-    below = [v for v in vertices if mm.phi[v] < c]
-    n = f.action.n
-    if len(above) <= len(below):
-        value = poly_sum(n, _residues(f, mm, above).values())
-    else:
-        value = -poly_sum(n, _residues(f, mm, below).values())
-    return ReducedCharacter(value=value)
+    _, chi = _chambers(f, mm, c, c)
+    return ReducedCharacter(value=chi(c))
 
 
 @dataclass(frozen=True)
@@ -200,39 +209,25 @@ def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
     value found without residues: chamber values known independently, or
     the zero total of a compatible class's vertex residues.
 
-    With c < c' and p the one vertex between them, both chambers are read
-    off one set of residues, each computed once in one basis: those of
-    the vertices above c, or of those below c', whichever set is smaller
-    (the set above on a tie); both sets contain p.  Above, chi_c and
-    chi_c' are the sums over phi > c and phi > c'; below, they are minus
-    the sums over phi < c and phi < c', which is the same for a compatible
-    class, whose vertex residues sum to zero (see chi_reduced).  delta is
-    chi_c - chi_c' and residue is p's own entry.  Exactly one critical
+    With c < c' and p the one vertex between them, both chambers and p's
+    residue are read off one set of residues (see _chambers): those of
+    the vertices above c, or of those below c', whichever set is smaller;
+    both sets contain p.  delta is chi_c - chi_c'.  Exactly one critical
     value must lie between the levels (WrongWallCount, checked first), and
     both levels must be regular (NotRegular).
     """
     c, cp = Fraction(c), Fraction(cp)
     if c > cp:
         c, cp = cp, c
-    vertices, phi, n = f.action.vertices, mm.phi, f.action.n
-    between = [v for v in vertices if c < phi[v] < cp]
+    between = [v for v in f.action.vertices if c < mm.phi[v] < cp]
     if len(between) != 1:
         raise WrongWallCount(
             f"{len(between)} critical values in ({c}, {cp}), expected 1")
     p = between[0]
     _require_regular(mm, c)
     _require_regular(mm, cp)
-    above = [v for v in vertices if phi[v] > c]
-    below = [v for v in vertices if phi[v] < cp]
-    if len(above) <= len(below):
-        residues = _residues(f, mm, above)
-        chi_c = poly_sum(n, residues.values())
-        chi_cp = poly_sum(n, (r for v, r in residues.items() if phi[v] > cp))
-    else:
-        residues = _residues(f, mm, below)
-        chi_c = -poly_sum(n, (r for v, r in residues.items() if phi[v] < c))
-        chi_cp = -poly_sum(n, residues.values())
-    delta = chi_c - chi_cp
+    residues, chi = _chambers(f, mm, c, cp)
+    delta = chi(c) - chi(cp)
     residue = residues[p]
     return WallCrossingResult(ok=delta == residue, vertex=p,
                               delta=delta, residue=residue)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .lattice import BasisChange, complete_to_basis, dot, vadd, vneg, \
-    weight_from_basis
+from .lattice import BasisChange, complete_to_basis, dot, vadd, vneg
 from .laurent import LaurentPoly, RationalChar, eval_numeric
 from .characters import NotGeneric
 
@@ -67,32 +66,10 @@ def to_z_form(f: RationalChar, xi, *, basis=None) -> ZForm:
     return ZForm(basis=basis, numer=tuple(numer), factors=tuple(factors))
 
 
-def from_z_form(z: ZForm) -> RationalChar:
-    """Round-trip back to the original coordinates."""
-    n = z.n
-    terms = {}
-    for c, beta, k in z.numer:
-        exp = weight_from_basis(beta, k, z.basis)
-        terms[exp] = terms.get(exp, 0) + c
-    den = tuple(weight_from_basis(beta, k, z.basis) for beta, k in z.factors)
-    return RationalChar(LaurentPoly(n, terms), den)
-
-
-def res_half(z: ZForm, side: str) -> LaurentPoly:
-    """One contour's worth of residue, as a polynomial in the y-variables.
-
-    side "minus" extracts the z^0 coefficient of the expansion valid inside
-    the unit circle; side "plus" is the outer contour, the same extraction
-    after z -> 1/z negates every z-degree (see `_z0_terms`).
-    """
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
-    return LaurentPoly(z.n - 1, _z0_terms(z, -1 if side == "plus" else 1))
-
-
 def _z0_terms(z: ZForm, flip) -> dict:
     """{y-exponent: coeff} of z^0 in the inner expansion of z with every
-    z-degree times flip (1: the inner contour, -1: the outer one).
+    z-degree times flip (1: the inner contour; -1: the outer one, whose
+    z -> 1/z negates every z-degree).
 
     Inside the unit circle 1/(1 - a*z^s) is sum_l a^l z^(s*l) for s > 0
     and -sum_l a^-(l+1) z^(|s|*(l+1)) for s < 0.  The sign, the shift in
@@ -165,8 +142,8 @@ def res_T(f: RationalChar, xi, *, basis=None) -> ResidueValue:
     is mapped back into Z^n by the inverse basis, canonically: every
     monomial extracted is an integer combination of the original weights
     whose z-degrees cancel.  Replacing xi by -xi negates the result.
-    basis goes to `to_z_form`: a caller taking many residues along one xi
-    passes `complete_to_basis(xi)` to every call.
+    basis goes to `to_z_form`; `reduction.vertex_residues` takes the
+    residues of a class's vertices in one basis.
     """
     z = to_z_form(f, xi, basis=basis)
     cols = [col[:-1] for col in z.basis.inverse_columns]

@@ -7,7 +7,6 @@ their stated tolerances and time limits.
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,7 @@ from gkmchar.graphs import gen_cp1_in_plane, gen_projective, symplectic_class
 from gkmchar.characters import (character_expand, character_oracle,
                                 hull_report, localization_terms,
                                 multiplicity, polarize)
-from gkmchar.residues import fiber_average_numeric, res_T, res_half, to_z_form
+from gkmchar.residues import fiber_average_numeric, res_T
 from gkmchar.reduction import (chi_reduced, edge_compat_check, moment_map,
                                qr_check, wall_crossing_check)
 from gkmchar.randomgen import (random_class, random_generic_xi,
@@ -156,17 +155,18 @@ def test_criterion_07_residue_vanishing(fixtures):
     for _ in range(200):
         star, xi = random_vertex_star(rng.choice([2, 3]),
                                       rng.randint(1, 3), rng)
-        z = to_z_form(star, xi)
-        neg_sum = sum(-k for _, k in z.factors if k < 0)
-        pos_sum = sum(k for _, k in z.factors if k > 0)
-        has_neg = any(k < 0 for _, k in z.factors)
-        has_pos = any(k > 0 for _, k in z.factors)
-        for c, beta, k in z.numer:
-            mono = replace(z, numer=((c, beta, k),))
-            if k > -neg_sum or k > 0 or (k == 0 and has_neg):
-                assert res_half(mono, "minus").is_zero()
-            if k < pos_sum or k < 0 or (k == 0 and has_pos):
-                assert res_half(mono, "plus").is_zero()
+        (mu,) = star.numerator.terms
+        k = dot(mu, xi)
+        degrees = [dot(w, xi) for w in star.denominator]
+        neg_sum = sum(-s for s in degrees if s < 0)
+        pos_sum = sum(s for s in degrees if s > 0)
+        has_neg = any(s < 0 for s in degrees)
+        has_pos = any(s > 0 for s in degrees)
+        rv = res_T(star, xi)
+        if k > -neg_sum or k > 0 or (k == 0 and has_neg):
+            assert rv.minus.is_zero()
+        if k < pos_sum or k < 0 or (k == 0 and has_pos):
+            assert rv.plus.is_zero()
     for name, (action, sym) in fixtures.items():
         f = random_class(action, sym, rng)
         xi = random_generic_xi(action, rng)

@@ -15,7 +15,6 @@ import contextlib
 import io
 import json
 import os
-import sys
 from pathlib import Path
 
 from gkmchar.cli import main
@@ -65,4 +64,3 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(_outputs(), indent=1, sort_keys=True)
                       + "\n")
-    sys.exit(0)

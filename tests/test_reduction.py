@@ -15,10 +15,12 @@ from gkmchar.residues import res_T
 from gkmchar.reduction import (CycleError, NotRegular, WrongWallCount,
                                ZeroNotRegular, chi_reduced,
                                edge_compat_check, moment_map, qr_check,
-                               symplectic_moment_map, wall_crossing_check)
-from gkmchar.randomgen import (random_class, random_generic_xi,
-                               random_ring_element, random_symplectic,
-                               random_zero_regular_xi, standard_fixtures)
+                               symplectic_moment_map, vertex_residues,
+                               wall_crossing_check)
+from gkmchar.randomgen import (flag_fixtures, random_class,
+                               random_generic_xi, random_ring_element,
+                               random_symplectic, random_zero_regular_xi,
+                               standard_fixtures)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -190,6 +192,28 @@ def test_each_level_pays_for_its_smaller_side(fixtures, rng, monkeypatch):
             k = min(count(lambda x: x > lo), count(lambda x: x < hi))
             assert cost() == {"res_T": k, "complete_to_basis": 1}, \
                 (name, lo, hi)
+
+
+def test_vertex_residues_match_res_T_on_any_subset(fixtures, rng,
+                                                   monkeypatch):
+    """Each given vertex's entry is its localized summand's residue taken
+    on its own through res_T, whatever the subset; no vertices, no basis."""
+    for name, (action, sym) in {**fixtures, **flag_fixtures()}.items():
+        f = random_class(action, sym, rng)
+        xi = random_generic_xi(action, rng)
+        terms = localization_terms(f)
+        for _ in range(3):
+            subset = rng.sample(action.vertices,
+                                rng.randint(1, len(action.vertices)))
+            assert vertex_residues(f, xi, subset) == \
+                {v: res_T(terms[v], xi).total for v in subset}, name
+
+    def refuse(xi):
+        raise AssertionError(f"basis built for {xi} with no vertices")
+
+    monkeypatch.setattr(reduction, "complete_to_basis", refuse)
+    action, sym = fixtures["proj2"]
+    assert vertex_residues(sym.base, (2, 1), []) == {}
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,14 +1,12 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmchar.lattice import complete_to_basis, dot, vadd, vscale
+from gkmchar.lattice import complete_to_basis, dot, vadd
 from gkmchar.laurent import LaurentPoly, RationalChar, eval_numeric
 from gkmchar.characters import NotGeneric, localization_terms
-from gkmchar.residues import (fiber_average_numeric, from_z_form, res_T,
-                              res_half, to_z_form)
+from gkmchar.residues import fiber_average_numeric, res_T, to_z_form
 from gkmchar.randomgen import (random_class, random_generic_xi,
                                random_pole_free_point, random_torus_point,
                                random_vertex_star, standard_fixtures)
@@ -44,44 +42,22 @@ def test_to_z_form_annihilator_monomial():
     assert z.factors == ()
 
 
-def test_round_trip(rng):
-    for _ in range(30):
-        star, xi = random_vertex_star(rng.choice([2, 3]), rng.randint(1, 3),
-                                      rng)
-        z = to_z_form(star, xi)
-        back = from_z_form(z)
-        assert back.numerator == star.numerator
-        assert sorted(back.denominator) == sorted(star.denominator)
-
-
-def test_res_half_cp1_p_summand():
-    z = to_z_form(_simple((-1, 0), [(1, 0)]), (1, 0))
-    assert res_half(z, "minus") == LaurentPoly.one(1)
-    assert res_half(z, "plus").is_zero()
-
-
-def test_res_half_cp1_q_summand():
-    z = to_z_form(_simple((1, 0), [(-1, 0)]), (1, 0))
-    assert res_half(z, "minus").is_zero()
-    assert res_half(z, "plus") == LaurentPoly.one(1)
-
-
-def test_res_half_pure_monomial_vanishes():
-    z = to_z_form(RationalChar(LaurentPoly.monomial((3, 1)), ()), (1, 0))
-    assert res_half(z, "minus").is_zero()
-    assert res_half(z, "plus").is_zero()
-
-
 def test_res_T_cp1_summands():
+    zero, one = LaurentPoly.zero(2), LaurentPoly.one(2)
     p = res_T(_simple((-1, 0), [(1, 0)]), (1, 0))
-    assert p.total == LaurentPoly.constant(2, -1)
+    assert (p.plus, p.minus, p.total) == (zero, one, -one)
     q = res_T(_simple((1, 0), [(-1, 0)]), (1, 0))
-    assert q.total == LaurentPoly.one(2)
+    assert (q.plus, q.minus, q.total) == (one, zero, one)
 
 
 def test_res_T_polynomial_input_is_zero():
     f = RationalChar(LaurentPoly(2, {(1, 2): 3, (0, 1): -1}), ())
-    assert res_T(f, (1, 0)).total.is_zero()
+    rv = res_T(f, (1, 0))
+    # both contours hold the level-zero part
+    assert rv.plus == rv.minus == LaurentPoly(2, {(0, 1): -1})
+    assert rv.total.is_zero()
+    rv = res_T(RationalChar(LaurentPoly.monomial((3, 1)), ()), (1, 0))
+    assert rv.plus.is_zero() and rv.minus.is_zero()
 
 
 def test_res_T_lands_in_annihilator(rng):
@@ -134,28 +110,31 @@ def test_res_T_linear_in_numerator(rng):
 
 
 def test_vanishing_laws_per_monomial(rng):
+    # a random vertex star's numerator is one monomial x^mu, of z-degree
+    # k = mu . xi; its factors have z-degrees w . xi
     for _ in range(100):
         star, xi = random_vertex_star(rng.choice([2, 3]), rng.randint(1, 3),
                                       rng)
-        z = to_z_form(star, xi)
-        neg_sum = sum(-k for _, k in z.factors if k < 0)
-        pos_sum = sum(k for _, k in z.factors if k > 0)
-        has_neg = any(k < 0 for _, k in z.factors)
-        has_pos = any(k > 0 for _, k in z.factors)
-        for c, beta, k in z.numer:
-            mono = replace(z, numer=((c, beta, k),))
-            if k > -neg_sum:
-                assert res_half(mono, "minus").is_zero()
-            if k < pos_sum:
-                assert res_half(mono, "plus").is_zero()
-            if k > 0:
-                assert res_half(mono, "minus").is_zero()
-            if k < 0:
-                assert res_half(mono, "plus").is_zero()
-            if k == 0 and has_neg:
-                assert res_half(mono, "minus").is_zero()
-            if k == 0 and has_pos:
-                assert res_half(mono, "plus").is_zero()
+        (mu,) = star.numerator.terms
+        k = dot(mu, xi)
+        degrees = [dot(w, xi) for w in star.denominator]
+        neg_sum = sum(-s for s in degrees if s < 0)
+        pos_sum = sum(s for s in degrees if s > 0)
+        has_neg = any(s < 0 for s in degrees)
+        has_pos = any(s > 0 for s in degrees)
+        rv = res_T(star, xi)
+        if k > -neg_sum:
+            assert rv.minus.is_zero()
+        if k < pos_sum:
+            assert rv.plus.is_zero()
+        if k > 0:
+            assert rv.minus.is_zero()
+        if k < 0:
+            assert rv.plus.is_zero()
+        if k == 0 and has_neg:
+            assert rv.minus.is_zero()
+        if k == 0 and has_pos:
+            assert rv.plus.is_zero()
 
 
 def test_total_residue_vanishes_on_fixtures(rng):
@@ -202,42 +181,6 @@ def test_residue_equals_signed_fiber_average_sum(rng):
         assert abs(lhs - rhs) < 1e-6
 
 
-def _enumerated_inner(out, coeff, beta, k, factors):
-    """Reference for one monomial of residues._z0_terms: every exponent of
-    every factor, the last one included, runs over its full range, and a
-    leaf counts when the z-degrees add up to exactly zero."""
-    neg = [(beta_i, -k_i) for beta_i, k_i in factors if k_i < 0]
-    pos = [(beta_i, k_i) for beta_i, k_i in factors if k_i > 0]
-    target = -(k + sum(s for _, s in neg))
-    if target < 0:
-        return
-    sign = -1 if len(neg) % 2 else 1
-    steps = [s for _, s in neg] + [s for _, s in pos]
-    betas = [b for b, _ in neg] + [b for b, _ in pos]
-
-    def recurse(idx, remaining, acc_beta):
-        if idx == len(steps):
-            if remaining == 0:
-                out[acc_beta] = out.get(acc_beta, 0) + sign * coeff
-            return
-        s, b = steps[idx], betas[idx]
-        for l in range(remaining // s + 1):
-            power = -(l + 1) if idx < len(neg) else l
-            recurse(idx + 1, remaining - l * s,
-                    vadd(acc_beta, vscale(b, power)))
-
-    recurse(0, target, tuple(beta))
-
-
-def _enumerated_res_half(z, side):
-    flip = -1 if side == "plus" else 1
-    factors = [(beta, flip * k) for beta, k in z.factors]
-    out = {}
-    for c, beta, k in z.numer:
-        _enumerated_inner(out, c, beta, flip * k, factors)
-    return LaurentPoly(z.n - 1, out)
-
-
 @st.composite
 def wide_vertex_stars(draw):
     """A random vertex star (n 2..4, 1..4 denominator weights, a direction
@@ -253,15 +196,6 @@ def wide_vertex_stars(draw):
                            max_size=len(exps)))
     numer = LaurentPoly(n, dict(zip(exps, coeffs)))
     return RationalChar(numer, star.denominator), xi
-
-
-@settings(max_examples=300, deadline=None)
-@given(wide_vertex_stars())
-def test_res_half_matches_full_enumeration(case):
-    star, xi = case
-    z = to_z_form(star, xi)
-    for side in ("plus", "minus"):
-        assert res_half(z, side) == _enumerated_res_half(z, side)
 
 
 def _polarized_slice(star, xi):
@@ -296,8 +230,8 @@ def _polarized_slice(star, xi):
 @given(wide_vertex_stars())
 def test_res_T_matches_basis_free_polarized_slices(case):
     """minus and plus are the level-0 slices of the expansions polarized
-    by xi and by -xi, enumerated without the z-form that res_half and its
-    reference above share."""
+    by xi and by -xi, enumerated in the original lattice without a
+    z-form."""
     star, xi = case
     rv = res_T(star, xi)
     assert rv.minus == _polarized_slice(star, xi)
