@@ -42,12 +42,29 @@ def test_to_z_form_annihilator_monomial():
     assert z.factors == ()
 
 
+def test_res_half_cp1_p_summand():
+    rv = res_T(_simple((-1, 0), [(1, 0)]), (1, 0))
+    assert rv.minus == LaurentPoly.one(2)
+    assert rv.plus.is_zero()
+
+
+def test_res_half_cp1_q_summand():
+    rv = res_T(_simple((1, 0), [(-1, 0)]), (1, 0))
+    assert rv.minus.is_zero()
+    assert rv.plus == LaurentPoly.one(2)
+
+
+def test_res_half_pure_monomial_vanishes():
+    rv = res_T(RationalChar(LaurentPoly.monomial((3, 1)), ()), (1, 0))
+    assert rv.minus.is_zero()
+    assert rv.plus.is_zero()
+
+
 def test_res_T_cp1_summands():
-    zero, one = LaurentPoly.zero(2), LaurentPoly.one(2)
     p = res_T(_simple((-1, 0), [(1, 0)]), (1, 0))
-    assert (p.plus, p.minus, p.total) == (zero, one, -one)
+    assert p.total == LaurentPoly.constant(2, -1)
     q = res_T(_simple((1, 0), [(-1, 0)]), (1, 0))
-    assert (q.plus, q.minus, q.total) == (one, zero, one)
+    assert q.total == LaurentPoly.one(2)
 
 
 def test_res_T_polynomial_input_is_zero():
@@ -56,8 +73,6 @@ def test_res_T_polynomial_input_is_zero():
     # both contours hold the level-zero part
     assert rv.plus == rv.minus == LaurentPoly(2, {(0, 1): -1})
     assert rv.total.is_zero()
-    rv = res_T(RationalChar(LaurentPoly.monomial((3, 1)), ()), (1, 0))
-    assert rv.plus.is_zero() and rv.minus.is_zero()
 
 
 def test_res_T_lands_in_annihilator(rng):
