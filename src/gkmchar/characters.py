@@ -8,7 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import mul, sub
+from itertools import chain
+from operator import add, mul, sub
 
 from .lattice import NotPrimitive, dot, is_primitive, primitive_part, \
     vadd, vneg, vscale, vsub
@@ -169,10 +170,7 @@ def character_expand(f: KClass, pol: Polarization,
     weights of a vertex span a pointed cone, so every one of them pairs
     positively with one of its own rays, and the vertex's expansion is
     bounded by the rays' support bounds however steep xi is, with
-    dependent weights (d > n) as with independent ones.  Each direction of
-    the set is paired with the positive weights of every vertex once; the
-    same pairings give its bound and the split of every vertex into cuts
-    and filters.
+    dependent weights (d > n) as with independent ones.
 
     With level=k, only the terms mu with xi . mu == k are returned: the
     character's slice at that level, which is empty when k > B(xi).  The
@@ -181,71 +179,200 @@ def character_expand(f: KClass, pol: Polarization,
     positive weight, so a partial product above level k never comes back
     to it.  The last series of each vertex takes only its one step that
     lands on level k.
+
+    Every term is one int, a packed key.  With the cut set d_0 = xi,
+    d_1, ..., d_(c-1), L_j = B(d_j) (B(xi) lowered to the level, if one is
+    given) and W = F + 2 bits per field, the term x^e has the key
+
+        sum_j (2^F + L_j - d_j . e) 2^(W j)
+            + sum_i (2^F + e_i) 2^(W (c + i)),
+
+    one biased slack field per cut direction, then the exponent.  While
+    every field lies in [0, 2^(F+1)), the key is this sum in exact integer
+    arithmetic, so it is affine in e: the key of e = 0 plus one packed
+    product sum_i e_i col_i, and a step by w adds w's product.  Bit F of
+    the field of d_j is set exactly when d_j . e <= L_j, so a vertex's cuts
+    are one AND with bit F of their fields and its filters one more; the
+    level step reads xi's field; the vertex sums merge on keys, since a
+    key depends on e alone; and each surviving term is decoded once.
+
+    The width comes from the xi-pairings, the only pairings taken as plain
+    ints.  Let p be the least xi . w over the positive weights.  A key that
+    is kept has xi . e <= L_0, so its steps from its start term t number
+    at most (L_0 - xi . t) // p, and the one overshoot that ends a series
+    adds one: no key is formed more than s = max(L_0 - xi . t, 0) // p + 1
+    steps from its start.  With X_t and X_w the largest |entry| of a start
+    term and of a weight, m the most weights at a vertex and A the largest
+    l1-norm of a direction, every entry of a formed term is at most
+    X_t + s X_w in absolute value, every pairing d . e at most
+    A (X_t + s X_w), and every B(d), as every value of the set-up below, at
+    most A (X_t + m X_w).  2^F exceeds the larger of the last and |L_0|,
+    plus A (X_t + s X_w).  So every field holds 2^F plus a value below 2^F
+    in absolute value, and its top bit, the spare bit, stays 0: no carry
+    crosses a field.
+
+    The bounds are packed too.  The packed product of a start term or of a
+    weight, negated, biased by 2^F and cut to the slack fields, holds
+    2^F + d . e for every direction d at once.  Bit F is set where the
+    pairing is nonnegative, so a vertex's cuts are the AND of its weights'
+    bits F, and the positive parts of the pairings are the fields masked
+    below those bits, summed per vertex.  The max over terms and vertices
+    is a SWAR max (see _swar_max), with the spare bit as its guard.
+
+    term_budget caps each vertex's partial expansion; it is checked after
+    each term's series, and TruncationOverflow is raised past it.
     """
     action = pol.action
-    zero = CharacterResult(poly=LaurentPoly.zero(action.n))
+    n = action.n
+    zero = CharacterResult(poly=LaurentPoly.zero(n))
     live = [v for v in action.vertices if f[v].terms]
     if not live:
         return zero
     # one row per live vertex: the terms of x^prefix * f_v, and the
     # positive weights
-    rows = [(f[v].shift(pol.prefix[v]).terms, pol.weights[v]) for v in live]
+    rows = []
+    for v in live:
+        pre = pol.prefix[v]
+        rows.append(({tuple(map(add, e, pre)): coeff
+                      for e, coeff in f[v].terms.items()}, pol.weights[v]))
     xi = pol.xi
-    # the cut set: xi and the dual-cone rays of every live vertex, one
-    # bound each
-    rays = {}
-    for ws in dict.fromkeys(ws for _, ws in rows):
-        rays.update(dict.fromkeys(action.cone_rays(ws)))
-    rays.pop(xi, None)
-    table = _cut_table([xi, *rays], rows)
-    if level is not None:
-        if table[0][1] < level:
-            return zero
-        table[0] = (xi, level, table[0][2])
+    # the xi-pairings, as plain ints: B(xi), the level and the step bound
+    pxi = {w: sum(map(mul, w, xi)) for _, ws in rows for w in ws}
+    sxi = [[sum(map(mul, e, xi)) for e in terms] for terms, _ in rows]
+    b_xi = max(max(s) - sum(map(pxi.__getitem__, ws))
+               for s, (_, ws) in zip(sxi, rows))
+    if level is not None and level > b_xi:
+        return zero
+    cap = b_xi if level is None else level
+    steps = max(cap - min(map(min, sxi)), 0) // min(pxi.values(),
+                                                     default=1) + 1
+    dirs = _cut_directions(action, xi, rows)
+    F, W, starts, step, bound, masks = _pack(rows, dirs, abs(cap), steps)
+    c = len(dirs)
+    field, at_zero = (1 << W) - 1, 1 << F
+    # the key of e = 0: the bounds, with xi's lowered to cap, and 2^F in
+    # each exponent field
+    origin = bound + cap - b_xi + (((1 << W * n) - 1) // field << F + W * c)
     total = {}
+    tget = total.get
     for r, v in enumerate(live):
-        terms, ws = rows[r]
-        used, rest = [], []     # cuts at v, and the bounds left to filter
-        for d, b, pairs in table:
-            ps = pairs[r]
-            if min(ps, default=0) >= 0:
-                used.append((d, b, ps))     # xi comes first
-            else:
-                rest.append((d, b))
-        acc = {e: c for e, c in terms.items()
-               if all(dot(e, d) <= b for d, b, _ in used)}
+        ws, (cut, rest) = rows[r][1], masks[r]
+        acc = {}
+        for key, coeff in starts[r]:
+            key += origin
+            if key & cut == cut:
+                acc[key] = coeff
         if level is not None and not ws:
-            acc = {e: c for e, c in acc.items() if dot(e, xi) == level}
+            acc = {key: coeff for key, coeff in acc.items()
+                   if key & field == at_zero}
         last = len(ws) - 1 if level is not None else -1
         for i, w in enumerate(ws):
-            lims = [(d, b, ps[i]) for d, b, ps in used if ps[i]]
+            dw = step[w]
             out = {}
+            get = out.get
             if i == last:
-                # the one step of the series that lands on the level
-                pxi = lims[0][2]
-                for e, c in acc.items():
-                    j, off = divmod(level - dot(e, xi), pxi)
-                    if not off and all(dot(e, d) + j * p <= b
-                                       for d, b, p in lims[1:]):
-                        exp = vadd(e, vscale(w, j))
-                        out[exp] = out.get(exp, 0) + c
-                acc = out
-                break
-            for e, c in acc.items():
-                exp = e
-                for _ in range(min((b - dot(e, d)) // p for d, b, p in lims)
-                               + 1):
-                    out[exp] = out.get(exp, 0) + c
-                    exp = vadd(exp, w)
+                # the one step of the series that lands on the level: xi's
+                # field holds 2^F + level - xi . e
+                p = pxi[w]
+                for key, coeff in acc.items():
+                    j, off = divmod((key & field) - at_zero, p)
+                    if not off:
+                        key += j * dw
+                        if key & cut == cut:
+                            out[key] = get(key, 0) + coeff
+            else:
+                for key, coeff in acc.items():
+                    while key & cut == cut:
+                        out[key] = get(key, 0) + coeff
+                        key += dw
                     if len(out) > term_budget:
                         raise TruncationOverflow(
                             f"expansion exceeded {term_budget} terms")
             acc = out
         sign = pol.sign[v]
-        for e, c in acc.items():
-            if all(dot(e, d) <= b for d, b in rest):
-                total[e] = total.get(e, 0) + sign * c
-    return CharacterResult(poly=LaurentPoly(action.n, total))
+        for key, coeff in acc.items():
+            if key & rest == rest:
+                total[key] = tget(key, 0) + sign * coeff
+    keys = [key for key, coeff in total.items() if coeff]
+    columns = [[(key >> shift & field) - at_zero for key in keys]
+               for shift in range(W * c, W * (c + n), W)]
+    return CharacterResult(poly=LaurentPoly._unchecked(
+        n, dict(zip(zip(*columns), map(total.__getitem__, keys)))))
+
+
+def _cut_directions(action: GkmAction, xi, rows) -> list:
+    """The cut set of character_expand: xi, then the dual-cone rays of the
+    weights of every row, each once."""
+    rays = {}
+    for ws in dict.fromkeys(ws for _, ws in rows):
+        rays.update(dict.fromkeys(action.cone_rays(ws)))
+    rays.pop(xi, None)
+    return [xi, *rays]
+
+
+def _pack(rows, dirs, reach, steps) -> tuple:
+    """(F, W, starts, step, bound, masks): the packed set-up of
+    character_expand's keys, with fields of W = F + 2 bits (see there).
+
+    starts[r] lists (the packed product of t, coefficient) for the terms t
+    of rows[r], step maps each weight to its packed product, and bound
+    holds 2^F + B(d) in the slack field of each direction d of dirs.
+    masks[r] is (cut, rest): bit F of the fields of the directions that
+    pair nonnegatively with every weight of rows[r], and of the others.
+    F is the width of character_expand's argument, with |L_0| = reach and
+    s = steps.
+    """
+    c, n = len(dirs), len(dirs[0])
+    weights = dict.fromkeys(w for _, ws in rows for w in ws)
+    xt = max(map(abs, chain.from_iterable(
+        chain.from_iterable(terms for terms, _ in rows))))
+    xw = max(map(abs, chain.from_iterable(weights)), default=0)
+    m = max(len(ws) for _, ws in rows)
+    a = max(sum(map(abs, d)) for d in dirs)
+    F = (max(reach, a * (xt + m * xw)) + a * (xt + steps * xw)).bit_length()
+    W = F + 2
+    # col_i = e_i's field minus d_j[i] in the field of every d_j
+    cols = []
+    for i, column in enumerate(zip(*dirs)):
+        col = 0
+        for x in reversed(column):
+            col = (col << W) - x
+        cols.append(col + (1 << W * (c + i)))
+    unit = ((1 << W * c) - 1) // ((1 << W) - 1)
+    half, guard, low = unit << F, unit << F + 1, (1 << W * c) - 1
+    step = {w: sum(map(mul, w, cols)) for w in weights}
+    # 2^F + d . w in the field of every d
+    paired = {w: (half - g) & low for w, g in step.items()}
+    starts, masks, bound = [], [], None
+    for terms, ws in rows:
+        products = [(sum(map(mul, e, cols)), coeff)
+                    for e, coeff in terms.items()]
+        # 2^F + the largest d . t, less the nonnegative d . w: the row's
+        # term of B(d), for every d
+        row = None
+        for g, _ in products:
+            y = (half - g) & low
+            row = y if row is None else _swar_max(row, y, guard, F + 1)
+        cut = half
+        for w in ws:
+            y = paired[w]
+            nonneg = y & half
+            cut &= y
+            # the nonnegative pairings, the others masked to 0
+            row -= y & nonneg - (nonneg >> F)
+        bound = row if bound is None else _swar_max(bound, row, guard, F + 1)
+        starts.append(products)
+        masks.append((cut, half ^ cut))
+    return F, W, starts, step, bound, masks
+
+
+def _swar_max(a, b, guard, shift):
+    """The fieldwise max of two packed ints whose fields all lie in
+    [0, 2^shift), guard having bit shift of each field set: each field of
+    (a | guard) - b stays positive, so no borrow crosses a field, and it
+    keeps its guard bit exactly where a's field is at least b's."""
+    ge = ((a | guard) - b) & guard
+    return b ^ ((a ^ b) & (ge - (ge >> shift)))
 
 
 def support_bound(f: KClass, eta) -> int | None:
@@ -258,45 +385,19 @@ def support_bound(f: KClass, eta) -> int | None:
     the expansion polarized by -eta, which sums to the same character;
     for any eta it is the limit of that bound at eta + xi/N, N -> infinity,
     xi generic.
+
+    character_expand computes the same bound from the polarized weights
+    and the shifted values x^prefix * f_v: turning out-weights u into w,
+    with the turned ones summing to prefix, sum_u max(eta . u, 0) =
+    sum_w max(eta . w, 0) - eta . prefix, and the shift by prefix adds
+    eta . prefix to every term's pairing.
     """
-    rows = _bound_rows(f)
-    return _cut_table([tuple(eta)], rows)[0][1] if rows else None
-
-
-def _bound_rows(f: KClass) -> list:
-    """(terms of f_v, out-weights at v in edge order) for every vertex with
-    f_v != 0."""
+    eta = tuple(eta)
     action = f.action
-    return [(f[v].terms, action.out_weights(v))
-            for v in action.vertices if f[v].terms]
-
-
-def _cut_table(directions, rows) -> list:
-    """(d, B(d), pairings) for each direction d, where pairings[r] lists
-    d . u for the weights u of rows[r].
-
-    character_expand passes xi first and then the dual-cone rays of its
-    live vertices, support_bound one direction.  B(d) bounds the whole
-    character for any d, so a ray of one vertex bounds the terms of every
-    other: as a cut where it pairs nonnegatively with all of that vertex's
-    weights, as a filter elsewhere.
-
-    Rows may hold f_v with the out-weights at v (_bound_rows), or
-    x^prefix * f_v with the weights of a polarization (character_expand):
-    B(d) is the same.  Turning out-weights u into w, with the turned ones
-    summing to prefix, sum_u max(d . u, 0) = sum_w max(d . w, 0) - d . prefix,
-    and the shift by prefix adds d . prefix to every term's pairing.
-    """
-    weights = {u for _, outs in rows for u in outs}
-    table = []
-    for d in directions:
-        paired = {u: dot(u, d) for u in weights}
-        pairs = [[paired[u] for u in outs] for _, outs in rows]
-        bound = max(max(dot(mu, d) for mu in terms)
-                    - sum(p for p in ps if p > 0)
-                    for (terms, _), ps in zip(rows, pairs))
-        table.append((d, bound, pairs))
-    return table
+    bounds = [max(dot(mu, eta) for mu in f[v].terms)
+              - sum(max(dot(u, eta), 0) for u in action.out_weights(v))
+              for v in action.vertices if f[v].terms]
+    return max(bounds, default=None)
 
 
 def localization_terms(f: KClass) -> dict:

@@ -9,11 +9,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .lattice import complete_to_basis, det, dot, primitive_part, vneg, \
+from .lattice import complete_to_basis, det, dot, primitive_part, \
     weight_from_basis, weight_in_basis
 from .laurent import LaurentPoly, NotDivisible, RationalChar, \
     congruent_mod_edge, divide_exact, eval_numeric, poly_sum
-from .graphs import KClass
 from .characters import character_expand, character_oracle, hull_report, \
     localization_terms, multiplicity, polarize
 from .residues import fiber_average_numeric, res_T

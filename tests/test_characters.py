@@ -944,6 +944,112 @@ def test_restricted_expansion_matches_oracle_within_answer_size_budget(case):
     assert got.poly == want
 
 
+# --- the packed keys of character_expand at the limits of their fields ------
+
+
+@st.composite
+def wide_field_cases(draw):
+    """A class and a generic direction drawn to stretch the fields of
+    character_expand's packed keys: the class translated by up to 10^6 in
+    each entry, and a direction with entries up to 10^6.  The graphs are a
+    point (d = 0), cp1 in a 2-torus (d < n), the standard and flag
+    fixtures, and random restrictions of them to a 2-torus (d > n)."""
+    standard, flags = _standard_and_flag_fixtures()
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["point", "cp1", "standard", "flag",
+                                 "restricted"]))
+    if kind == "point":
+        action = validate_action(2, ["p"], [])
+        value = {(rng.randint(-3, 3), rng.randint(-3, 3)): rng.choice([-2, 1])
+                 for _ in range(3)}
+        f = KClass(action, {"p": LaurentPoly(2, value)})
+    else:
+        if kind == "cp1":
+            action, sym = gen_cp1_in_plane()
+        else:
+            pool = {"standard": standard, "flag": flags}.get(
+                kind, {**standard, **flags})
+            action, sym = pool[draw(st.sampled_from(sorted(pool)))]
+            if kind == "restricted":
+                _, action, sym = random_restriction(action, sym, rng)
+        mixed = kind != "flag" and draw(st.booleans())
+        f = random_class(action, sym, rng) if mixed else sym.base
+    shift = draw(st.tuples(*[st.integers(-10**6, 10**6)] * action.n))
+    f = KClass(action, {v: f[v].shift(shift) for v in action.vertices})
+    bound = draw(st.sampled_from([3, 10**6]))
+    return f, random_generic_xi(action, rng, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_field_cases(), st.data())
+def test_packed_expansion_at_the_limits_of_its_fields(case, data):
+    # the levels lie in the support, just around it, and 10^9 away from
+    # it or from the origin, so that |level| alone sets the fields' width
+    f, xi = case
+    want = character_oracle(f)
+    levels = sorted({dot(mu, xi) for mu in want.terms}) or [0]
+    level = data.draw(st.sampled_from([
+        None, st.sampled_from(levels),
+        st.integers(levels[0] - 3, levels[-1] + 3),
+        st.sampled_from([levels[0] - 10**9, -10**9]),
+        st.sampled_from([levels[-1] + 10**9, 10**9])]))
+    if level is not None:
+        level = data.draw(level)
+    got = character_expand(f, polarize(f.action, xi), level=level).poly
+    if level is not None:
+        want = want.filter_terms(lambda e: dot(e, xi) == level)
+    assert got == want
+
+
+@pytest.mark.parametrize("graph", ["cp1", "projective line"])
+def test_levels_far_below_the_support_on_one_weight_per_vertex(graph):
+    # one weight per vertex: only xi and one ray cut.  The class is small
+    # and barely moved, so |level| alone sets the fields' width: a key
+    # whose xi field did not fit would often pass both cuts by chance
+    action, sym = gen_cp1_in_plane() if graph == "cp1" else gen_projective(1)
+    rng = random.Random(graph)
+    for _ in range(40):
+        xi = random_generic_xi(action, rng, 3)
+        shift = tuple(rng.randint(-3, 3) for _ in range(action.n))
+        f = KClass(action, {v: sym.base[v].shift(shift)
+                            for v in action.vertices})
+        want = character_oracle(f)
+        pol = polarize(action, xi)
+        low = min(dot(mu, xi) for mu in want.terms)
+        for level in (low - 10**9, low - 10**4, -10**9):
+            got = character_expand(f, pol, level=level).poly
+            assert got == want.filter_terms(lambda e: dot(e, xi) == level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_bounds_and_cuts_equal_the_plain_ones(data):
+    # the SWAR max and the masked sums of character_expand's set-up give
+    # support_bound for xi and every ray, and the AND of a vertex's weights
+    # marks exactly the directions that pair nonnegatively with all of them
+    standard, flags = _standard_and_flag_fixtures()
+    pool = {**standard, **flags}
+    action, sym = pool[data.draw(st.sampled_from(sorted(pool)))]
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    f = random_class(action, sym, rng)
+    xi = random_generic_xi(action, rng,
+                           bound=data.draw(st.sampled_from([5, 10**4])))
+    pol = polarize(action, xi)
+    rows = [(f[v].shift(pol.prefix[v]).terms, pol.weights[v])
+            for v in action.vertices if f[v].terms]
+    assume(rows)
+    dirs = characters._cut_directions(action, xi, rows)
+    F, W, _, _, bound, masks = characters._pack(rows, dirs, 0, 1)
+    fields = range(0, W * len(dirs), W)
+    assert [(bound >> s & (1 << W) - 1) - (1 << F) for s in fields] == \
+        [support_bound(f, d) for d in dirs]
+    for (_, ws), (cut, rest) in zip(rows, masks):
+        assert [cut >> s + F & 1 for s in fields] == \
+            [int(all(dot(d, w) >= 0 for w in ws)) for d in dirs]
+        assert [rest >> s + F & 1 for s in fields] == \
+            [int(any(dot(d, w) < 0 for w in ws)) for d in dirs]
+
+
 def test_oracle_rejects_a_corrupted_class():
     action, sym = gen_projective(2)
     values = dict(sym.base.values)
