@@ -6,7 +6,8 @@ reducing before or after quantizing gives the same answer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import complete_to_basis, dot, is_primitive, NotPrimitive
@@ -41,12 +42,34 @@ class ZeroNotRegular(ValueError):
 
 @dataclass(frozen=True)
 class MomentMap:
+    """A vertex function phi increasing along the xi-positive orientation.
+
+    The vertices are sorted by their values once, so a level finds the
+    vertices above and below it by one bisection.  The vertex residues
+    that reduced characters and wall crossings take on this map are kept
+    per class, so a sweep over its chambers and walls takes each vertex's
+    residue at most once for each class; they live as long as the map.
+    """
+
     action: GkmAction
     xi: tuple
     phi: dict               # vertex -> Fraction
+    # the vertices in increasing phi, and their values in the same order
+    _order: tuple = field(init=False, compare=False, repr=False)
+    _levels: tuple = field(init=False, compare=False, repr=False)
+    # id(f) -> (f, {vertex: residue}), filled by _chambers; holding f keeps
+    # its id from being reused while the map lives
+    _residues: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        order = tuple(sorted(self.action.vertices, key=self.phi.__getitem__))
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_levels",
+                           tuple(self.phi[v] for v in order))
+        object.__setattr__(self, "_residues", {})
 
     def critical_values(self):
-        return sorted(self.phi.values())
+        return list(self._levels)
 
 
 def moment_map(action: GkmAction, xi, phi=None) -> MomentMap:
@@ -58,7 +81,8 @@ def moment_map(action: GkmAction, xi, phi=None) -> MomentMap:
     raises the same NotGeneric.  Without explicit values, vertices get
     their longest-path rank in the oriented graph, perturbed by the vertex
     index to make all values distinct.  Explicit values are validated
-    against the same monotonicity condition.
+    against the same monotonicity condition, after a check that they name
+    every vertex and no other.
     """
     xi = tuple(xi)
     pairs = _edge_pairings(action, xi)
@@ -76,6 +100,12 @@ def moment_map(action: GkmAction, xi, phi=None) -> MomentMap:
         phi = {v: Fraction(rank[v]) + Fraction(i, 2 * nv)
                for i, v in enumerate(action.vertices)}
     else:
+        missing = next((v for v in action.vertices if v not in phi), None)
+        if missing is not None:
+            raise ValueError(f"phi has no value at vertex {missing}")
+        unknown = next((v for v in phi if v not in succ), None)
+        if unknown is not None:
+            raise ValueError(f"phi has a value at unknown vertex {unknown}")
         phi = {v: Fraction(x) for v, x in phi.items()}
     mm = MomentMap(action=action, xi=xi, phi=phi)
     _validate_moment(mm, pairs)
@@ -112,10 +142,13 @@ def _toposort(vertices, succ):
 
 
 def _validate_moment(mm: MomentMap, pairs):
-    if len(set(mm.phi.values())) != len(mm.phi):
+    levels = mm._levels
+    if any(a == b for a, b in zip(levels, levels[1:])):
         raise ValueError("critical values are not distinct")
+    # with distinct values, the rank order is the order of phi
+    rank = {v: i for i, v in enumerate(mm._order)}
     for e in mm.action.edges:
-        if (mm.phi[e.dst] > mm.phi[e.src]) != (pairs[e.eid] > 0):
+        if (rank[e.dst] > rank[e.src]) != (pairs[e.eid] > 0):
             raise ValueError(
                 f"phi does not increase along edge {e.src}->{e.dst}")
 
@@ -133,9 +166,10 @@ def symplectic_moment_map(sym: SymplecticClass, xi) -> MomentMap:
 
 
 def _require_regular(mm: MomentMap, c: Fraction):
-    bad = next((v for v, x in mm.phi.items() if x == c), None)
-    if bad is not None:
-        raise NotRegular(f"level {c} hits the critical value at {bad}")
+    i = bisect_left(mm._levels, c)
+    if i < len(mm._levels) and mm._levels[i] == c:
+        raise NotRegular(
+            f"level {c} hits the critical value at {mm._order[i]}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +191,9 @@ def vertex_residues(f: KClass, xi, vertices) -> dict:
 
 
 def _chambers(f: KClass, mm: MomentMap, lo, hi):
-    """The vertex residues of the cheaper side of the levels lo <= hi, and
-    the reduced character of every regular level in [lo, hi] read off them.
+    """The vertex residues of f on mm, covering the cheaper side of the
+    levels lo <= hi, and the reduced character of every regular level in
+    [lo, hi] read off that side.
 
     The localized character sum_v f_v / prod(1 - x^w) of a compatible
     class is a Laurent polynomial, so the residues of all its vertices sum
@@ -166,25 +201,33 @@ def _chambers(f: KClass, mm: MomentMap, lo, hi):
     residues above c and minus the sum of those below c.  The smaller of
     the sets above lo and below hi is taken, the set above on a tie: every
     level in [lo, hi] reads its side off it, and an outer chamber costs
-    nothing.  f must be compatible (every constructor in the package makes
-    a compatible class): otherwise the two sides differ and the answer
-    depends on which one is taken.
+    nothing.  Only the vertices of that side whose residues mm does not
+    yet hold for f are passed to vertex_residues, and the returned dict is
+    mm's memo for f, which may hold more vertices than the side.  f must
+    be compatible (every constructor in the package makes a compatible
+    class): otherwise the two sides differ and the answer depends on which
+    one is taken.
     """
-    phi, n = mm.phi, f.action.n
-    above = [v for v in f.action.vertices if phi[v] > lo]
-    below = [v for v in f.action.vertices if phi[v] < hi]
-    if len(above) <= len(below):
-        residues = vertex_residues(f, mm.xi, above)
+    order, levels, n = mm._order, mm._levels, f.action.n
+    above = order[bisect_right(levels, lo):]
+    below = order[:bisect_left(levels, hi)]
+    from_above = len(above) <= len(below)
+    _, residues = mm._residues.setdefault(id(f), (f, {}))
+    residues.update(vertex_residues(
+        f, mm.xi, [v for v in (above if from_above else below)
+                   if v not in residues]))
+    # c is regular, so bisect_left and bisect_right agree on it
+    if from_above:
         return residues, lambda c: poly_sum(
-            n, (r for v, r in residues.items() if phi[v] > c))
-    residues = vertex_residues(f, mm.xi, below)
+            n, (residues[v] for v in order[bisect_right(levels, c):]))
     return residues, lambda c: -poly_sum(
-        n, (r for v, r in residues.items() if phi[v] < c))
+        n, (residues[v] for v in order[:bisect_left(levels, c)]))
 
 
 def chi_reduced(f: KClass, mm: MomentMap, c) -> ReducedCharacter:
     """The reduced character at the regular level c, taken from the side
-    of c with fewer vertices (see _chambers).  f must be compatible."""
+    of c with fewer vertices (see _chambers), whose residues mm computes
+    for f only once.  f must be compatible."""
     c = Fraction(c)
     _require_regular(mm, c)
     _, chi = _chambers(f, mm, c, c)
@@ -212,14 +255,17 @@ def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
     With c < c' and p the one vertex between them, both chambers and p's
     residue are read off one set of residues (see _chambers): those of
     the vertices above c, or of those below c', whichever set is smaller;
-    both sets contain p.  delta is chi_c - chi_c'.  Exactly one critical
+    both sets contain p.  They come from the residues mm keeps for f, so
+    delta and residue share memo entries with every other chamber and
+    wall taken on mm.  delta is chi_c - chi_c'.  Exactly one critical
     value must lie between the levels (WrongWallCount, checked first), and
     both levels must be regular (NotRegular).
     """
     c, cp = Fraction(c), Fraction(cp)
     if c > cp:
         c, cp = cp, c
-    between = [v for v in f.action.vertices if c < mm.phi[v] < cp]
+    between = mm._order[bisect_right(mm._levels, c):
+                        bisect_left(mm._levels, cp)]
     if len(between) != 1:
         raise WrongWallCount(
             f"{len(between)} critical values in ({c}, {cp}), expected 1")

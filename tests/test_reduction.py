@@ -48,6 +48,21 @@ def test_moment_map_rejects_nonmonotone_values(cp1):
         moment_map(action, (1, 0), phi={"p": 1, "q": -1})
 
 
+def test_moment_map_rejects_explicit_values_missing_a_vertex():
+    action, _ = gen_projective(2)
+    with pytest.raises(ValueError) as exc:
+        moment_map(action, (2, 1), phi={"P0": 0, "P1": 1})
+    assert str(exc.value) == "phi has no value at vertex P2"
+
+
+def test_moment_map_rejects_explicit_values_at_unknown_vertices():
+    action, _ = gen_projective(2)
+    with pytest.raises(ValueError) as exc:
+        moment_map(action, (2, 1),
+                   phi={"P0": 0, "P1": 2, "P2": 1, "Z": 3})
+    assert str(exc.value) == "phi has a value at unknown vertex Z"
+
+
 def test_moment_map_cycle():
     # a graph that validates, but whose edges 0->1->2->3->0 all pair
     # positively with (4, 3): the orientation has a directed cycle, so no
@@ -149,10 +164,12 @@ def test_telescoping(rng):
 
 
 def test_each_level_pays_for_its_smaller_side(fixtures, rng, monkeypatch):
-    """A chamber takes the residues of the vertices on the side of its
-    level with fewer of them, a wall crossing those of the smaller of the
-    sets above the lower level and below the upper one, each set in one
-    basis; an outer chamber takes no residue and builds no basis."""
+    """On a fresh moment map, a chamber takes the residues of the vertices
+    on the side of its level with fewer of them, a wall crossing those of
+    the smaller of the sets above the lower level and below the upper one,
+    each set in one basis; an outer chamber takes no residue and builds no
+    basis.  A full sweep on one moment map, all chambers then all walls or
+    the reverse, takes each vertex's residue at most once."""
     calls = {"res_T": 0, "complete_to_basis": 0}
 
     def counted(name):
@@ -166,6 +183,15 @@ def test_each_level_pays_for_its_smaller_side(fixtures, rng, monkeypatch):
     for name in calls:
         monkeypatch.setattr(reduction, name, counted(name))
 
+    taken = []
+    residues_of = reduction.vertex_residues
+
+    def recorded(f, xi, vertices):
+        taken.extend(vertices)
+        return residues_of(f, xi, vertices)
+
+    monkeypatch.setattr(reduction, "vertex_residues", recorded)
+
     def cost():
         got = dict(calls)
         calls.update(dict.fromkeys(calls, 0))
@@ -173,25 +199,40 @@ def test_each_level_pays_for_its_smaller_side(fixtures, rng, monkeypatch):
 
     for name, (action, sym) in fixtures.items():
         f = random_class(action, sym, rng)
-        mm = moment_map(action, random_generic_xi(action, rng))
+        xi = random_generic_xi(action, rng)
+
+        def fresh():
+            return moment_map(action, xi)
+
+        phi = fresh().phi
 
         def count(keep):
-            return sum(1 for x in mm.phi.values() if keep(x))
+            return sum(1 for x in phi.values() if keep(x))
 
-        levels = _chamber_levels(mm)
+        levels = _chamber_levels(fresh())
         for c in levels:
-            chi_reduced(f, mm, c)
+            chi_reduced(f, fresh(), c)
             k = min(count(lambda x: x > c), count(lambda x: x < c))
             assert cost() == {"res_T": k, "complete_to_basis": int(k > 0)}, \
                 (name, c)
         for outer in (levels[0], levels[-1]):
-            chi_reduced(f, mm, outer)
+            chi_reduced(f, fresh(), outer)
             assert cost() == {"res_T": 0, "complete_to_basis": 0}, name
         for lo, hi in zip(levels, levels[1:]):
-            wall_crossing_check(f, mm, lo, hi)
+            wall_crossing_check(f, fresh(), lo, hi)
             k = min(count(lambda x: x > lo), count(lambda x: x < hi))
             assert cost() == {"res_T": k, "complete_to_basis": 1}, \
                 (name, lo, hi)
+
+        sweep = [(chi_reduced, (c,)) for c in levels] + \
+            [(wall_crossing_check, pair) for pair in zip(levels, levels[1:])]
+        for calls_in_order in (sweep, sweep[::-1]):
+            mm = fresh()
+            taken.clear()
+            for call, args in calls_in_order:
+                call(f, mm, *args)
+            assert len(taken) == len(set(taken)), name
+            assert cost()["res_T"] == len(taken), name
 
 
 def test_vertex_residues_match_res_T_on_any_subset(fixtures, rng,
@@ -257,6 +298,47 @@ def test_vertex_residues_sum_to_zero_on_either_side(fixtures, data):
         res = wall_crossing_check(f, mm, lo, hi)
         assert res.delta == above(lo) - above(hi), (name, lo, hi)
         assert res.residue == residue[res.vertex], (name, lo, hi)
+
+
+@pytest.fixture(scope="module")
+def all_fixtures(fixtures):
+    return {**fixtures, **flag_fixtures()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_shared_moment_map_answers_as_a_fresh_one(all_fixtures, data):
+    """Chambers and walls of two classes, a random one and a mixed one,
+    called on one moment map in an interleaved order, read what the same
+    calls read on freshly built moment maps: the residues a map keeps for
+    one class never answer for another."""
+    name = data.draw(st.sampled_from(sorted(all_fixtures)))
+    action, sym = all_fixtures[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    classes = {"random": random_class(action, sym, rng),
+               "mixed": random_class(action, sym, rng) +
+               random_symplectic(action, sym, rng).base *
+               random_ring_element(action.n, rng)}
+    xi = random_generic_xi(action, rng)
+    mm = moment_map(action, xi)
+    levels = _chamber_levels(mm)
+
+    def call(kclass, mm, wall, i):
+        if wall:
+            res = wall_crossing_check(kclass, mm, levels[i], levels[i + 1])
+            return res.vertex, res.delta, res.residue, res.ok
+        return chi_reduced(kclass, mm, levels[i]).value
+
+    kinds = [(False, i) for i in range(len(levels))] + \
+        [(True, i) for i in range(len(levels) - 1)]
+    calls = data.draw(st.lists(
+        st.tuples(st.sampled_from(sorted(classes)), st.sampled_from(kinds)),
+        min_size=2, max_size=5))
+    for which, (wall, i) in calls:
+        kclass = classes[which]
+        assert call(kclass, mm, wall, i) == \
+            call(kclass, moment_map(action, xi), wall, i), \
+            (name, which, wall, i)
 
 
 def test_wall_crossing_rejects_critical_levels():
