@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .lattice import dot, dual_cone_rays, primitive_part, vadd, vneg, \
     vscale, vsub
-from .laurent import LaurentPoly, congruent_mod_edge, reduce_mod_weight
+from .laurent import LaurentPoly, congruent_mod_edge
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ class Edge:
 
 @dataclass(frozen=True)
 class GkmAction:
-    """A validated d-valent graph labeled by weights in Z^n."""
+    """A validated d-valent graph labeled by weights in Z^n.  Oriented edge
+    2i + 1 is edge 2i reversed and carries minus its weight."""
 
     n: int
-    d: int
     vertices: tuple
     edges: tuple            # tuple of Edge
     axial: dict             # eid -> weight tuple
@@ -68,6 +68,11 @@ class GkmAction:
         object.__setattr__(self, "out_index",
                            {v: tuple(es) for v, es in index.items()})
         object.__setattr__(self, "_rays", {})
+
+    @property
+    def d(self) -> int:
+        """The valence, read off the edges: regular once validated."""
+        return len(self.out_index[self.vertices[0]])
 
     def edge(self, eid) -> Edge:
         return self.edges[eid]
@@ -93,80 +98,83 @@ class GkmAction:
         return [e for e in self.edges if e.eid < e.bar]
 
 
-def action_violations(n, vertices, edge_pairs):
-    """Check the labeling axioms on raw data; return a list of Violations.
+def _build_action(n, vertices, edge_pairs):
+    """(action, []) when the raw data satisfy the labeling axioms, else
+    (None, the violations of the first stage that fails).
 
-    edge_pairs is a list of (src, dst, alpha_fwd, alpha_rev); alpha_rev may
-    be None, meaning -alpha_fwd.
+    The stages, in order: the vertex list, each (src, dst, alpha) pair,
+    valence, pairwise independence (GKM) and compatibility.  The last
+    three read the out_index of the action the pairs built.  Pair i
+    becomes oriented edges 2i and 2i + 1, both labeled "edge#i src->dst".
     """
     if not vertices:
-        return [Violation("E_VERTEX", "vertices", "empty vertex set")]
+        return None, [Violation("E_VERTEX", "vertices", "empty vertex set")]
+    vertices = tuple(vertices)
     vset = set(vertices)
     if len(vset) != len(vertices):
-        return [Violation("E_VERTEX", str(v), f"listed {k} times")
-                for v, k in Counter(vertices).items() if k > 1]
-    violations = []
-    out_count = {v: 0 for v in vertices}
-    out_w = {v: [] for v in vertices}
-    resolved = []
-    for idx, (src, dst, fwd, rev) in enumerate(edge_pairs):
-        label = f"edge#{idx} {src}->{dst}"
+        return None, [Violation("E_VERTEX", str(v), f"listed {k} times")
+                      for v, k in Counter(vertices).items() if k > 1]
+    violations, edges, axial, labels = [], [], {}, []
+    for idx, (src, dst, alpha) in enumerate(edge_pairs):
+        label, alpha = f"edge#{idx} {src}->{dst}", tuple(alpha)
         if src not in vset or dst not in vset:
             violations.append(Violation("E_INVOLUTION", label, "unknown vertex"))
-            continue
-        if src == dst:
+        elif src == dst:
             violations.append(Violation("E_INVOLUTION", label,
                                         "loop edge has no free involution"))
-            continue
-        fwd = tuple(fwd)
-        if len(fwd) != n:
+        elif len(alpha) != n:
             violations.append(Violation("E_ORIENT", label,
-                                        f"weight length {len(fwd)} != {n}"))
-            continue
-        rev = vneg(fwd) if rev is None else tuple(rev)
-        if rev != vneg(fwd):
-            violations.append(Violation(
-                "E_ORIENT", label,
-                "reversed-edge weight is not minus the forward weight"))
-            continue
-        resolved.append((src, dst, fwd, rev, label))
-        out_count[src] += 1
-        out_count[dst] += 1
-        out_w[src].append((fwd, label))
-        out_w[dst].append((rev, label))
+                                        f"weight length {len(alpha)} != {n}"))
+        else:
+            a = len(edges)
+            edges += (Edge(a, src, dst, a + 1), Edge(a + 1, dst, src, a))
+            axial[a], axial[a + 1] = alpha, vneg(alpha)
+            labels += (label, label)
     if violations:
-        return violations
+        return None, violations
+    action = GkmAction(n=n, vertices=vertices, edges=tuple(edges), axial=axial)
+    out = action.out_index
 
-    counts = set(out_count.values())
-    if len(counts) != 1:
-        for v, c in out_count.items():
-            violations.append(Violation("E_VALENCE", str(v),
-                                        f"valence {c}, graph is not regular"))
-        return violations
+    if len({len(es) for es in out.values()}) != 1:
+        return None, [Violation("E_VALENCE", str(v),
+                                f"valence {len(es)}, graph is not regular")
+                      for v, es in out.items()]
 
-    for v in vertices:
-        ws = out_w[v]
-        for i in range(len(ws)):
-            if all(x == 0 for x in ws[i][0]):
+    for v, es in out.items():
+        for i, e in enumerate(es):
+            w = axial[e.eid]
+            if not any(w):
                 violations.append(Violation("E_GKM", str(v),
-                                            f"zero weight on {ws[i][1]}"))
+                                            f"zero weight on {labels[e.eid]}"))
                 continue
-            for j in range(i + 1, len(ws)):
-                if _proportional(ws[i][0], ws[j][0]):
+            for f in es[i + 1:]:
+                if _proportional(w, axial[f.eid]):
                     violations.append(Violation(
-                        "E_GKM", str(v),
-                        f"proportional weights on {ws[i][1]} and {ws[j][1]}"))
+                        "E_GKM", str(v), f"proportional weights on "
+                        f"{labels[e.eid]} and {labels[f.eid]}"))
     if violations:
-        return violations
+        return None, violations
 
-    # independence-condition compatibility across each edge: the weight
-    # multisets at the two endpoints must agree modulo Z*alpha_e
-    for src, dst, fwd, rev, label in resolved:
-        if not _compat_across(out_w[src], out_w[dst], fwd):
-            violations.append(Violation(
-                "E_COMPAT", label,
-                "endpoint weight multisets differ modulo the edge weight"))
-    return violations
+    # compatibility across each edge: the weight multisets at the two
+    # endpoints agree modulo Z*alpha, i.e. their tangent weights
+    # sum_w x^w are congruent modulo 1 - x^alpha
+    tangent = {v: LaurentPoly(n, Counter(axial[e.eid] for e in es))
+               for v, es in out.items()}
+    violations = [Violation("E_COMPAT", labels[e.eid], "endpoint weight "
+                            "multisets differ modulo the edge weight")
+                  for e in edges[::2]
+                  if not congruent_mod_edge(tangent[e.src], tangent[e.dst],
+                                            axial[e.eid])]
+    return (None, violations) if violations else (action, [])
+
+
+def action_violations(n, vertices, edge_pairs):
+    """The violations of the labeling axioms on raw data, [] if none.
+
+    edge_pairs is a list of (src, dst, alpha): the edge src -> dst
+    carries alpha and its reverse dst -> src carries -alpha.
+    """
+    return _build_action(n, vertices, edge_pairs)[1]
 
 
 def _proportional(a, b):
@@ -178,39 +186,14 @@ def _proportional(a, b):
     return True
 
 
-def _compat_across(ws_p, ws_q, gamma):
-    gg = dot(gamma, gamma)
-    def residues(ws):
-        out = {}
-        for w, _ in ws:
-            r = reduce_mod_weight(w, gamma, gg)
-            out[r] = out.get(r, 0) + 1
-        return out
-    return residues(ws_p) == residues(ws_q)
-
-
 def validate_action(n, vertices, edge_pairs) -> GkmAction:
-    """Build a GkmAction from raw data, raising ValidationError on failure.
-
-    edge_pairs as in action_violations.  Each pair contributes two oriented
-    edges related by the bar involution.
-    """
-    violations = action_violations(n, vertices, edge_pairs)
+    """Build a GkmAction from (src, dst, alpha) pairs as in
+    action_violations, raising ValidationError on failure.  Pair i becomes
+    oriented edges 2i and 2i + 1, swapped by the bar involution."""
+    action, violations = _build_action(n, vertices, edge_pairs)
     if violations:
         raise ValidationError(violations)
-    edges = []
-    axial = {}
-    for src, dst, fwd, rev in ((s, d, tuple(f), r) for s, d, f, r in edge_pairs):
-        rev = vneg(fwd) if rev is None else tuple(rev)
-        a = len(edges)
-        edges.append(Edge(a, src, dst, a + 1))
-        edges.append(Edge(a + 1, dst, src, a))
-        axial[a] = fwd
-        axial[a + 1] = rev
-    vertices = tuple(vertices)
-    d = sum(1 for e in edges if e.src == vertices[0])
-    return GkmAction(n=n, d=d, vertices=vertices,
-                     edges=tuple(edges), axial=axial)
+    return action
 
 
 @dataclass(frozen=True)
@@ -246,12 +229,7 @@ def class_violations(action: GkmAction, values) -> list:
     """Why values is not a class on action: a vertex without a value or a
     value on a vertex the graph does not have, else every edge whose
     endpoint values are not congruent modulo its weight."""
-    out = [Violation("E_COMPAT", str(v), "missing value")
-           for v in action.vertices if v not in values]
-    if len(values) > len(action.vertices) - len(out):
-        vset = set(action.vertices)
-        out += [Violation("E_COMPAT", str(v), "unknown vertex")
-                for v in values if v not in vset]
+    out = _key_violations(action, values)
     if out:
         return out
     for e in action.geometric_edges():
@@ -260,6 +238,18 @@ def class_violations(action: GkmAction, values) -> list:
             out.append(Violation(
                 "E_COMPAT", f"edge {e.src}->{e.dst}",
                 "vertex values are not congruent modulo the edge weight"))
+    return out
+
+
+def _key_violations(action: GkmAction, values) -> list:
+    """Each vertex of action without a value, and each value on a vertex
+    that action does not have."""
+    out = [Violation("E_COMPAT", str(v), "missing value")
+           for v in action.vertices if v not in values]
+    if len(values) > len(action.vertices) - len(out):
+        vset = set(action.vertices)
+        out += [Violation("E_COMPAT", str(v), "unknown vertex")
+                for v in values if v not in vset]
     return out
 
 
@@ -291,8 +281,17 @@ class SymplecticClass:
 
 
 def symplectic_class(action: GkmAction, alphas) -> SymplecticClass:
-    """Check alpha_{t(e)} - alpha_{i(e)} = m_e * alpha_e with m_e > 0."""
-    violations = []
+    """The class x^alpha_p, once every vertex has one alpha of length n and
+    alpha_{t(e)} - alpha_{i(e)} = m_e * alpha_e with m_e > 0 on every
+    oriented edge e; else ValidationError with stage "class".  The class
+    is then compatible: x^(alpha + m*w) - x^alpha is divisible by 1 - x^w.
+    """
+    violations = _key_violations(action, alphas) or [
+        Violation("E_SCHEMA", str(v), f"weight length {len(a)} != {action.n}")
+        for v, a in alphas.items() if len(a) != action.n]
+    if violations:
+        raise ValidationError(violations, stage="class")
+    alphas = {v: tuple(a) for v, a in alphas.items()}
     m = {}
     for e in action.edges:
         diff = vsub(alphas[e.dst], alphas[e.src])
@@ -309,12 +308,7 @@ def symplectic_class(action: GkmAction, alphas) -> SymplecticClass:
             m[e.eid] = me
     if violations:
         raise ValidationError(violations, stage="class")
-    sym = SymplecticClass(action, {v: tuple(a) for v, a in alphas.items()}, m)
-    # a symplectic class is in particular a valid class
-    bad = class_violations(action, sym.base.values)
-    if bad:
-        raise ValidationError(bad, stage="class")
-    return sym
+    return SymplecticClass(action, alphas, m)
 
 
 def _integer_multiple(diff, w):
@@ -343,11 +337,8 @@ def gen_projective(n: int):
     eps = [(0,) * n] + [tuple(int(i == k) for i in range(n))
                         for k in range(n)]
     vertices = [f"P{i}" for i in range(n + 1)]
-    pairs = []
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            pairs.append((vertices[i], vertices[j],
-                          vsub(eps[j], eps[i]), None))
+    pairs = [(vertices[i], vertices[j], vsub(eps[j], eps[i]))
+             for i, j in combinations(range(n + 1), 2)]
     action = validate_action(n, vertices, pairs)
     sym = symplectic_class(action, {vertices[k]: eps[k]
                                     for k in range(n + 1)})
@@ -359,7 +350,7 @@ def gen_cp1_in_plane():
 
     Default symplectic class alpha_p = (-1,0), alpha_q = (1,0).
     """
-    action = validate_action(2, ["p", "q"], [("p", "q", (1, 0), None)])
+    action = validate_action(2, ["p", "q"], [("p", "q", (1, 0))])
     sym = symplectic_class(action, {"p": (-1, 0), "q": (1, 0)})
     return action, sym
 
@@ -383,7 +374,7 @@ def gen_hirzebruch(k: int, a: int = 1, b: int = 1):
     pairs = []
     for u, v in sides:
         w, _ = primitive_part(vsub(corners[v], corners[u]))
-        pairs.append((u, v, w, None))
+        pairs.append((u, v, w))
     action = validate_action(2, list(corners), pairs)
     sym = symplectic_class(action, corners)
     return action, sym
@@ -398,11 +389,11 @@ def gen_product(a1: GkmAction, sym1: SymplecticClass,
     for e in a1.geometric_edges():
         w = a1.axial[e.eid] + (0,) * a2.n
         for v in a2.vertices:
-            pairs.append((f"{e.src}|{v}", f"{e.dst}|{v}", w, None))
+            pairs.append((f"{e.src}|{v}", f"{e.dst}|{v}", w))
     for e in a2.geometric_edges():
         w = (0,) * a1.n + a2.axial[e.eid]
         for u in a1.vertices:
-            pairs.append((f"{u}|{e.src}", f"{u}|{e.dst}", w, None))
+            pairs.append((f"{u}|{e.src}", f"{u}|{e.dst}", w))
     action = validate_action(n, vertices, pairs)
     alphas = {f"{u}|{v}": sym1.alphas[u] + sym2.alphas[v]
               for u in a1.vertices for v in a2.vertices}
@@ -460,7 +451,7 @@ def gen_weyl_orbit(roots, lam):
                 edges.append((mu, nu, vscale(b, -1 if c > 0 else 1)))
     name = {mu: ",".join(map(str, mu)) for mu in orbit}
     action = validate_action(len(lam), list(name.values()),
-                             [(name[p], name[q], w, None) for p, q, w in edges])
+                             [(name[p], name[q], w) for p, q, w in edges])
     return action, symplectic_class(action, {name[mu]: mu for mu in orbit})
 
 
@@ -481,7 +472,7 @@ def restrict(action: GkmAction, sym: SymplecticClass, P):
     def image(w):
         return tuple(dot(row, w) for row in P)
 
-    pairs = [(e.src, e.dst, image(action.axial[e.eid]), None)
+    pairs = [(e.src, e.dst, image(action.axial[e.eid]))
              for e in action.geometric_edges()]
     restricted = validate_action(len(P), action.vertices, pairs)
     return restricted, symplectic_class(
@@ -514,7 +505,7 @@ def load_graph_data(doc):
     if violations:
         raise ValidationError(violations)
     n = doc["n"]
-    pairs = [(str(e["from"]), str(e["to"]), tuple(e["alpha"]), None)
+    pairs = [(str(e["from"]), str(e["to"]), e["alpha"])
              for e in doc.get("edges", [])]
     action = validate_action(n, [str(v) for v in doc["vertices"]], pairs)
     vset = set(action.vertices)
@@ -566,6 +557,8 @@ def _graph_schema_violations(doc):
         out.append(_schema("classes", "not a JSON object"))
     if type(doc["n"]) is not int:
         out.append(_schema("n", "n is not a JSON integer"))
+    elif doc["n"] < 1:
+        out.append(_schema("n", "n is not positive"))
     if out:
         return out
     for idx, e in enumerate(doc.get("edges", [])):

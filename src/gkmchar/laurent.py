@@ -362,19 +362,12 @@ def _divide_univariate(f: dict, a: int, limit: int) -> dict:
     return quotient
 
 
-def reduce_mod_weight(exp, gamma, gg=None):
-    """Canonical representative of exp modulo the rank-1 sublattice Z*gamma."""
-    if gg is None:
-        gg = dot(gamma, gamma)
-    t = dot(exp, gamma) // gg
-    return tuple(x - t * g for x, g in zip(exp, gamma))
-
-
 def congruent_mod_edge(p: LaurentPoly, q: LaurentPoly, gamma) -> bool:
     """True iff p - q lies in the ideal (1 - x^gamma).
 
-    Checked by collapsing exponents modulo Z*gamma and comparing the
-    resulting coefficient maps.
+    Checked by collapsing each exponent e to its representative
+    e - floor(e.gamma / gamma.gamma) * gamma modulo Z*gamma and comparing
+    the resulting coefficient maps.
     """
     gamma = tuple(gamma)
     gg = dot(gamma, gamma)
@@ -385,13 +378,10 @@ def congruent_mod_edge(p: LaurentPoly, q: LaurentPoly, gamma) -> bool:
     out: dict = {}
     for poly, sign in ((p, 1), (q, -1)):
         for e, c in poly.terms.items():
-            r = reduce_mod_weight(e, gamma, gg)
-            nc = out.get(r, 0) + sign * c
-            if nc:
-                out[r] = nc
-            else:
-                out.pop(r, None)
-    return not out
+            t = dot(e, gamma) // gg
+            r = tuple([x - t * g for x, g in zip(e, gamma)])
+            out[r] = out.get(r, 0) + sign * c
+    return not any(out.values())
 
 
 TWO_PI_I = 2j * cmath.pi

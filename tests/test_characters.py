@@ -548,7 +548,7 @@ def _point_class(points, directions):
     """A stand-in symplectic class for hull_report, which reads only the
     vertex weights and the edge weights of the action."""
     n = len(points[0])
-    action = GkmAction(n=n, d=0, vertices=tuple(range(len(points))),
+    action = GkmAction(n=n, vertices=tuple(range(len(points))),
                        edges=(), axial=dict(enumerate(directions)))
     return SymplecticClass(action, dict(enumerate(points)), {})
 
@@ -734,7 +734,7 @@ def test_type_c_with_primitive_weights_has_the_wrong_dimension():
     # dimension 35, where Weyl's formula gives 16
     roots = positive_roots("C", 2)
     action, sym = gen_weyl_orbit(roots, (2, 1))
-    pairs = [(e.src, e.dst, primitive_part(action.axial[e.eid])[0], None)
+    pairs = [(e.src, e.dst, primitive_part(action.axial[e.eid])[0])
              for e in action.geometric_edges()]
     primitive = validate_action(2, list(action.vertices), pairs)
     wrong = symplectic_class(primitive, sym.alphas)

@@ -319,6 +319,10 @@ def test_non_integer_numbers_are_violations(tmp_path, capsys, mutate, where):
 
 @pytest.mark.parametrize("mutate, line", [
     (lambda d: d.update(n="x"), "E_SCHEMA at n: n is not a JSON integer"),
+    # Z^0 has no primitive xi and no exponent has a negative length; these
+    # used to validate
+    (lambda d: d.update(n=0), "E_SCHEMA at n: n is not positive"),
+    (lambda d: d.update(n=-1), "E_SCHEMA at n: n is not positive"),
     (lambda d: d["edges"][0].update(alpha=[1, "a"]),
      "E_SCHEMA at edge#0: alpha is not a JSON integer"),
     # truncated to (1, 1), this weight used to fail the edge compatibility

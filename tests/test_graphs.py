@@ -5,6 +5,7 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmchar.laurent import LaurentPoly
 from gkmchar.graphs import (ValidationError, action_violations,
@@ -14,8 +15,14 @@ from gkmchar.graphs import (ValidationError, action_violations,
                             load_graph_data, load_graph_file, positive_roots,
                             restrict, symplectic_class, validate_action,
                             validate_class)
-from gkmchar.randomgen import (random_class, random_restriction,
+from gkmchar.randomgen import (flag_fixtures, random_class,
+                               random_restriction, random_symplectic,
                                standard_fixtures)
+
+
+@pytest.fixture(scope="module")
+def all_fixtures(fixtures):
+    return {**fixtures, **flag_fixtures()}
 
 
 def test_gen_projective_2_is_valid():
@@ -45,24 +52,25 @@ def test_out_index_lists_the_edges_of_a_scan():
                                              for e in scan]
 
 
-def test_orientation_axiom_violation():
-    # explicit reverse weight equal to the forward weight
-    v = action_violations(2, ["p", "q"], [("p", "q", (1, 0), (1, 0))])
-    assert any(x.code == "E_ORIENT" for x in v)
+def test_orientation_weight_length_violation():
+    # the reversed edge always carries minus the pair's weight, so the one
+    # orientation check left is that the weight lies in Z^n
+    v = action_violations(2, ["p", "q"], [("p", "q", (1, 0, 0))])
+    assert [str(x) for x in v] == \
+        ["E_ORIENT at edge#0 p->q: weight length 3 != 2"]
 
 
 def test_gkm_condition_violation():
     v = action_violations(
         2, ["a", "b", "c"],
-        [("a", "b", (1, 0), None), ("a", "c", (2, 0), None),
-         ("b", "c", (0, 1), None)])
+        [("a", "b", (1, 0)), ("a", "c", (2, 0)), ("b", "c", (0, 1))])
     assert any(x.code == "E_GKM" for x in v)
 
 
 def test_valence_violation():
     v = action_violations(
         2, ["a", "b", "c"],
-        [("a", "b", (1, 0), None), ("a", "c", (0, 1), None)])
+        [("a", "b", (1, 0)), ("a", "c", (0, 1))])
     assert any(x.code == "E_VALENCE" for x in v)
 
 
@@ -71,8 +79,8 @@ def test_compat_violation():
     # {0,(0,2)} at b
     v = action_violations(
         2, ["a", "b", "c", "d"],
-        [("a", "b", (1, 0), None), ("b", "c", (0, 2), None),
-         ("c", "d", (-1, 0), None), ("d", "a", (0, -1), None)])
+        [("a", "b", (1, 0)), ("b", "c", (0, 2)),
+         ("c", "d", (-1, 0)), ("d", "a", (0, -1))])
     assert any(x.code == "E_COMPAT" for x in v)
 
 
@@ -95,7 +103,7 @@ def test_vertex_set_and_class_vertices_are_checked():
     # does not have, used to pass (an empty graph then failed on an index)
     for vertices, where in (([], "vertices"), (["p", "q", "p"], "p")):
         with pytest.raises(ValidationError) as exc:
-            validate_action(2, vertices, [("p", "q", (1, 0), None)])
+            validate_action(2, vertices, [("p", "q", (1, 0))])
         assert exc.value.stage == "graph"
         assert [(v.code, v.where) for v in exc.value.violations] == \
             [("E_VERTEX", where)]
@@ -276,11 +284,56 @@ def test_fl3_data_file_is_the_flag_graph():
     assert classes["omega"] == sym.base.values
 
 
-def test_all_fixtures_valid():
-    for name, (action, sym) in standard_fixtures().items():
-        pairs = [(e.src, e.dst, action.axial[e.eid], None)
+def test_all_fixtures_valid(all_fixtures):
+    # each action, and a restriction of each, is rebuilt from its own
+    # (src, dst, alpha) pairs as an equal action of the same valence
+    rng = random.Random(5)
+    actions = [action for action, _ in all_fixtures.values()]
+    actions += [random_restriction(*all_fixtures[name], rng)[1]
+                for name in sorted(all_fixtures)]
+    for action in actions:
+        pairs = [(e.src, e.dst, action.axial[e.eid])
                  for e in action.geometric_edges()]
-        assert action_violations(action.n, list(action.vertices), pairs) == []
+        assert action_violations(action.n, action.vertices, pairs) == []
+        rebuilt = validate_action(action.n, action.vertices, pairs)
+        assert rebuilt == action
+        assert all(rebuilt.d == action.d == len(action.out_index[v])
+                   for v in action.vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_accepted_symplectic_classes_are_compatible(all_fixtures, data):
+    """symplectic_class checks no congruence: a positive multiple m on an
+    edge of weight w makes x^(alpha + m*w) - x^alpha a multiple of
+    1 - x^w.  So every class it accepts passes class_violations."""
+    name = data.draw(st.sampled_from(sorted(all_fixtures)))
+    action, sym = all_fixtures[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        _, action, sym = random_restriction(action, sym, rng)
+    sym = random_symplectic(action, sym, rng)
+    assert class_violations(action, sym.base.values) == []
+
+
+@pytest.mark.parametrize("change, line", [
+    (lambda a: a.pop("P2"), "E_COMPAT at P2: missing value"),
+    (lambda a: a.update(Q=(0, 0)), "E_COMPAT at Q: unknown vertex"),
+    (lambda a: a.update(P2=(1,)), "E_SCHEMA at P2: weight length 1 != 2"),
+    (lambda a: a.update(P2=(0, 1, 0)),
+     "E_SCHEMA at P2: weight length 3 != 2"),
+])
+def test_symplectic_class_checks_its_vertices_before_any_multiple(change,
+                                                                  line):
+    # these raised KeyError, IndexError, or an E_NOT_MULTIPLE on a
+    # difference that vsub had truncated to length 2
+    action, sym = gen_projective(2)
+    alphas = dict(sym.alphas)
+    change(alphas)
+    with pytest.raises(ValidationError) as exc:
+        symplectic_class(action, alphas)
+    assert exc.value.stage == "class"
+    assert [str(v) for v in exc.value.violations] == [line]
 
 
 def test_class_ring_closure(rng):
