@@ -102,11 +102,14 @@ def _build_action(n, vertices, edge_pairs):
     """(action, []) when the raw data satisfy the labeling axioms, else
     (None, the violations of the first stage that fails).
 
-    The stages, in order: the vertex list, each (src, dst, alpha) pair,
-    valence, pairwise independence (GKM) and compatibility.  The last
-    three read the out_index of the action the pairs built.  Pair i
-    becomes oriented edges 2i and 2i + 1, both labeled "edge#i src->dst".
+    The stages, in order: the rank n (E_SCHEMA, as the loader reports
+    it), the vertex list, each (src, dst, alpha) pair, valence, pairwise
+    independence (GKM) and compatibility.  The last three read the
+    out_index of the action the pairs built.  Pair i becomes oriented
+    edges 2i and 2i + 1, both labeled "edge#i src->dst".
     """
+    if n < 1:
+        return None, [_schema("n", "n is not positive")]
     if not vertices:
         return None, [Violation("E_VERTEX", "vertices", "empty vertex set")]
     vertices = tuple(vertices)

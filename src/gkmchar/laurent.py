@@ -103,7 +103,8 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.dim, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._unchecked(self.dim,
+                                      {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -132,8 +133,11 @@ class LaurentPoly:
     def shift(self, exp):
         """Multiply by the monomial x^exp."""
         exp = tuple(exp)
-        return LaurentPoly(self.dim,
-                           {vadd(e, exp): c for e, c in self.terms.items()})
+        if len(exp) != self.dim:
+            raise DimMismatch(
+                f"exponent {exp} has length {len(exp)}, expected {self.dim}")
+        return LaurentPoly._unchecked(
+            self.dim, {vadd(e, exp): c for e, c in self.terms.items()})
 
     def filter_terms(self, keep):
         return LaurentPoly(self.dim,

@@ -9,6 +9,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .lattice import complete_to_basis, dot, is_primitive, NotPrimitive
 from .laurent import LaurentPoly, PoleAtPoint, RationalChar, eval_numeric, \
@@ -44,32 +45,52 @@ class ZeroNotRegular(ValueError):
 class MomentMap:
     """A vertex function phi increasing along the xi-positive orientation.
 
-    The vertices are sorted by their values once, so a level finds the
-    vertices above and below it by one bisection.  The vertex residues
-    that reduced characters and wall crossings take on this map are kept
-    per class, so a sweep over its chambers and walls takes each vertex's
-    residue at most once for each class; they live as long as the map.
+    The vertices are sorted by their values once, and the values are kept
+    as integers, phi times the lcm of its denominators, so a level finds
+    the vertices above and below it, and whether it is regular, by one
+    integer bisection each (see _place).  The vertex residues that reduced
+    characters and wall crossings take on this map, and the chamber
+    values summed from them, are kept per class, so a sweep over its
+    chambers and walls takes each vertex's residue and sums each chamber
+    at most once for each class; they live as long as the map.
     """
 
     action: GkmAction
     xi: tuple
     phi: dict               # vertex -> Fraction
-    # the vertices in increasing phi, and their values in the same order
+    # the vertices in increasing phi, the lcm of the denominators of phi,
+    # and phi times it at the vertices in the same order
     _order: tuple = field(init=False, compare=False, repr=False)
+    _den: int = field(init=False, compare=False, repr=False)
     _levels: tuple = field(init=False, compare=False, repr=False)
-    # id(f) -> (f, {vertex: residue}), filled by _chambers; holding f keeps
-    # its id from being reused while the map lives
-    _residues: dict = field(init=False, compare=False, repr=False)
+    # id(f) -> (f, {vertex: residue}, {chamber index: value}), filled by
+    # _chambers; holding f keeps its id from being reused while the map
+    # lives
+    _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        order = tuple(sorted(self.action.vertices, key=self.phi.__getitem__))
+        phi = self.phi
+        den = lcm(*(x.denominator for x in phi.values()))
+        level = {v: x.numerator * (den // x.denominator)
+                 for v, x in phi.items()}
+        order = tuple(sorted(self.action.vertices, key=level.__getitem__))
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_levels",
-                           tuple(self.phi[v] for v in order))
-        object.__setattr__(self, "_residues", {})
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_levels", tuple(level[v] for v in order))
+        object.__setattr__(self, "_memo", {})
 
     def critical_values(self):
-        return list(self._levels)
+        return [self.phi[v] for v in self._order]
+
+    def _place(self, c):
+        """(i, j): the numbers of vertices with phi < c and with phi <= c,
+        for a level c of any type Fraction takes.  c is regular iff
+        i == j; else the vertex _order[i] sits at c."""
+        if type(c) is not int and type(c) is not Fraction:
+            c = Fraction(c)
+        t, q = c.numerator * self._den, c.denominator
+        return (bisect_left(self._levels, -(-t // q)),
+                bisect_right(self._levels, t // q))
 
 
 def moment_map(action: GkmAction, xi, phi=None) -> MomentMap:
@@ -96,8 +117,8 @@ def moment_map(action: GkmAction, xi, phi=None) -> MomentMap:
         for v in order:
             for w in succ[v]:
                 rank[w] = max(rank[w], rank[v] + 1)
-        nv = len(action.vertices)
-        phi = {v: Fraction(rank[v]) + Fraction(i, 2 * nv)
+        den = 2 * len(action.vertices)
+        phi = {v: Fraction(rank[v] * den + i, den)
                for i, v in enumerate(action.vertices)}
     else:
         missing = next((v for v in action.vertices if v not in phi), None)
@@ -159,17 +180,20 @@ def symplectic_moment_map(sym: SymplecticClass, xi) -> MomentMap:
     regularity of integer levels survive."""
     xi = tuple(xi)
     action = sym.action
-    nv = len(action.vertices)
-    phi = {v: Fraction(dot(sym.alphas[v], xi)) + Fraction(i, 2 * (nv + 1))
+    den = 2 * (len(action.vertices) + 1)
+    phi = {v: Fraction(dot(sym.alphas[v], xi) * den + i, den)
            for i, v in enumerate(action.vertices)}
     return moment_map(action, xi, phi)
 
 
-def _require_regular(mm: MomentMap, c: Fraction):
-    i = bisect_left(mm._levels, c)
-    if i < len(mm._levels) and mm._levels[i] == c:
+def _require_regular(mm: MomentMap, c, placed) -> int:
+    """The index of the chamber of the level c, which mm._place put at
+    placed; NotRegular if c is a critical value."""
+    i, j = placed
+    if i != j:
         raise NotRegular(
-            f"level {c} hits the critical value at {mm._order[i]}")
+            f"level {Fraction(c)} hits the critical value at {mm._order[i]}")
+    return i
 
 
 @dataclass(frozen=True)
@@ -190,48 +214,53 @@ def vertex_residues(f: KClass, xi, vertices) -> dict:
             for v in vertices}
 
 
-def _chambers(f: KClass, mm: MomentMap, lo, hi):
+def _chambers(f: KClass, mm: MomentMap, lo: int, hi: int):
     """The vertex residues of f on mm, covering the cheaper side of the
-    levels lo <= hi, and the reduced character of every regular level in
-    [lo, hi] read off that side.
+    chambers lo <= hi, and a reader of the reduced character of every
+    chamber in [lo, hi] off that side.
 
+    Chamber k is the set of regular levels with k vertices below them.
     The localized character sum_v f_v / prod(1 - x^w) of a compatible
     class is a Laurent polynomial, so the residues of all its vertices sum
-    to zero, and the reduced character at c is both the sum of the
-    residues above c and minus the sum of those below c.  The smaller of
-    the sets above lo and below hi is taken, the set above on a tie: every
-    level in [lo, hi] reads its side off it, and an outer chamber costs
-    nothing.  Only the vertices of that side whose residues mm does not
-    yet hold for f are passed to vertex_residues, and the returned dict is
-    mm's memo for f, which may hold more vertices than the side.  f must
-    be compatible (every constructor in the package makes a compatible
-    class): otherwise the two sides differ and the answer depends on which
-    one is taken.
+    to zero, and the reduced character of chamber k is both the sum of
+    the residues of the vertices above it and minus the sum of those
+    below it.  The smaller of the sets above chamber lo and below chamber
+    hi is taken, the set above on a tie: every chamber in [lo, hi] reads
+    its side off it, and an outer chamber costs no residue.  Only the
+    vertices of that side whose residues mm does not yet hold for f are
+    passed to vertex_residues, and the returned dict is mm's memo for f,
+    which may hold more vertices than the side.  The reader sums a chamber
+    only if mm does not yet hold its value for f, and keeps what it sums.
+    f must be compatible (every constructor in the package makes a
+    compatible class): otherwise the two sides differ and the answer
+    depends on which one was taken first.
     """
-    order, levels, n = mm._order, mm._levels, f.action.n
-    above = order[bisect_right(levels, lo):]
-    below = order[:bisect_left(levels, hi)]
+    order, n = mm._order, f.action.n
+    above, below = order[lo:], order[:hi]
     from_above = len(above) <= len(below)
-    _, residues = mm._residues.setdefault(id(f), (f, {}))
+    _, residues, chambers = mm._memo.setdefault(id(f), (f, {}, {}))
     residues.update(vertex_residues(
         f, mm.xi, [v for v in (above if from_above else below)
                    if v not in residues]))
-    # c is regular, so bisect_left and bisect_right agree on it
-    if from_above:
-        return residues, lambda c: poly_sum(
-            n, (residues[v] for v in order[bisect_right(levels, c):]))
-    return residues, lambda c: -poly_sum(
-        n, (residues[v] for v in order[:bisect_left(levels, c)]))
+
+    def chi(k):
+        value = chambers.get(k)
+        if value is None:
+            value = chambers[k] = poly_sum(
+                n, (residues[v] for v in order[k:])) if from_above else \
+                -poly_sum(n, (residues[v] for v in order[:k]))
+        return value
+    return residues, chi
 
 
 def chi_reduced(f: KClass, mm: MomentMap, c) -> ReducedCharacter:
     """The reduced character at the regular level c, taken from the side
-    of c with fewer vertices (see _chambers), whose residues mm computes
-    for f only once.  f must be compatible."""
-    c = Fraction(c)
-    _require_regular(mm, c)
-    _, chi = _chambers(f, mm, c, c)
-    return ReducedCharacter(value=chi(c))
+    of c with fewer vertices (see _chambers), whose residues, and the
+    chamber's value, mm computes for f only once.  f must be
+    compatible."""
+    i = _require_regular(mm, c, mm._place(c))
+    _, chi = _chambers(f, mm, i, i)
+    return ReducedCharacter(value=chi(i))
 
 
 @dataclass(frozen=True)
@@ -252,28 +281,33 @@ def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
     value found without residues: chamber values known independently, or
     the zero total of a compatible class's vertex residues.
 
-    With c < c' and p the one vertex between them, both chambers and p's
+    Each level is placed once among the integer levels of mm (see
+    MomentMap._place), and the chamber indices are passed on.  With
+    c < c' and p the one vertex between them, both chambers and p's
     residue are read off one set of residues (see _chambers): those of
     the vertices above c, or of those below c', whichever set is smaller;
-    both sets contain p.  They come from the residues mm keeps for f, so
-    delta and residue share memo entries with every other chamber and
-    wall taken on mm.  delta is chi_c - chi_c'.  Exactly one critical
-    value must lie between the levels (WrongWallCount, checked first), and
-    both levels must be regular (NotRegular).
+    both sets contain p.  They come from the residues and chamber values
+    mm keeps for f, so delta and residue share memo entries with every
+    other chamber and wall taken on mm, and a chamber a sweep has already
+    summed is not summed again.  delta is chi_c - chi_c'.  Exactly one
+    critical value must lie between the levels (WrongWallCount, checked
+    first), and both levels must be regular (NotRegular).
     """
-    c, cp = Fraction(c), Fraction(cp)
-    if c > cp:
-        c, cp = cp, c
-    between = mm._order[bisect_right(mm._levels, c):
-                        bisect_left(mm._levels, cp)]
-    if len(between) != 1:
+    at, atp = mm._place(c), mm._place(cp)
+    if at > atp:
+        c, cp, at, atp = cp, c, atp, at
+    # the number of vertices above c and below c': none when both levels
+    # sit in one chamber or at one critical value, in either order
+    count = max(0, atp[0] - at[1])
+    if count != 1:
+        c, cp = sorted((Fraction(c), Fraction(cp)))
         raise WrongWallCount(
-            f"{len(between)} critical values in ({c}, {cp}), expected 1")
-    p = between[0]
-    _require_regular(mm, c)
-    _require_regular(mm, cp)
-    residues, chi = _chambers(f, mm, c, cp)
-    delta = chi(c) - chi(cp)
+            f"{count} critical values in ({c}, {cp}), expected 1")
+    p = mm._order[at[1]]
+    lo = _require_regular(mm, c, at)
+    hi = _require_regular(mm, cp, atp)
+    residues, chi = _chambers(f, mm, lo, hi)
+    delta = chi(lo) - chi(hi)
     residue = residues[p]
     return WallCrossingResult(ok=delta == residue, vertex=p,
                               delta=delta, residue=residue)

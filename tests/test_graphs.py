@@ -115,6 +115,18 @@ def test_vertex_set_and_class_vertices_are_checked():
         ["E_COMPAT at r: unknown vertex"]
 
 
+def test_non_positive_rank_is_refused_by_the_library():
+    # the loader refused n < 1, but validate_action built an action with
+    # n = -1 that no subcommand could use
+    for n in (0, -1):
+        assert [str(v) for v in action_violations(n, ["p"], [])] == \
+            ["E_SCHEMA at n: n is not positive"]
+        with pytest.raises(ValidationError) as exc:
+            validate_action(n, ["p", "q"], [("p", "q", ())])
+        assert exc.value.stage == "graph"
+        assert str(exc.value) == "E_SCHEMA at n: n is not positive"
+
+
 def test_cp1_symplectic_values_are_compatible():
     action, _ = gen_cp1_in_plane()
     values = {"p": LaurentPoly.monomial((-1, 0)),

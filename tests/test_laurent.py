@@ -41,6 +41,14 @@ def test_render_canonical_form():
     assert render_poly(LaurentPoly.zero(2)) == "0"
 
 
+def test_shift_rejects_exponent_of_wrong_length():
+    # a longer exponent used to be cut to the polynomial's length
+    for p in (ONE + X10, LaurentPoly.zero(2)):
+        for exp in [(1,), (1, 0, 0), ()]:
+            with pytest.raises(DimMismatch):
+                p.shift(exp)
+
+
 def test_divide_exact_geometric():
     p = ONE - LaurentPoly.monomial((2, 0))
     assert divide_exact(p, (1, 0)) == ONE + X10

@@ -169,8 +169,9 @@ def test_each_level_pays_for_its_smaller_side(fixtures, rng, monkeypatch):
     the smaller of the sets above the lower level and below the upper one,
     each set in one basis; an outer chamber takes no residue and builds no
     basis.  A full sweep on one moment map, all chambers then all walls or
-    the reverse, takes each vertex's residue at most once."""
-    calls = {"res_T": 0, "complete_to_basis": 0}
+    the reverse, takes each vertex's residue at most once and sums each
+    chamber once."""
+    calls = {"res_T": 0, "complete_to_basis": 0, "poly_sum": 0}
 
     def counted(name):
         fn = getattr(reduction, name)
@@ -213,16 +214,17 @@ def test_each_level_pays_for_its_smaller_side(fixtures, rng, monkeypatch):
         for c in levels:
             chi_reduced(f, fresh(), c)
             k = min(count(lambda x: x > c), count(lambda x: x < c))
-            assert cost() == {"res_T": k, "complete_to_basis": int(k > 0)}, \
-                (name, c)
+            assert cost() == {"res_T": k, "complete_to_basis": int(k > 0),
+                              "poly_sum": 1}, (name, c)
         for outer in (levels[0], levels[-1]):
             chi_reduced(f, fresh(), outer)
-            assert cost() == {"res_T": 0, "complete_to_basis": 0}, name
+            assert cost() == {"res_T": 0, "complete_to_basis": 0,
+                              "poly_sum": 1}, name
         for lo, hi in zip(levels, levels[1:]):
             wall_crossing_check(f, fresh(), lo, hi)
             k = min(count(lambda x: x > lo), count(lambda x: x < hi))
-            assert cost() == {"res_T": k, "complete_to_basis": 1}, \
-                (name, lo, hi)
+            assert cost() == {"res_T": k, "complete_to_basis": 1,
+                              "poly_sum": 2}, (name, lo, hi)
 
         sweep = [(chi_reduced, (c,)) for c in levels] + \
             [(wall_crossing_check, pair) for pair in zip(levels, levels[1:])]
@@ -232,7 +234,9 @@ def test_each_level_pays_for_its_smaller_side(fixtures, rng, monkeypatch):
             for call, args in calls_in_order:
                 call(f, mm, *args)
             assert len(taken) == len(set(taken)), name
-            assert cost()["res_T"] == len(taken), name
+            got = cost()
+            assert got["res_T"] == len(taken), name
+            assert got["poly_sum"] == len(levels), name
 
 
 def test_vertex_residues_match_res_T_on_any_subset(fixtures, rng,
@@ -363,6 +367,99 @@ def test_wall_crossing_rejects_critical_levels():
         wall_crossing_check(sym.base, mm, low, mid)
     with pytest.raises(WrongWallCount):
         wall_crossing_check(sym.base, mm, low, high + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_levels_of_any_type_read_as_fractions(fixtures, data):
+    """Explicit values of phi of mixed types (ints, fractions of several
+    denominators, floats) and levels at, next to, between and outside the
+    critical values, each given as an int, a float, a str or a Fraction:
+    NotRegular, WrongWallCount, every reduced character and every wall
+    crossing on one moment map, called in any order, read what Fraction
+    comparisons and per-vertex residues say."""
+    name = data.draw(st.sampled_from(sorted(fixtures)))
+    action, sym = fixtures[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    f = random_class(action, sym, rng)
+    xi = random_generic_xi(action, rng)
+    nv = len(action.vertices)
+    values = sorted(data.draw(st.lists(
+        st.one_of(st.integers(-20, 20),
+                  st.fractions(-20, 20, max_denominator=60),
+                  st.floats(-20, 20)),
+        min_size=nv, max_size=nv, unique_by=Fraction)), key=Fraction)
+    # in the order of the default values, so phi increases along each edge
+    ranked = moment_map(action, xi).phi
+    order = sorted(action.vertices, key=ranked.__getitem__)
+    mm = moment_map(action, xi, phi=dict(zip(order, values)))
+    phi = {v: Fraction(x) for v, x in zip(order, values)}
+    crits = [phi[v] for v in order]
+    assert mm.phi == phi
+    assert mm.critical_values() == crits
+    residue = vertex_residues(f, xi, action.vertices)
+    zero = LaurentPoly.zero(action.n)
+
+    def above(c):
+        return sum((r for v, r in residue.items() if phi[v] > c), zero)
+
+    def require_regular(c):
+        for v in order:
+            if phi[v] == c:
+                raise NotRegular(f"level {c} hits the critical value at {v}")
+
+    def chamber(c):
+        c = Fraction(c)
+        require_regular(c)
+        return above(c)
+
+    def wall(c, cp):
+        c, cp = sorted((Fraction(c), Fraction(cp)))
+        between = [v for v in order if c < phi[v] < cp]
+        if len(between) != 1:
+            raise WrongWallCount(
+                f"{len(between)} critical values in ({c}, {cp}), expected 1")
+        require_regular(c)
+        require_regular(cp)
+        (p,) = between
+        delta = above(c) - above(cp)
+        return p, delta, residue[p], delta == residue[p]
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (NotRegular, WrongWallCount) as exc:
+            return type(exc), str(exc)
+
+    def reduced(c):
+        return chi_reduced(f, mm, c).value
+
+    def crossing(c, cp):
+        res = wall_crossing_check(f, mm, c, cp)
+        return res.vertex, res.delta, res.residue, res.ok
+
+    tiny = Fraction(1, 10**12)
+    chambers = [crits[0] - 1] + [(a + b) / 2 for a, b in
+                                 zip(crits, crits[1:])] + [crits[-1] + 1]
+    points = chambers + crits + [x + s for x in crits for s in (-tiny, tiny)]
+    level = st.builds(lambda kind, x: kind(x),
+                      st.sampled_from((int, float, str, Fraction)),
+                      st.sampled_from(points))
+    one_wall = st.integers(0, nv - 1).flatmap(lambda i: st.permutations(
+        [chambers[i], chambers[i + 1]])).flatmap(lambda pair: st.tuples(
+            *(st.builds(lambda kind, x=x: kind(x),
+                        st.sampled_from((float, str, Fraction)))
+              for x in pair)))
+    calls = data.draw(st.lists(
+        st.one_of(st.tuples(level), st.tuples(level, level), one_wall),
+        min_size=1, max_size=12))
+    for args in calls:
+        if len(args) == 1:
+            assert outcome(reduced, *args) == outcome(chamber, *args), \
+                (name, args)
+        else:
+            assert outcome(crossing, *args) == outcome(wall, *args), \
+                (name, args)
 
 
 def test_edge_compat_cp1(cp1):
