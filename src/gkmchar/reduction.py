@@ -246,9 +246,11 @@ def _chambers(f: KClass, mm: MomentMap, lo: int, hi: int):
     def chi(k):
         value = chambers.get(k)
         if value is None:
-            value = chambers[k] = poly_sum(
-                n, (residues[v] for v in order[k:])) if from_above else \
-                -poly_sum(n, (residues[v] for v in order[:k]))
+            if from_above:
+                value = poly_sum(n, (residues[v] for v in order[k:]))
+            else:
+                value = -poly_sum(n, (residues[v] for v in order[:k]))
+            chambers[k] = value
         return value
     return residues, chi
 
