@@ -13,8 +13,8 @@ from operator import add, mul, sub
 
 from .lattice import NotPrimitive, dot, is_primitive, primitive_part, \
     vadd, vneg, vscale, vsub
-from .laurent import LaurentPoly, NotDivisible, RationalChar, _Kronecker, \
-    _box, divide_exact
+from .laurent import DimMismatch, LaurentPoly, NotDivisible, RationalChar, \
+    _Kronecker, _box, divide_exact
 from .graphs import GkmAction, KClass, SymplecticClass
 
 
@@ -56,11 +56,11 @@ def _edge_pairings(action: GkmAction, xi) -> dict:
     that pairs to zero."""
     pairs = {}
     for e in action.geometric_edges():
-        pairing = dot(action.axial[e.eid], xi)
+        pairing = dot(e.weight, xi)
         if pairing == 0:
             raise NotGeneric(f"edge {e.src}->{e.dst} pairs to zero with {xi}")
         pairs[e.eid] = pairing
-        pairs[e.bar] = -pairing
+        pairs[e.eid ^ 1] = -pairing
     return pairs
 
 
@@ -80,7 +80,7 @@ def polarize(action: GkmAction, xi) -> Polarization:
     for v, es in action.out_index.items():
         ws, flips, pre = [], 0, zero
         for e in es:
-            w = action.axial[e.eid]
+            w = e.weight
             if pairs[e.eid] < 0:
                 w = vneg(w)
                 flips += 1
@@ -127,8 +127,12 @@ def kostant_count(weights, target, xi) -> int:
 def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
     """Coefficient of x^alpha in the character, by the signed partition-count
     sum over vertices: pol.sign[v] times the number of ways to write
-    alpha - alpha_v - pol.prefix[v] from the weights pol.weights[v]."""
+    alpha - alpha_v - pol.prefix[v] from the weights pol.weights[v].
+    Raises DimMismatch when alpha is not of length n."""
     alpha = tuple(alpha)
+    if len(alpha) != pol.action.n:
+        raise DimMismatch(f"weight {alpha} has length {len(alpha)}, "
+                          f"expected {pol.action.n}")
     total = 0
     for v in pol.action.vertices:
         arg = vsub(vsub(alpha, sym.alphas[v]), pol.prefix[v])
@@ -395,7 +399,7 @@ def support_bound(f: KClass, eta) -> int | None:
     eta = tuple(eta)
     action = f.action
     bounds = [max(dot(mu, eta) for mu in f[v].terms)
-              - sum(max(dot(u, eta), 0) for u in action.out_weights(v))
+              - sum(max(dot(u, eta), 0) for u in action.out_weights[v])
               for v in action.vertices if f[v].terms]
     return max(bounds, default=None)
 
@@ -403,7 +407,7 @@ def support_bound(f: KClass, eta) -> int | None:
 def localization_terms(f: KClass) -> dict:
     """The per-vertex rational summands of the localized character sum."""
     action = f.action
-    return {v: RationalChar(f[v], tuple(action.out_weights(v)))
+    return {v: RationalChar(f[v], action.out_weights[v])
             for v in action.vertices}
 
 
@@ -447,8 +451,7 @@ def character_oracle(f: KClass) -> LaurentPoly:
     used_at = []
     for v in action.vertices:
         used = {}
-        for e in action.out_index[v]:
-            w = action.axial[e.eid]
+        for w in action.out_weights[v]:
             kind = kinds.get(w)
             if kind is None:
                 prim, mult = primitive_part(w)
@@ -679,8 +682,8 @@ def hull_report(sym: SymplecticClass, char: CharacterResult) -> HullReport:
     verts = tuple(hull_vertices(alphas))
     terms = char.poly.terms
     support = sorted(terms)
-    dirs = dict.fromkeys(_canonical_sign(primitive_part(w)[0])
-                         for w in sym.action.axial.values())
+    dirs = dict.fromkeys(_canonical_sign(primitive_part(e.weight)[0])
+                         for e in sym.action.geometric_edges())
     tested = [mu for mu in support
               if not any(vadd(mu, u) in terms and vsub(mu, u) in terms
                          for u in dirs)]

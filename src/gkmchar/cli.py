@@ -80,7 +80,7 @@ def _require_xi(args, action):
     if not is_primitive(xi):
         raise CliError(f"--xi {args.xi} is not primitive; refusing to rescale")
     for e in action.geometric_edges():
-        if dot(action.axial[e.eid], xi) == 0:
+        if dot(e.weight, xi) == 0:
             raise CliError(
                 f"--xi {args.xi} pairs to zero with edge {e.src}->{e.dst}")
     return xi
@@ -261,38 +261,30 @@ def build_parser():
                     "torus actions on labeled graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_input=True, **extra):
+    def add(name, fn, needs_input=True, xi=False, **extra):
+        """The subparser of name: its input, --output and, when it takes a
+        direction, --xi, each option of extra in turn and --class."""
         p = sub.add_parser(name)
         if needs_input:
             p.add_argument("input", help="graph JSON file")
         p.add_argument("--output", choices=("text", "json"), default="text")
+        if xi:
+            p.add_argument("--xi", required=True,
+                           help="integer vector, e.g. 1,0")
+            for flag, kwargs in extra.items():
+                p.add_argument(f"--{flag}", required=True, **kwargs)
+            p.add_argument("--class", dest="class_name")
         p.set_defaults(fn=fn)
         return p
 
     add("validate", cmd_validate)
-
-    p = add("character", cmd_character)
-    p.add_argument("--xi", required=True, help="integer vector, e.g. 1,0")
-    p.add_argument("--class", dest="class_name")
-
-    p = add("multiplicity", cmd_multiplicity)
-    p.add_argument("--xi", required=True)
-    p.add_argument("--alpha", required=True, help="weight, e.g. 0,1")
-    p.add_argument("--class", dest="class_name")
-
-    p = add("reduce", cmd_reduce)
-    p.add_argument("--xi", required=True)
-    p.add_argument("--c", dest="level", required=True,
-                   help="regular level, e.g. 1/2")
-    p.add_argument("--class", dest="class_name")
-
-    p = add("residue", cmd_residue)
-    p.add_argument("--xi", required=True)
-    p.add_argument("--class", dest="class_name")
-
-    p = add("qr-check", cmd_qr_check)
-    p.add_argument("--xi", required=True)
-    p.add_argument("--class", dest="class_name")
+    add("character", cmd_character, xi=True)
+    add("multiplicity", cmd_multiplicity, xi=True,
+        alpha=dict(help="weight, e.g. 0,1"))
+    add("reduce", cmd_reduce, xi=True,
+        c=dict(dest="level", help="regular level, e.g. 1/2"))
+    add("residue", cmd_residue, xi=True)
+    add("qr-check", cmd_qr_check, xi=True)
 
     p = add("selftest", cmd_selftest, needs_input=False)
     p.add_argument("--seed", type=int, default=42)

@@ -1,8 +1,8 @@
 """Graphs with a torus action: validation of the labeling axioms, classes
 attached to vertices, symplectic (monomial) classes and example generators.
 
-Edges are stored oriented, in pairs swapped by a fixed-point-free involution
-`bar`; the weight of the reversed edge is minus the weight of the edge.
+Edges are stored oriented, in pairs: edge 2i + 1 is edge 2i reversed, and
+its weight is minus the weight of edge 2i.
 """
 
 from __future__ import annotations
@@ -41,23 +41,28 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Edge:
+    """The oriented edge src -> dst, labeled by its weight in Z^n.  Its
+    reverse is edges[eid ^ 1] of its action."""
+
     eid: int
     src: str
     dst: str
-    bar: int
+    weight: tuple
 
 
 @dataclass(frozen=True)
 class GkmAction:
     """A validated d-valent graph labeled by weights in Z^n.  Oriented edge
-    2i + 1 is edge 2i reversed and carries minus its weight."""
+    2i + 1 is edge 2i reversed and carries minus its weight, so the reverse
+    of edge e is edges[e.eid ^ 1].  The star of each vertex is built once:
+    out_index[v] holds the edges leaving v, in edge order, and
+    out_weights[v] their weights."""
 
     n: int
     vertices: tuple
     edges: tuple            # tuple of Edge
-    axial: dict             # eid -> weight tuple
-    # vertex -> tuple of the edges leaving it, in edge order
     out_index: dict = field(init=False, compare=False, repr=False)
+    out_weights: dict = field(init=False, compare=False, repr=False)
     # sorted weight set -> its dual_cone_rays, filled by cone_rays
     _rays: dict = field(init=False, compare=False, repr=False)
 
@@ -67,21 +72,15 @@ class GkmAction:
             index[e.src].append(e)
         object.__setattr__(self, "out_index",
                            {v: tuple(es) for v, es in index.items()})
+        object.__setattr__(self, "out_weights",
+                           {v: tuple(e.weight for e in es)
+                            for v, es in index.items()})
         object.__setattr__(self, "_rays", {})
 
     @property
     def d(self) -> int:
         """The valence, read off the edges: regular once validated."""
         return len(self.out_index[self.vertices[0]])
-
-    def edge(self, eid) -> Edge:
-        return self.edges[eid]
-
-    def out_edges(self, v):
-        return list(self.out_index[v])
-
-    def out_weights(self, v):
-        return [self.axial[e.eid] for e in self.out_index[v]]
 
     def cone_rays(self, weights):
         """lattice.dual_cone_rays of a set of weights, such as a vertex's
@@ -94,8 +93,8 @@ class GkmAction:
         return rays
 
     def geometric_edges(self):
-        """One representative per unoriented edge (the one with eid < bar)."""
-        return [e for e in self.edges if e.eid < e.bar]
+        """One representative per unoriented edge: the even-numbered one."""
+        return self.edges[::2]
 
 
 def _build_action(n, vertices, edge_pairs):
@@ -117,7 +116,7 @@ def _build_action(n, vertices, edge_pairs):
     if len(vset) != len(vertices):
         return None, [Violation("E_VERTEX", str(v), f"listed {k} times")
                       for v, k in Counter(vertices).items() if k > 1]
-    violations, edges, axial, labels = [], [], {}, []
+    violations, edges, labels = [], [], []
     for idx, (src, dst, alpha) in enumerate(edge_pairs):
         label, alpha = f"edge#{idx} {src}->{dst}", tuple(alpha)
         if src not in vset or dst not in vset:
@@ -130,12 +129,12 @@ def _build_action(n, vertices, edge_pairs):
                                         f"weight length {len(alpha)} != {n}"))
         else:
             a = len(edges)
-            edges += (Edge(a, src, dst, a + 1), Edge(a + 1, dst, src, a))
-            axial[a], axial[a + 1] = alpha, vneg(alpha)
+            edges += (Edge(a, src, dst, alpha),
+                      Edge(a + 1, dst, src, vneg(alpha)))
             labels += (label, label)
     if violations:
         return None, violations
-    action = GkmAction(n=n, vertices=vertices, edges=tuple(edges), axial=axial)
+    action = GkmAction(n=n, vertices=vertices, edges=tuple(edges))
     out = action.out_index
 
     if len({len(es) for es in out.values()}) != 1:
@@ -145,13 +144,12 @@ def _build_action(n, vertices, edge_pairs):
 
     for v, es in out.items():
         for i, e in enumerate(es):
-            w = axial[e.eid]
-            if not any(w):
+            if not any(e.weight):
                 violations.append(Violation("E_GKM", str(v),
                                             f"zero weight on {labels[e.eid]}"))
                 continue
             for f in es[i + 1:]:
-                if _proportional(w, axial[f.eid]):
+                if _proportional(e.weight, f.weight):
                     violations.append(Violation(
                         "E_GKM", str(v), f"proportional weights on "
                         f"{labels[e.eid]} and {labels[f.eid]}"))
@@ -161,13 +159,13 @@ def _build_action(n, vertices, edge_pairs):
     # compatibility across each edge: the weight multisets at the two
     # endpoints agree modulo Z*alpha, i.e. their tangent weights
     # sum_w x^w are congruent modulo 1 - x^alpha
-    tangent = {v: LaurentPoly(n, Counter(axial[e.eid] for e in es))
-               for v, es in out.items()}
+    tangent = {v: LaurentPoly(n, Counter(ws))
+               for v, ws in action.out_weights.items()}
     violations = [Violation("E_COMPAT", labels[e.eid], "endpoint weight "
                             "multisets differ modulo the edge weight")
                   for e in edges[::2]
                   if not congruent_mod_edge(tangent[e.src], tangent[e.dst],
-                                            axial[e.eid])]
+                                            e.weight)]
     return (None, violations) if violations else (action, [])
 
 
@@ -192,7 +190,7 @@ def _proportional(a, b):
 def validate_action(n, vertices, edge_pairs) -> GkmAction:
     """Build a GkmAction from (src, dst, alpha) pairs as in
     action_violations, raising ValidationError on failure.  Pair i becomes
-    oriented edges 2i and 2i + 1, swapped by the bar involution."""
+    oriented edges 2i and 2i + 1, each the other reversed."""
     action, violations = _build_action(n, vertices, edge_pairs)
     if violations:
         raise ValidationError(violations)
@@ -236,8 +234,7 @@ def class_violations(action: GkmAction, values) -> list:
     if out:
         return out
     for e in action.geometric_edges():
-        if not congruent_mod_edge(values[e.src], values[e.dst],
-                                  action.axial[e.eid]):
+        if not congruent_mod_edge(values[e.src], values[e.dst], e.weight):
             out.append(Violation(
                 "E_COMPAT", f"edge {e.src}->{e.dst}",
                 "vertex values are not congruent modulo the edge weight"))
@@ -297,8 +294,7 @@ def symplectic_class(action: GkmAction, alphas) -> SymplecticClass:
     alphas = {v: tuple(a) for v, a in alphas.items()}
     m = {}
     for e in action.edges:
-        diff = vsub(alphas[e.dst], alphas[e.src])
-        w = action.axial[e.eid]
+        diff, w = vsub(alphas[e.dst], alphas[e.src]), e.weight
         me = _integer_multiple(diff, w)
         label = f"edge {e.src}->{e.dst}"
         if me is None:
@@ -390,11 +386,11 @@ def gen_product(a1: GkmAction, sym1: SymplecticClass,
     vertices = [f"{u}|{v}" for u in a1.vertices for v in a2.vertices]
     pairs = []
     for e in a1.geometric_edges():
-        w = a1.axial[e.eid] + (0,) * a2.n
+        w = e.weight + (0,) * a2.n
         for v in a2.vertices:
             pairs.append((f"{e.src}|{v}", f"{e.dst}|{v}", w))
     for e in a2.geometric_edges():
-        w = (0,) * a1.n + a2.axial[e.eid]
+        w = (0,) * a1.n + e.weight
         for u in a1.vertices:
             pairs.append((f"{u}|{e.src}", f"{u}|{e.dst}", w))
     action = validate_action(n, vertices, pairs)
@@ -475,7 +471,7 @@ def restrict(action: GkmAction, sym: SymplecticClass, P):
     def image(w):
         return tuple(dot(row, w) for row in P)
 
-    pairs = [(e.src, e.dst, image(action.axial[e.eid]))
+    pairs = [(e.src, e.dst, image(e.weight))
              for e in action.geometric_edges()]
     restricted = validate_action(len(P), action.vertices, pairs)
     return restricted, symplectic_class(
@@ -612,8 +608,7 @@ def graph_to_data(action: GkmAction, classes=None):
     doc = {
         "n": action.n,
         "vertices": list(action.vertices),
-        "edges": [{"from": e.src, "to": e.dst,
-                   "alpha": list(action.axial[e.eid])}
+        "edges": [{"from": e.src, "to": e.dst, "alpha": list(e.weight)}
                   for e in action.geometric_edges()],
     }
     if classes:

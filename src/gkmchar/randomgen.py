@@ -54,7 +54,7 @@ def flag_fixtures():
 
 def random_generic_xi(action: GkmAction, rng: random.Random, bound: int = 5):
     """A primitive direction with nonzero pairing against every edge weight."""
-    weights = [action.axial[e.eid] for e in action.geometric_edges()]
+    weights = [e.weight for e in action.geometric_edges()]
     while True:
         xi = tuple(rng.randint(-bound, bound) for _ in range(action.n))
         if all(x == 0 for x in xi):

@@ -208,9 +208,8 @@ def vertex_residues(f: KClass, xi, vertices) -> dict:
     if not vertices:
         return {}
     basis = complete_to_basis(xi)
-    action = f.action
-    return {v: res_T(RationalChar(f[v], tuple(action.out_weights(v))),
-                     xi, basis=basis).total
+    weights = f.action.out_weights
+    return {v: res_T(RationalChar(f[v], weights[v]), xi, basis=basis).total
             for v in vertices}
 
 
@@ -322,9 +321,14 @@ class EdgeCompatResult:
     samples: int
 
 
+# edge_compat_check: the sides agree when every sample differs by less than
+# _TOL; sample coordinates are multiples of 1 / _MAX_DENOMINATOR
+_TOL = 1e-6
+_MAX_DENOMINATOR = 10_000
+
+
 def edge_compat_check(f: KClass, eid: int, samples: int = 10,
-                      rng=None, tol: float = 1e-6,
-                      max_denominator: int = 10_000) -> EdgeCompatResult:
+                      rng=None) -> EdgeCompatResult:
     """Numeric check that the two localized hat-classes of an edge agree on
     the edge's subtorus.
 
@@ -333,16 +337,12 @@ def edge_compat_check(f: KClass, eid: int, samples: int = 10,
     """
     rng = rng or random.Random(0)
     action = f.action
-    e = action.edge(eid)
-    ebar = action.edge(e.bar)
-    gamma = action.axial[eid]
-    hat_e = RationalChar(
-        f[e.src], tuple(action.axial[x.eid] for x in action.out_edges(e.src)
-                        if x.eid != eid))
-    hat_ebar = RationalChar(
-        f[ebar.src], tuple(action.axial[x.eid]
-                           for x in action.out_edges(ebar.src)
-                           if x.eid != e.bar))
+    e = action.edges[eid]
+    gamma = e.weight
+    hat_e, hat_ebar = (
+        RationalChar(f[v], tuple(x.weight for x in action.out_index[v]
+                                 if x.eid != skip))
+        for v, skip in ((e.src, eid), (e.dst, eid ^ 1)))
     gg = dot(gamma, gamma)
     max_err = 0.0
     done = 0
@@ -351,7 +351,7 @@ def edge_compat_check(f: KClass, eid: int, samples: int = 10,
         attempts += 1
         if attempts > 50 * samples:
             raise PoleAtPoint("could not find enough pole-free sample points")
-        raw = [Fraction(rng.randrange(max_denominator), max_denominator)
+        raw = [Fraction(rng.randrange(_MAX_DENOMINATOR), _MAX_DENOMINATOR)
                for _ in range(action.n)]
         # project onto {gamma(theta) integer}: shift along gamma/|gamma|^2
         excess = sum(Fraction(g) * t for g, t in zip(gamma, raw)) \
@@ -365,7 +365,7 @@ def edge_compat_check(f: KClass, eid: int, samples: int = 10,
             continue
         max_err = max(max_err, abs(a - b))
         done += 1
-    return EdgeCompatResult(ok=max_err < tol, max_error=max_err,
+    return EdgeCompatResult(ok=max_err < _TOL, max_error=max_err,
                             samples=samples)
 
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gkmchar import characters, graphs, laurent, lattice
 from gkmchar.lattice import dot, primitive_part, vadd, vneg, vscale, vsub
 from gkmchar.laurent import LaurentPoly, eval_numeric
-from gkmchar.graphs import GkmAction, KClass, SymplecticClass, \
+from gkmchar.graphs import Edge, GkmAction, KClass, SymplecticClass, \
     constant_class, gen_cp1_in_plane, gen_product, gen_projective, \
     gen_weyl_orbit, positive_roots, symplectic_class, validate_action
 from gkmchar.characters import (CharacterResult, HullReport,
@@ -61,7 +61,7 @@ def test_polarize_and_moment_map_name_the_first_zero_edge():
 def test_polarize_projective2():
     action, _ = gen_projective(2)
     pol = polarize(action, (1, 2))
-    pairings = sorted(abs(dot(action.axial[e.eid], (1, 2)))
+    pairings = sorted(abs(dot(e.weight, (1, 2)))
                       for e in action.geometric_edges())
     assert pairings == [1, 1, 2]
     for v in action.vertices:
@@ -93,7 +93,7 @@ def test_polarize_turns_each_out_weight_toward_xi(case):
     pol = polarize(action, xi)
     assert pol.xi == xi
     for v in action.vertices:
-        outs = action.out_weights(v)
+        outs = action.out_weights[v]
         ws = pol.weights[v]
         assert len(ws) == len(outs)
         assert all(w in (u, vneg(u)) and dot(w, xi) > 0
@@ -124,6 +124,15 @@ def test_multiplicity_cp1(cp1):
     assert multiplicity(sym, pol, (2, 0)) == 0
     assert multiplicity(sym, pol, (1, 0)) == 1
     assert multiplicity(sym, pol, (-1, 0)) == 1
+
+
+def test_multiplicity_refuses_a_weight_of_the_wrong_length():
+    # (0, 0, 5) would otherwise read as (0, 0), and (0,) fail inside dot
+    action, sym = gen_projective(2)
+    pol = polarize(action, (1, 2))
+    for alpha in [(0, 0, 5), (0,)]:
+        with pytest.raises(laurent.DimMismatch, match="expected 2"):
+            multiplicity(sym, pol, alpha)
 
 
 def test_character_cp1_both_routes(cp1):
@@ -263,7 +272,7 @@ def class_and_directions(draw, fixtures):
     xi = draw(st.tuples(*[st.integers(-10**4, 10**4)] * action.n))
     assume(any(xi))
     xi, _ = primitive_part(xi)
-    assume(all(dot(action.axial[e.eid], xi) != 0 for e in action.edges))
+    assume(all(dot(e.weight, xi) != 0 for e in action.edges))
     axes = [tuple(s * int(i == j) for j in range(action.n))
             for i in range(action.n) for s in (1, -1)]
     eta = draw(st.sampled_from(axes)
@@ -295,7 +304,7 @@ def test_level_slice_is_the_filtered_character(fixtures, data):
     xi = data.draw(st.tuples(*[st.integers(-scale, scale)] * action.n))
     assume(any(xi))
     xi, _ = primitive_part(xi)
-    assume(all(dot(action.axial[e.eid], xi) != 0 for e in action.edges))
+    assume(all(dot(e.weight, xi) != 0 for e in action.edges))
     pol = polarize(action, xi)
     full = character_expand(f, pol).poly
     top = support_bound(f, xi) or 0
@@ -546,10 +555,14 @@ def _lp_hull_report(sym, char):
 
 def _point_class(points, directions):
     """A stand-in symplectic class for hull_report, which reads only the
-    vertex weights and the edge weights of the action."""
-    n = len(points[0])
-    action = GkmAction(n=n, vertices=tuple(range(len(points))),
-                       edges=(), axial=dict(enumerate(directions)))
+    vertex weights and the edge weights of the action: each direction
+    labels a loop at vertex 0, paired with its reverse."""
+    edges = []
+    for u in directions:
+        edges += (Edge(len(edges), 0, 0, u),
+                  Edge(len(edges) + 1, 0, 0, vneg(u)))
+    action = GkmAction(n=len(points[0]), vertices=tuple(range(len(points))),
+                       edges=tuple(edges))
     return SymplecticClass(action, dict(enumerate(points)), {})
 
 
@@ -734,7 +747,7 @@ def test_type_c_with_primitive_weights_has_the_wrong_dimension():
     # dimension 35, where Weyl's formula gives 16
     roots = positive_roots("C", 2)
     action, sym = gen_weyl_orbit(roots, (2, 1))
-    pairs = [(e.src, e.dst, primitive_part(action.axial[e.eid])[0])
+    pairs = [(e.src, e.dst, primitive_part(e.weight)[0])
              for e in action.geometric_edges()]
     primitive = validate_action(2, list(action.vertices), pairs)
     wrong = symplectic_class(primitive, sym.alphas)
@@ -777,7 +790,7 @@ def test_flag_multiplicity_matches_oracle(m, lam):
     action, sym = _flag(m, lam)
     pol = polarize(action, (1, 3, 7, 15)[:m])
     chi = character_oracle(sym.base)
-    roots = {primitive_part(w)[0] for w in action.axial.values()}
+    roots = {primitive_part(e.weight)[0] for e in action.edges}
     outside = {vadd(mu, r) for mu in chi.terms for r in roots} - set(chi.terms)
     assert outside
     for mu in [*chi.terms, *sorted(outside)]:
@@ -825,7 +838,7 @@ def test_restriction_oracle_with_a_shifted_geometric_sum(fixtures):
     # has several terms and a shift
     action, sym = fixtures["proj3"]
     P, raction, rsym = random_restriction(action, sym, random.Random(1))
-    parts = [primitive_part(w) for w in raction.axial.values()]
+    parts = [primitive_part(e.weight) for e in raction.edges]
     lcms = {}
     for prim, mult in parts:
         # the class of prim is named by whichever of +-prim is larger

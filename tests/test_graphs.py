@@ -30,7 +30,7 @@ def test_gen_projective_2_is_valid():
     assert len(action.vertices) == 3
     assert action.d == 2
     weights = {tuple(sorted((w, tuple(-x for x in w))))
-               for w in (action.axial[e.eid] for e in action.geometric_edges())}
+               for w in (e.weight for e in action.geometric_edges())}
     expected = {(1, 0), (0, 1), (-1, 1)}
     flat = {w for pair in weights for w in pair}
     for w in expected:
@@ -38,18 +38,24 @@ def test_gen_projective_2_is_valid():
 
 
 def test_out_index_lists_the_edges_of_a_scan():
-    fixtures = standard_fixtures()
+    # each vertex's star is the scan of the edges leaving it, and edge
+    # 2i + 1 is edge 2i reversed, with the negated weight
+    fixtures = {**standard_fixtures(), **flag_fixtures()}
     actions = [action for action, _ in fixtures.values()]
     actions.append(gen_weyl_orbit(positive_roots("A", 3), range(4))[0])
     actions.append(random_restriction(*fixtures["proj3"],
                                       random.Random(1))[1])
+    actions.append(gen_product(*fixtures["cp1"], *fixtures["proj2"])[0])
     for action in actions:
         for v in action.vertices:
             scan = [e for e in action.edges if e.src == v]
             assert list(action.out_index[v]) == scan
-            assert action.out_edges(v) == scan
-            assert action.out_weights(v) == [action.axial[e.eid]
-                                             for e in scan]
+            assert action.out_weights[v] == tuple(e.weight for e in scan)
+        assert action.geometric_edges() == action.edges[::2]
+        for i, e in enumerate(action.edges):
+            r = action.edges[i ^ 1]
+            assert (e.eid, r.src, r.dst, r.weight) == \
+                (i, e.dst, e.src, tuple(-x for x in e.weight))
 
 
 def test_orientation_weight_length_violation():
@@ -159,7 +165,7 @@ def test_gen_projective_sizes():
     a1, _ = gen_projective(1)
     assert len(a1.vertices) == 2
     assert len(a1.geometric_edges()) == 1
-    assert a1.axial[a1.geometric_edges()[0].eid] == (1,)
+    assert a1.geometric_edges()[0].weight == (1,)
     a3, _ = gen_projective(3)
     assert a3.d == 3
     assert len(a3.vertices) == 4
@@ -191,8 +197,9 @@ def test_gen_flag_a_valid(m):
         p, q = sym.alphas[e.src], sym.alphas[e.dst]
         assert sorted(p) == sorted(q)
         assert sum(a != b for a, b in zip(p, q)) == 2
-    assert all(sum(w) == 0 and sorted(w) == [-1] + [0] * (m - 2) + [1]
-               for w in action.axial.values())
+    assert all(sum(e.weight) == 0
+               and sorted(e.weight) == [-1] + [0] * (m - 2) + [1]
+               for e in action.edges)
     assert set(sym.m.values()) == set(range(1, m))
 
 
@@ -217,10 +224,10 @@ def test_gen_grassmannian_valid(k, m):
     assert (action.n, action.d) == (m, k * (m - k))
     assert len(action.vertices) == comb(m, k)
     assert sym.alphas[",".join(map(str, lam))] == lam
-    assert all(sorted(w) == [-1] + [0] * (m - 2) + [1]
-               for w in action.axial.values())
+    assert all(sorted(e.weight) == [-1] + [0] * (m - 2) + [1]
+               for e in action.edges)
     for e in action.edges:
-        assert action.axial[e.eid] == tuple(
+        assert e.weight == tuple(
             a - b for a, b in zip(sym.alphas[e.dst], sym.alphas[e.src]))
 
 
@@ -304,8 +311,7 @@ def test_all_fixtures_valid(all_fixtures):
     actions += [random_restriction(*all_fixtures[name], rng)[1]
                 for name in sorted(all_fixtures)]
     for action in actions:
-        pairs = [(e.src, e.dst, action.axial[e.eid])
-                 for e in action.geometric_edges()]
+        pairs = [(e.src, e.dst, e.weight) for e in action.geometric_edges()]
         assert action_violations(action.n, action.vertices, pairs) == []
         rebuilt = validate_action(action.n, action.vertices, pairs)
         assert rebuilt == action
@@ -374,9 +380,9 @@ def test_restrict_maps_weights_and_vertex_weights():
     assert (raction.n, raction.d) == (2, 3)
     assert raction.vertices == action.vertices
     for e in action.edges:
-        w = action.axial[e.eid]
-        assert raction.axial[e.eid] == (w[0] + w[1] - 2 * w[2],
-                                        2 * w[1] + w[2])
+        w = e.weight
+        assert raction.edges[e.eid].weight == (w[0] + w[1] - 2 * w[2],
+                                               2 * w[1] + w[2])
     assert rsym.alphas == {"P0": (0, 0), "P1": (1, 0), "P2": (1, 2),
                            "P3": (-2, 1)}
 
