@@ -538,6 +538,14 @@ def _partial_geometric(n, prim, mult, big, sign):
 # exact convex hull checks
 
 
+def _check_lengths(first, points):
+    """Raise DimMismatch unless every point has the length of first."""
+    bad = next((p for p in points if len(p) != len(first)), None)
+    if bad is not None:
+        raise DimMismatch(f"point {bad} has length {len(bad)}, "
+                          f"point {first} has length {len(first)}")
+
+
 def in_convex_hull(point, points) -> bool:
     """Exact rational membership of point in the convex hull of points.
 
@@ -553,10 +561,12 @@ def in_convex_hull(point, points) -> bool:
     LP is solved by an exact phase-1 simplex with Bland's rule, which
     terminates without perturbation; its tableau stays integral (see
     _phase1_feasible), so no Fraction is formed.  Point sets whose affine
-    hull is not the whole space need no special case.
+    hull is not the whole space need no special case.  Raises DimMismatch
+    when the point and the points are not all of one length.
     """
     point = tuple(point)
     pts = dict.fromkeys(tuple(p) for p in points)
+    _check_lengths(point, pts)
     if point in pts:
         return True
     if not pts:
@@ -643,19 +653,26 @@ def hull_vertices(points):
     """Points that are vertices of the convex hull of the collection, in
     the order first seen.
 
-    Each distinct point p is tested by in_convex_hull(p, others).  A strict
-    vertex is settled there by the separation certificate whenever the
-    direction from the centroid of the points to p exposes it, as at every
-    point of a set on a sphere about its centroid: the corners of a box,
-    or a Weyl group orbit.  Other points go on to the LP.
+    Farthest-point certificate: with m distinct points summing to S, every
+    point lies in the ball about the centroid S / m through the points
+    that maximize r2(p) = |m * p - S|^2, and a point on that sphere is an
+    exposed point of the ball, so it is a vertex of the hull.  r2 is
+    computed once per point, in integers.  Each other point p is tested by
+    in_convex_hull(p, others).  Every point of a set on a sphere about its
+    centroid, such as the corners of a box or a Weyl group orbit, is
+    farthest, so such a hull needs no per-point query.  Raises DimMismatch
+    when the points are not all of one length.
     """
     pts = list(dict.fromkeys(tuple(p) for p in points))
-    out = []
-    for p in pts:
-        others = [q for q in pts if q != p]
-        if not others or not in_convex_hull(p, others):
-            out.append(p)
-    return out
+    if not pts:
+        return []
+    _check_lengths(pts[0], pts)
+    m = len(pts)
+    total = [sum(coords) for coords in zip(*pts)]
+    r2 = [sum((m * x - s) ** 2 for x, s in zip(p, total)) for p in pts]
+    far = max(r2)
+    return [p for p, r in zip(pts, r2)
+            if r == far or not in_convex_hull(p, [q for q in pts if q != p])]
 
 
 @dataclass(frozen=True)
@@ -671,9 +688,10 @@ def hull_report(sym: SymplecticClass, char: CharacterResult) -> HullReport:
     its vertices.
 
     The support lies in the hull exactly when the extreme points of its own
-    convex hull do, and a support point mu with mu + u and mu - u both in
-    the support is a midpoint, never extreme.  So only the support points
-    for which no primitive edge direction u of the action does this are
+    convex hull do.  A support point that is a fixed-point weight alpha_p
+    is in the hull, and a support point mu with mu + u and mu - u both in
+    the support is a midpoint, never extreme.  So only the support points that
+    are neither, for any primitive edge direction u of the action, are
     sent to in_convex_hull, whose certificates and LP fallback decide them.
     If one of them is outside, every support point is tested, in sorted
     order, so support_violations lists all of them.
@@ -681,15 +699,15 @@ def hull_report(sym: SymplecticClass, char: CharacterResult) -> HullReport:
     alphas = list(sym.alphas.values())
     verts = tuple(hull_vertices(alphas))
     terms = char.poly.terms
-    support = sorted(terms)
+    known = set(alphas)
     dirs = dict.fromkeys(_canonical_sign(primitive_part(e.weight)[0])
                          for e in sym.action.geometric_edges())
-    tested = [mu for mu in support
-              if not any(vadd(mu, u) in terms and vsub(mu, u) in terms
-                         for u in dirs)]
+    tested = [mu for mu in terms if mu not in known
+              and not any(vadd(mu, u) in terms and vsub(mu, u) in terms
+                          for u in dirs)]
     support_bad = ()
     if not all(in_convex_hull(mu, alphas) for mu in tested):
-        support_bad = tuple(mu for mu in support
+        support_bad = tuple(mu for mu in sorted(terms)
                             if not in_convex_hull(mu, alphas))
     coeff_bad = tuple((v, char.poly.coeff(v)) for v in verts
                       if char.poly.coeff(v) != 1)

@@ -369,6 +369,18 @@ def test_hull_vertices_square():
     assert sorted(hull_vertices(pts)) == [(0, 0), (0, 2), (2, 0), (2, 2)]
 
 
+def test_hull_points_of_mixed_length_raise():
+    # zip would read (5, 0, 1) as (5, 0) and (3,) as a 1-vector
+    tri = [(0, 0), (2, 0), (0, 2)]
+    for query in [(3,), (5, 0, 1), (1,)]:
+        with pytest.raises(laurent.DimMismatch):
+            in_convex_hull(query, tri)
+    with pytest.raises(laurent.DimMismatch):
+        in_convex_hull((0, 0), tri + [(1, 0, 0)])
+    with pytest.raises(laurent.DimMismatch):
+        hull_vertices([(0, 0), (1, 0, 0), (0, 1)])
+
+
 def _enumerated_hull_membership(point, points):
     """Reference membership test: by Caratheodory, point is in the hull iff
     it is a convex combination of some at most n+1 of the points, so try
@@ -570,13 +582,51 @@ WIDE = st.integers(-5, 5)
 
 
 @st.composite
+def sphere_points(draw):
+    """Lattice points on one sphere about their centroid, so that several
+    tie for the farthest: the corners of a box, the signed permutations of
+    a vector, or the Weyl orbit of a weight of A2 or B2; then 0-3 extra
+    points, rounded midpoints of two of them or anywhere in [-5, 5]^n, in
+    a drawn order."""
+    kind = draw(st.sampled_from(("box", "signed", "A2", "B2")))
+    if kind == "box":
+        n = draw(st.integers(1, 3))
+        sides = [(lo, lo + draw(st.integers(1, 3)))
+                 for lo in draw(st.lists(COORD, min_size=n, max_size=n))]
+        points = list(product(*sides))
+    elif kind == "signed":
+        n = draw(st.integers(1, 3))
+        v = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        points = list(dict.fromkeys(
+            tuple(s * x for s, x in zip(signs, perm))
+            for perm in permutations(v) for signs in product((1, -1),
+                                                             repeat=n)))
+    else:
+        n = 3 if kind == "A2" else 2
+        lam = draw(st.tuples(*[COORD] * n))
+        _, sym = gen_weyl_orbit(positive_roots(kind[0], 2), lam)
+        points = list(sym.alphas.values())
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+            points.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+        else:
+            points.append(draw(st.tuples(*[WIDE] * n)))
+    return draw(st.permutations(points))
+
+
+@st.composite
 def hull_cases(draw):
-    """Points as in hull_queries (duplicates, lines, planes); queries that
-    are points of the set, midpoints of two of them (rounded down), or
-    anywhere in [-5, 5]^n, so some lie outside the bounding box and some
-    inside the box but outside the hull; edge directions that are unit
-    vectors or primitive differences of two points."""
-    _, points = draw(hull_queries())
+    """Points as in hull_queries (duplicates, lines, planes) or as in
+    sphere_points (ties for the farthest point); queries that are points
+    of the set, midpoints of two of them (rounded down), or anywhere in
+    [-5, 5]^n, so some lie outside the bounding box and some inside the
+    box but outside the hull; edge directions that are unit vectors or
+    primitive differences of two points."""
+    if draw(st.booleans()):
+        points = draw(sphere_points())
+    else:
+        _, points = draw(hull_queries())
     n = len(points[0])
     queries = []
     for _ in range(draw(st.integers(1, 8))):
@@ -641,6 +691,33 @@ def lp_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """Counts the in_convex_hull queries."""
+    calls = []
+    query = characters.in_convex_hull
+
+    def counted(point, points):
+        calls.append(tuple(point))
+        return query(point, points)
+    monkeypatch.setattr(characters, "in_convex_hull", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, rank, lam", [
+    ("A", 4, range(5)),
+    ("A", 5, range(6)),
+    ("B", 3, (3, 2, 1)),
+    ("D", 4, (3, 2, 1, 0)),
+])
+def test_weyl_orbit_hulls_need_no_query(hull_calls, kind, rank, lam):
+    # every point of an orbit is farthest from its centroid
+    _, sym = gen_weyl_orbit(positive_roots(kind, rank), lam)
+    alphas = list(sym.alphas.values())
+    assert hull_vertices(alphas) == alphas
+    assert hull_calls == []
+
+
 def test_thin_triangle_still_reaches_the_lp(lp_calls):
     # (1, 1) is inside, is no midpoint of two corners, and is the centroid,
     # so the separation direction is zero and no certificate settles it
@@ -650,9 +727,10 @@ def test_thin_triangle_still_reaches_the_lp(lp_calls):
     assert hull_vertices(tri + [(1, 1)]) == tri
 
 
-def test_certificates_settle_the_cube_report(lp_calls):
-    # (P1)^3 scaled by 2: every corner is exposed by separation and every
-    # other support point is a midpoint along an edge, so no LP is solved
+def test_certificates_settle_the_cube_report(lp_calls, hull_calls):
+    # (P1)^3 scaled by 2: every corner is farthest from the centroid and
+    # is an alpha, and every other support point is a midpoint along an
+    # edge, so no point is queried and no LP is solved
     action, sym = gen_projective(1)
     p1 = (action, sym)
     for _ in range(2):
@@ -663,7 +741,7 @@ def test_certificates_settle_the_cube_report(lp_calls):
                                            product(range(3), repeat=3)}))
     report = hull_report(sym, char)
     assert report.ok and len(report.hull_vertices) == 8
-    assert lp_calls == []
+    assert lp_calls == [] and hull_calls == []
 
 
 # --- coadjoint orbits G/P: d > n - 1 ------------------------------------------
@@ -797,7 +875,7 @@ def test_flag_multiplicity_matches_oracle(m, lam):
         assert multiplicity(sym, pol, mu) == chi.coeff(mu)
 
 
-@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("m", [4, 5, 6])
 def test_flag_hull_report(m):
     _, sym = _flag(m)
     report = hull_report(sym, CharacterResult(character_oracle(sym.base)))
