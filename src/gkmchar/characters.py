@@ -99,11 +99,15 @@ def kostant_count(weights, target, xi) -> int:
 
     Every weight must pair positively with the direction xi (NotGeneric
     otherwise).  The count is computed by a memoized recursion over the
-    weight list, bounded by the xi-pairing.
+    weight list, bounded by the xi-pairing.  Raises DimMismatch when
+    target is not of the length of xi.
     """
     weights = [tuple(w) for w in weights]
     target = tuple(target)
     xi = tuple(xi)
+    if len(target) != len(xi):
+        raise DimMismatch(f"target {target} has length {len(target)}, "
+                          f"xi {xi} has length {len(xi)}")
     pairings = [dot(w, xi) for w in weights]
     if any(p <= 0 for p in pairings):
         raise NotGeneric("every weight must pair positively with xi")
@@ -521,17 +525,12 @@ def _canonical_sign(prim):
 
 
 def _partial_geometric(n, prim, mult, big, sign):
-    """(1 - x^{big*prim}) / (1 - x^{sign*mult*prim}) as a polynomial."""
-    step = vscale(prim, mult)
-    q = big // mult
-    terms = {}
-    for i in range(q):
-        terms[vscale(step, i)] = 1
-    quo = LaurentPoly(n, terms)
-    if sign == 1:
-        return quo
-    # dividing by 1 - x^{-m a} flips sign and shifts by x^{m a}
-    return -quo.shift(step)
+    """(1 - x^{big*prim}) / (1 - x^{sign*mult*prim}) as a polynomial: sign
+    times the sum of x^{i*mult*prim} over i in [0, q) for sign 1 and over
+    [1, q] for sign -1, where q = big // mult."""
+    lo = (1 - sign) // 2
+    return LaurentPoly._unchecked(n, {tuple([i * mult * x for x in prim]): sign
+                                      for i in range(lo, big // mult + lo)})
 
 
 # ---------------------------------------------------------------------------
@@ -549,32 +548,26 @@ def _check_lengths(first, points):
 def in_convex_hull(point, points) -> bool:
     """Exact rational membership of point in the convex hull of points.
 
-    Exact certificates settle most queries before anything is solved.  A
-    point of P is inside, and one outside the bounding box of P is outside.
-    Separation: with eta = |P| * point - sum(P), the direction from the
-    centroid of P to the point, if eta . point > eta . q for every q in P,
-    the hyperplane through the point normal to eta has all of P strictly
-    on one side, so the point is outside.
+    A point is outside an empty P.  Otherwise one exact certificate is
+    tried first.  Separation: with eta = |P| * point - sum(P), the
+    direction from the centroid of P to the point, if eta . point > eta . q
+    for every q in P, the hyperplane through the point normal to eta has
+    all of P strictly on one side, so the point is outside.
 
-    Only when no certificate holds is one feasibility LP solved: find
-    lambda >= 0 with sum(lambda_i * p_i) = point and sum(lambda_i) = 1.  The
-    LP is solved by an exact phase-1 simplex with Bland's rule, which
-    terminates without perturbation; its tableau stays integral (see
-    _phase1_feasible), so no Fraction is formed.  Point sets whose affine
-    hull is not the whole space need no special case.  Raises DimMismatch
-    when the point and the points are not all of one length.
+    Every other query, a point of P among them, is decided by one
+    feasibility LP: find lambda >= 0 with sum(lambda_i * p_i) = point and
+    sum(lambda_i) = 1.  The LP is solved by an exact phase-1 simplex with
+    Bland's rule, which terminates without perturbation; its tableau stays
+    integral (see _phase1_feasible), so no Fraction is formed.  Point sets
+    whose affine hull is not the whole space need no special case.  Raises
+    DimMismatch when the point and the points are not all of one length.
     """
     point = tuple(point)
     pts = dict.fromkeys(tuple(p) for p in points)
     _check_lengths(point, pts)
-    if point in pts:
-        return True
     if not pts:
         return False
     cols = list(zip(*pts))
-    for x, coords in zip(point, cols):
-        if not min(coords) <= x <= max(coords):
-            return False
     eta = [len(pts) * x - sum(coords) for x, coords in zip(point, cols)]
     top = dot(eta, point)
     if all(dot(eta, q) < top for q in pts):
@@ -639,13 +632,7 @@ def _phase1_feasible(rows) -> bool:
 
 
 def _pivot_row(row, prow, p, f, prev):
-    """(p * row - f * prow) / prev, exactly."""
-    if f == 0:
-        if p == prev:
-            return row
-        return [p * x // prev for x in row]
-    if p == prev == 1:
-        return [x - f * y for x, y in zip(row, prow)]
+    """(p * row - f * prow) / prev, a new list; the division is exact."""
     return [(p * x - f * y) // prev for x, y in zip(row, prow)]
 
 
@@ -657,11 +644,13 @@ def hull_vertices(points):
     point lies in the ball about the centroid S / m through the points
     that maximize r2(p) = |m * p - S|^2, and a point on that sphere is an
     exposed point of the ball, so it is a vertex of the hull.  r2 is
-    computed once per point, in integers.  Each other point p is tested by
-    in_convex_hull(p, others).  Every point of a set on a sphere about its
-    centroid, such as the corners of a box or a Weyl group orbit, is
-    farthest, so such a hull needs no per-point query.  Raises DimMismatch
-    when the points are not all of one length.
+    computed once per point, in integers.  Every point of a set on a
+    sphere about its centroid, such as the corners of a box or a Weyl group
+    orbit, is farthest, so such a hull needs no per-point query.  Each
+    other point p is tested against the points not yet shown inside, and
+    dropped once it is: every vertex stays, so each answer is the one
+    against all the points.  Raises DimMismatch when the points are not
+    all of one length.
     """
     pts = list(dict.fromkeys(tuple(p) for p in points))
     if not pts:
@@ -671,8 +660,11 @@ def hull_vertices(points):
     total = [sum(coords) for coords in zip(*pts)]
     r2 = [sum((m * x - s) ** 2 for x, s in zip(p, total)) for p in pts]
     far = max(r2)
-    return [p for p, r in zip(pts, r2)
-            if r == far or not in_convex_hull(p, [q for q in pts if q != p])]
+    live = dict.fromkeys(pts)
+    for p, r in zip(pts, r2):
+        if r != far and in_convex_hull(p, [q for q in live if q != p]):
+            del live[p]
+    return list(live)
 
 
 @dataclass(frozen=True)
@@ -692,9 +684,10 @@ def hull_report(sym: SymplecticClass, char: CharacterResult) -> HullReport:
     is in the hull, and a support point mu with mu + u and mu - u both in
     the support is a midpoint, never extreme.  So only the support points that
     are neither, for any primitive edge direction u of the action, are
-    sent to in_convex_hull, whose certificates and LP fallback decide them.
-    If one of them is outside, every support point is tested, in sorted
-    order, so support_violations lists all of them.
+    sent to in_convex_hull, whose separation certificate or LP decides
+    each.  If one of them is outside, every support point that is not an
+    alpha is tested, in sorted order, so support_violations lists all of
+    them and no point of the alphas reaches the LP.
     """
     alphas = list(sym.alphas.values())
     verts = tuple(hull_vertices(alphas))
@@ -707,8 +700,8 @@ def hull_report(sym: SymplecticClass, char: CharacterResult) -> HullReport:
                           for u in dirs)]
     support_bad = ()
     if not all(in_convex_hull(mu, alphas) for mu in tested):
-        support_bad = tuple(mu for mu in sorted(terms)
-                            if not in_convex_hull(mu, alphas))
+        support_bad = tuple(mu for mu in sorted(terms) if mu not in known
+                            and not in_convex_hull(mu, alphas))
     coeff_bad = tuple((v, char.poly.coeff(v)) for v in verts
                       if char.poly.coeff(v) != 1)
     return HullReport(ok=not support_bad and not coeff_bad,

@@ -149,7 +149,7 @@ def _build_action(n, vertices, edge_pairs):
                                             f"zero weight on {labels[e.eid]}"))
                 continue
             for f in es[i + 1:]:
-                if _proportional(e.weight, f.weight):
+                if any(f.weight) and _proportional(e.weight, f.weight):
                     violations.append(Violation(
                         "E_GKM", str(v), f"proportional weights on "
                         f"{labels[e.eid]} and {labels[f.eid]}"))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .lattice import BasisChange, complete_to_basis, dot, vadd, vneg
-from .laurent import LaurentPoly, RationalChar, eval_numeric
+from .laurent import DimMismatch, LaurentPoly, RationalChar, eval_numeric
 from .characters import NotGeneric
 
 
@@ -162,10 +162,14 @@ def fiber_average_numeric(f: RationalChar, alpha, xi, point) -> complex:
     alpha cuts out the subtorus the push-forward starts from; the fiber over
     the class of `point` in the quotient by the circle of xi consists of
     |alpha(xi)| shifts of the point along xi, and the push-forward evaluates
-    as their mean.
+    as their mean.  Raises DimMismatch when point, alpha or xi is not of
+    the dimension of f.
     """
-    alpha = tuple(alpha)
-    xi = tuple(xi)
+    point, alpha, xi = tuple(point), tuple(alpha), tuple(xi)
+    for name, v in (("point", point), ("alpha", alpha), ("xi", xi)):
+        if len(v) != f.dim:
+            raise DimMismatch(f"{name} {v} has length {len(v)}, "
+                              f"expected {f.dim}")
     k = dot(alpha, xi)
     if k == 0:
         raise NotGeneric(f"{alpha} pairs to zero with {xi}")

@@ -117,6 +117,13 @@ def test_kostant_empty_sum():
     assert kostant_count([(2, 1)], (0, 0), (1, 0)) == 1
 
 
+def test_kostant_refuses_a_target_of_the_wrong_length():
+    # ([], (0, 0, 0), (1, 2)) would otherwise count the empty sum
+    for weights, target in [([], (0, 0, 0)), ([(1, 0)], (0,))]:
+        with pytest.raises(laurent.DimMismatch, match="xi"):
+            kostant_count(weights, target, (1, 2))
+
+
 def test_multiplicity_cp1(cp1):
     action, sym = cp1
     pol = polarize(action, (1, 0))
@@ -362,6 +369,8 @@ def test_hull_membership_exact():
     assert in_convex_hull((0, 1), tri)
     assert not in_convex_hull((1, 1), tri)
     assert not in_convex_hull((-1, 0), tri)
+    # the centroid: eta = 0, so only the LP can answer
+    assert in_convex_hull((1, 1), [(0, 0), (3, 0), (0, 3)])
 
 
 def test_hull_vertices_square():
@@ -727,6 +736,29 @@ def test_thin_triangle_still_reaches_the_lp(lp_calls):
     assert hull_vertices(tri + [(1, 1)]) == tri
 
 
+def test_hull_vertices_drop_the_points_shown_inside(monkeypatch):
+    # a cloud with many interior points: each one shown inside leaves the
+    # later queries, so the sets queried sum to less than testing every
+    # point that is not farthest against all the m - 1 others
+    rng = random.Random(1)
+    cloud = [tuple(rng.randint(-20, 20) for _ in range(3))
+             for _ in range(60)]
+    sizes = []
+    query = characters.in_convex_hull
+
+    def counted(point, points):
+        sizes.append(len(points))
+        return query(point, points)
+    monkeypatch.setattr(characters, "in_convex_hull", counted)
+    got = hull_vertices(cloud)
+    monkeypatch.undo()
+    assert got == _lp_hull_vertices(cloud)
+    m = len(set(cloud))
+    k = m - len(sizes)          # the farthest points are not queried
+    assert len(got) < m - 10
+    assert sum(sizes) < (m - k) * (m - 1)
+
+
 def test_certificates_settle_the_cube_report(lp_calls, hull_calls):
     # (P1)^3 scaled by 2: every corner is farthest from the centroid and
     # is an alpha, and every other support point is a midpoint along an
@@ -929,6 +961,17 @@ def test_restriction_oracle_with_a_shifted_geometric_sum(fixtures):
         image = tuple(dot(row, e) for row in P)
         pushed[image] = pushed.get(image, 0) + c
     assert character_oracle(rsym.base) == LaurentPoly(2, pushed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+       st.integers(1, 4), st.integers(1, 5), st.sampled_from((1, -1)))
+def test_partial_geometric_is_the_exact_quotient(prim, mult, q, sign):
+    # against divide_exact, which finds the quotient by its own route
+    n, prim, big = len(prim), tuple(prim), q * mult
+    binomial = LaurentPoly.one(n) - LaurentPoly.monomial(vscale(prim, big))
+    want = laurent.divide_exact(binomial, vscale(prim, sign * mult))
+    assert characters._partial_geometric(n, prim, mult, big, sign) == want
 
 
 # --- d > n inputs, cut by the dual-cone rays of every vertex -----------------

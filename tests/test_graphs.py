@@ -73,6 +73,18 @@ def test_gkm_condition_violation():
     assert any(x.code == "E_GKM" for x in v)
 
 
+def test_zero_weight_is_reported_once_whatever_the_edge_order():
+    # a zero weight is proportional to every weight; only its own
+    # zero-weight line names it, whichever edge comes first at its vertex
+    pairs = [("a", "b", (1, 0)), ("b", "c", (0, 0)), ("c", "a", (1, 1))]
+    for order in permutations(pairs):
+        v = action_violations(2, ["a", "b", "c"], list(order))
+        assert [(x.code, x.where) for x in v] == \
+            [("E_GKM", "b"), ("E_GKM", "c")]
+        assert all(x.detail == "zero weight on "
+                   f"edge#{order.index(pairs[1])} b->c" for x in v)
+
+
 def test_valence_violation():
     v = action_violations(
         2, ["a", "b", "c"],

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmchar.lattice import complete_to_basis, dot, vadd
-from gkmchar.laurent import LaurentPoly, RationalChar, eval_numeric
+from gkmchar.laurent import (DimMismatch, LaurentPoly, RationalChar,
+                             eval_numeric)
 from gkmchar.characters import NotGeneric, localization_terms
 from gkmchar.residues import fiber_average_numeric, res_T, to_z_form
 from gkmchar.randomgen import (random_class, random_generic_xi,
@@ -179,6 +181,17 @@ def test_fiber_average_zero_pairing_rejected(rng):
     f = RationalChar(LaurentPoly.one(2), ())
     with pytest.raises(NotGeneric):
         fiber_average_numeric(f, (0, 1), (1, 0), random_torus_point(2, rng))
+
+
+def test_fiber_average_refuses_inputs_of_the_wrong_length():
+    # a 3-point would otherwise read as its first two coordinates
+    f = RationalChar(LaurentPoly.monomial((1, 0)), ((0, 1),))
+    point = (Fraction(1, 3), Fraction(1, 5))
+    for args in [((1, 0), (1, 2), point + (Fraction(1, 7),)),
+                 ((1, 0), (1, 2), point[:1]),
+                 ((1, 0, 0), (1, 2), point), ((1, 0), (1,), point)]:
+        with pytest.raises(DimMismatch):
+            fiber_average_numeric(f, *args)
 
 
 def test_residue_equals_signed_fiber_average_sum(rng):
