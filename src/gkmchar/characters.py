@@ -11,8 +11,8 @@ from functools import lru_cache, reduce
 from itertools import chain
 from operator import add, mul, sub
 
-from .lattice import NotPrimitive, dot, is_primitive, primitive_part, \
-    vadd, vneg, vscale, vsub
+from .lattice import NotPrimitive, dot, is_primitive, vadd, vneg, vscale, \
+    vsub
 from .laurent import DimMismatch, LaurentPoly, NotDivisible, RationalChar, \
     _Kronecker, _box, divide_exact
 from .graphs import GkmAction, KClass, SymplecticClass
@@ -419,21 +419,21 @@ def character_oracle(f: KClass) -> LaurentPoly:
     """Character by the independent exact-division route.
 
     The localized sum is assembled over a common denominator of binomials
-    1 - x^gamma, gamma = big * prim, one per direction class: the
-    pairwise independent primitive directions prim of the edge weights, up
-    to sign, with big the lcm of their multiplicities.  The numerator is
-    divided by all of them in one divide_exact call.  No polarization is
-    involved.
+    1 - x^gamma, gamma = big * u, one per direction class u of the edge
+    weights (GkmAction.direction), with big the lcm of the class's
+    multiplicities.  The classes are taken in the order the vertices first
+    meet them.  The numerator is divided by all of them in one
+    divide_exact call.  No polarization is involved.
 
     Vertex v puts f_v * own_v * prod over the classes absent at v of
     (1 - x^gamma) into the numerator, where own_v is the product of the
-    partial geometric sums (1 - x^gamma) / (1 - x^w) of its own weights w
-    (see _partial_geometric): a monomial when big is w's multiplicity.  That
-    part is a LaurentPoly product, smallest factor first, and each distinct
-    sum is built once per call.  The absent binomials are applied on
-    Kronecker-packed integer keys (see laurent._Kronecker), one shifted
-    pass out[k + L(gamma)] -= c each, and every vertex adds into one
-    packed map, decoded once.
+    partial geometric sums (1 - x^gamma) / (1 - x^w) of its own weights
+    w = sign * mult * u.  Where big == mult that sum is 1 or -x^(mult * u),
+    so these fold into one monomial, times the other sums (built once per
+    call, see _partial_geometric) smallest first, then f_v: a LaurentPoly
+    product.  The absent binomials are applied on Kronecker-packed integer
+    keys (see laurent._Kronecker), one shifted pass out[k + L(gamma)] -= c
+    each, and every vertex adds into one packed map, decoded once.
 
     The packing is exact.  The box is the box of all the f_v * own_v,
     widened in each coordinate i by the sum over all gammas of
@@ -448,38 +448,37 @@ def character_oracle(f: KClass) -> LaurentPoly:
     """
     action = f.action
     n = action.n
-    # direction classes: canonical primitive vector -> lcm of multiplicities;
-    # per vertex: canonical primitive vector -> (sign, multiplicity)
+    # direction classes: u -> lcm of multiplicities; per vertex: u -> the
+    # (u, sign, mult) of its edge in that class
     lcms: dict = {}
-    kinds = {}      # weight -> (canonical primitive vector, (sign, mult))
     used_at = []
-    for v in action.vertices:
+    for v, es in action.out_index.items():
         used = {}
-        for w in action.out_weights[v]:
-            kind = kinds.get(w)
-            if kind is None:
-                prim, mult = primitive_part(w)
-                cprim = _canonical_sign(prim)
-                kind = kinds[w] = (cprim, (1 if prim == cprim else -1, mult))
-                lcms[cprim] = math.lcm(lcms.get(cprim, 1), mult)
-            used[kind[0]] = kind[1]
+        for e in es:
+            d = action.direction[e.eid]
+            lcms[d[0]] = math.lcm(lcms.get(d[0], 1), d[2])
+            used[d[0]] = d
         used_at.append((v, used))
-    gammas = {prim: vscale(prim, big) for prim, big in lcms.items()}
-    geometric = {}  # (prim, (sign, mult)) -> its partial geometric sum
+    gammas = {u: vscale(u, big) for u, big in lcms.items()}
+    geometric = {}  # (u, sign, mult) -> its partial geometric sum
     parts = []      # (f_v * own_v, the classes absent at v)
     for v, used in used_at:
         if f[v].terms:
-            factors = []
-            for key in used.items():
-                factor = geometric.get(key)
-                if factor is None:
-                    prim, (sign, mult) = key
-                    factor = geometric[key] = _partial_geometric(
-                        n, prim, mult, lcms[prim], sign)
-                factors.append(factor)
+            coeff, exp, factors = 1, (0,) * n, []
+            for d in used.values():
+                u, sign, mult = d
+                if lcms[u] != mult:
+                    factor = geometric.get(d)
+                    if factor is None:
+                        factor = geometric[d] = _partial_geometric(
+                            n, u, mult, lcms[u], sign)
+                    factors.append(factor)
+                elif sign < 0:
+                    coeff, exp = -coeff, tuple(map(add, exp, vscale(u, mult)))
             factors.sort(key=len)
-            own = f[v] * reduce(mul, factors) if factors else f[v]
-            parts.append((own.terms, [p for p in lcms if p not in used]))
+            own = f[v] * reduce(mul, factors,
+                                LaurentPoly._unchecked(n, {exp: coeff}))
+            parts.append((own.terms, [u for u in lcms if u not in used]))
     numerator = {}
     if parts:
         exps = [e for own, _ in parts for e in own]
@@ -489,16 +488,16 @@ def character_oracle(f: KClass) -> LaurentPoly:
             hi = [x + max(y, 0) for x, y in zip(hi, g)]
         span = list(map(sub, hi, lo))
         codec = _Kronecker(lo, span, max(span) + 1)
-        shift = {prim: codec.key(g) for prim, g in gammas.items()}
+        shift = {u: codec.key(g) for u, g in gammas.items()}
         keys = codec.keys(exps)
         get = numerator.get
         i = 0
         for own, absent in parts:
             packed = dict(zip(keys[i:i + len(own)], own.values()))
             i += len(own)
-            for prim in absent:
+            for u in absent:
                 # times 1 - t^a
-                a = shift[prim]
+                a = shift[u]
                 out = dict(packed)
                 out_get = out.get
                 for k, c in packed.items():
@@ -515,13 +514,6 @@ def character_oracle(f: KClass) -> LaurentPoly:
         raise InternalDivisionFailure(
             "exact division by the direction binomials failed; "
             "the input is not a compatible class") from exc
-
-
-def _canonical_sign(prim):
-    for x in prim:
-        if x != 0:
-            return prim if x > 0 else vneg(prim)
-    raise ValueError("zero vector")
 
 
 def _partial_geometric(n, prim, mult, big, sign):
@@ -682,22 +674,22 @@ def hull_report(sym: SymplecticClass, char: CharacterResult) -> HullReport:
     The support lies in the hull exactly when the extreme points of its own
     convex hull do.  A support point that is a fixed-point weight alpha_p
     is in the hull, and a support point mu with mu + u and mu - u both in
-    the support is a midpoint, never extreme.  So only the support points that
-    are neither, for any primitive edge direction u of the action, are
-    sent to in_convex_hull, whose separation certificate or LP decides
-    each.  If one of them is outside, every support point that is not an
-    alpha is tested, in sorted order, so support_violations lists all of
-    them and no point of the alphas reaches the LP.
+    the support is a midpoint, never extreme.  So only the support points
+    that are neither, for any direction class u of the action's edges
+    (GkmAction.direction, one primitive vector per class), are sent to
+    in_convex_hull, whose separation certificate or LP decides each.  If
+    one of them is outside, every support point that is not an alpha is
+    tested, in sorted order, so support_violations lists all of them and
+    no point of the alphas reaches the LP.
     """
     alphas = list(sym.alphas.values())
     verts = tuple(hull_vertices(alphas))
     terms = char.poly.terms
     known = set(alphas)
-    dirs = dict.fromkeys(_canonical_sign(primitive_part(e.weight)[0])
-                         for e in sym.action.geometric_edges())
+    dirs = dict.fromkeys(d[0] for d in sym.action.direction[::2])
     tested = [mu for mu in terms if mu not in known
-              and not any(vadd(mu, u) in terms and vsub(mu, u) in terms
-                          for u in dirs)]
+              and not any(tuple(map(add, mu, u)) in terms
+                          and tuple(map(sub, mu, u)) in terms for u in dirs)]
     support_bad = ()
     if not all(in_convex_hull(mu, alphas) for mu in tested):
         support_bad = tuple(mu for mu in sorted(terms) if mu not in known

@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .lattice import dot, dual_cone_rays, primitive_part, vadd, vneg, \
-    vscale, vsub
+from .lattice import direction, dot, dual_cone_rays, primitive_part, \
+    vadd, vneg, vscale, vsub
 from .laurent import LaurentPoly, congruent_mod_edge
 
 
@@ -56,13 +56,18 @@ class GkmAction:
     2i + 1 is edge 2i reversed and carries minus its weight, so the reverse
     of edge e is edges[e.eid ^ 1].  The star of each vertex is built once:
     out_index[v] holds the edges leaving v, in edge order, and
-    out_weights[v] their weights."""
+    out_weights[v] their weights.  So is each edge's direction class:
+    direction[eid] is lattice.direction of its weight, (u, sign, mult),
+    or None for a zero weight, and direction[eid ^ 1] has the same u and
+    mult with the sign flipped.  Two edges are parallel exactly when
+    their u's are equal."""
 
     n: int
     vertices: tuple
     edges: tuple            # tuple of Edge
     out_index: dict = field(init=False, compare=False, repr=False)
     out_weights: dict = field(init=False, compare=False, repr=False)
+    direction: tuple = field(init=False, compare=False, repr=False)
     # sorted weight set -> its dual_cone_rays, filled by cone_rays
     _rays: dict = field(init=False, compare=False, repr=False)
 
@@ -75,6 +80,11 @@ class GkmAction:
         object.__setattr__(self, "out_weights",
                            {v: tuple(e.weight for e in es)
                             for v, es in index.items()})
+        table = []
+        for e in self.edges[::2]:
+            d = direction(e.weight) if any(e.weight) else None
+            table += (d, d and (d[0], -d[1], d[2]))
+        object.__setattr__(self, "direction", tuple(table))
         object.__setattr__(self, "_rays", {})
 
     @property
@@ -143,16 +153,16 @@ def _build_action(n, vertices, edge_pairs):
                       for v, es in out.items()]
 
     for v, es in out.items():
-        for i, e in enumerate(es):
-            if not any(e.weight):
+        # each edge's class u, None for a zero weight
+        us = [d and d[0] for d in (action.direction[e.eid] for e in es)]
+        for i, (e, u) in enumerate(zip(es, us)):
+            if u is None:
                 violations.append(Violation("E_GKM", str(v),
                                             f"zero weight on {labels[e.eid]}"))
                 continue
-            for f in es[i + 1:]:
-                if any(f.weight) and _proportional(e.weight, f.weight):
-                    violations.append(Violation(
-                        "E_GKM", str(v), f"proportional weights on "
-                        f"{labels[e.eid]} and {labels[f.eid]}"))
+            violations += [Violation("E_GKM", str(v), f"proportional weights "
+                                     f"on {labels[e.eid]} and {labels[f.eid]}")
+                           for f, t in zip(es[i + 1:], us[i + 1:]) if t == u]
     if violations:
         return None, violations
 
@@ -176,15 +186,6 @@ def action_violations(n, vertices, edge_pairs):
     carries alpha and its reverse dst -> src carries -alpha.
     """
     return _build_action(n, vertices, edge_pairs)[1]
-
-
-def _proportional(a, b):
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] - a[j] * b[i] != 0:
-                return False
-    return True
 
 
 def validate_action(n, vertices, edge_pairs) -> GkmAction:

@@ -47,10 +47,6 @@ def vscale(a, c):
     return tuple(map(mul, repeat(c), a))
 
 
-def vector_gcd(v) -> int:
-    return math.gcd(*(abs(x) for x in v)) if v else 0
-
-
 def primitive_part(v) -> tuple[IntVec, int]:
     """Split a nonzero integer vector into (primitive vector, multiplicity).
 
@@ -59,14 +55,26 @@ def primitive_part(v) -> tuple[IntVec, int]:
     direction of v.
     """
     v = tuple(v)
-    g = vector_gcd(v)
+    g = math.gcd(*v)
     if g == 0:
         raise ZeroVector("zero vector has no primitive part")
     return tuple(x // g for x in v), g
 
 
+def direction(w) -> tuple[IntVec, int, int]:
+    """The direction class of a nonzero weight: (u, sign, mult) with
+    w == sign * mult * u, u primitive and its first nonzero entry
+    positive.  Two nonzero weights are parallel exactly when their u's
+    are equal.  Raises ZeroVector for the zero vector."""
+    mult = math.gcd(*w)
+    if mult == 0:
+        raise ZeroVector("zero vector has no direction")
+    sign = 1 if next(filter(None, w)) > 0 else -1
+    return tuple([x // (sign * mult) for x in w]), sign, mult
+
+
 def is_primitive(v) -> bool:
-    return vector_gcd(tuple(v)) == 1
+    return math.gcd(*v) == 1
 
 
 @dataclass(frozen=True)

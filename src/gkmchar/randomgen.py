@@ -8,11 +8,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .lattice import dot, primitive_part, vadd, vscale
+from .lattice import direction, dot, primitive_part, vadd, vscale
 from .laurent import LaurentPoly, RationalChar, eval_numeric, PoleAtPoint
 from .graphs import GkmAction, KClass, SymplecticClass, ValidationError, \
-    _proportional, constant_class, gen_cp1_in_plane, gen_hirzebruch, \
-    gen_product, gen_projective, gen_weyl_orbit, positive_roots, restrict, \
+    constant_class, gen_cp1_in_plane, gen_hirzebruch, gen_product, \
+    gen_projective, gen_weyl_orbit, positive_roots, restrict, \
     symplectic_class
 
 
@@ -144,15 +144,15 @@ def random_torus_point(dim: int, rng: random.Random,
 
 def random_pole_free_point(chars, dim: int, rng: random.Random,
                            attempts: int = 200):
-    """A torus point at which every given rational character is pole free."""
+    """(point, values): a torus point at which every given rational
+    character is pole free, and the characters' values there, in order."""
     for _ in range(attempts):
         point = random_torus_point(dim, rng)
         try:
-            for ch in chars:
-                eval_numeric(ch, point)
+            values = [eval_numeric(ch, point) for ch in chars]
         except PoleAtPoint:
             continue
-        return point
+        return point, values
     raise PoleAtPoint("no pole-free point found")
 
 
@@ -164,11 +164,9 @@ def random_vertex_star(n: int, d: int, rng: random.Random,
         weights = []
         while len(weights) < d:
             w = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(n))
-            if all(x == 0 for x in w):
-                continue
-            if any(_proportional(w, u) for u in weights):
-                continue
-            weights.append(w)
+            if any(w) and direction(w)[0] not in {direction(u)[0]
+                                                  for u in weights}:
+                weights.append(w)
         mu = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(n))
         star = RationalChar(LaurentPoly.monomial(mu), tuple(weights))
         xi = tuple(rng.randint(-3, 3) for _ in range(n))

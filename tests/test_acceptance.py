@@ -104,7 +104,7 @@ def test_criterion_04_numeric_localization(battery100):
     for name, action, _, f, _, _, oracle in cases:
         terms = list(localization_terms(f).values())
         for _ in range(20):
-            g = random_pole_free_point(terms, action.n, rng)
+            g, _ = random_pole_free_point(terms, action.n, rng)
             raw = sum(eval_numeric(t, g) for t in terms)
             err = abs(raw - eval_numeric(oracle, g))
             worst = max(worst, err)
@@ -185,7 +185,7 @@ def test_criterion_08_fiber_averaging():
         star, xi = random_vertex_star(2, rng.randint(2, 3), rng)
         rv = res_T(star, xi)
         for _ in range(20):
-            g = random_pole_free_point([star], 2, rng)
+            g, _ = random_pole_free_point([star], 2, rng)
             lhs = eval_numeric(rv.total, g)
             rhs = 0j
             for j, w in enumerate(star.denominator):

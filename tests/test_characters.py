@@ -228,10 +228,10 @@ def test_expansion_within_answer_size_budget(xi):
 def test_oracle_division_reads_within_budget(monkeypatch):
     # projective 5-space scaled by 6 has a 462-term character.  The oracle
     # divides its 720-term numerator by all 15 direction binomials in one
-    # divide_exact call.  Each vertex multiplies its monomial f_v by the
-    # partial geometric sums of its 5 own directions, here monomials too;
-    # the binomials of the 10 directions absent at a vertex never go
-    # through LaurentPoly.__mul__.
+    # divide_exact call.  The partial geometric sums of each vertex's 5
+    # own directions are monomials, folded into one, so each vertex makes
+    # one product, its monomial f_v times that one; the binomials of the
+    # 10 directions absent at a vertex never go through LaurentPoly.__mul__.
     action, sym = gen_projective(5)
     sym = symplectic_class(action, {v: tuple(6 * x for x in a)
                                     for v, a in sym.alphas.items()})
@@ -251,7 +251,7 @@ def test_oracle_division_reads_within_budget(monkeypatch):
     got = character_oracle(sym.base)
     monkeypatch.undo()
     assert calls == [(720, 15)]
-    assert products == [(1, 1)] * (6 * 5)
+    assert products == [(1, 1)] * 6
     assert len(got) == 462
     assert got == character_expand(sym.base,
                                    polarize(action, (1, 2, 3, 4, 5))).poly
@@ -358,7 +358,7 @@ def test_numeric_localization(rng):
         chi = character_oracle(f)
         terms = list(localization_terms(f).values())
         for _ in range(5):
-            g = random_pole_free_point(terms, action.n, rng)
+            g, _ = random_pole_free_point(terms, action.n, rng)
             raw = sum(eval_numeric(t, g) for t in terms)
             assert abs(raw - eval_numeric(chi, g)) < 1e-6
 
@@ -961,6 +961,25 @@ def test_restriction_oracle_with_a_shifted_geometric_sum(fixtures):
         image = tuple(dot(row, e) for row in P)
         pushed[image] = pushed.get(image, 0) + c
     assert character_oracle(rsym.base) == LaurentPoly(2, pushed)
+
+
+def test_oracle_with_true_partial_sums_equals_the_expansion(fixtures):
+    # P sends e1 to (1, 0) and e3 - e2 to (2, 0): the disjoint edges P0-P1
+    # and P2-P3 share the class (1, 0) with multiplicities 1 and 2, so P0
+    # and P1 multiply in a two-term partial geometric sum, not a monomial
+    action, sym = fixtures["proj3"]
+    raction, rsym = graphs.restrict(action, sym, [(1, 0, 2), (0, 1, 1)])
+    lcms = {}
+    for u, _, mult in raction.direction:
+        lcms[u] = math.lcm(lcms.get(u, 1), mult)
+    assert [(u, mult) for u, _, mult in raction.direction
+            if mult < lcms[u]] == [((1, 0), 1)] * 2
+    rng = random.Random(26)
+    for f in [rsym.base, *(random_class(raction, rsym, rng)
+                           for _ in range(6))]:
+        xi = random_generic_xi(raction, rng)
+        assert character_oracle(f) == \
+            character_expand(f, polarize(raction, xi)).poly
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,14 +1,16 @@
 import json
 import os
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkmchar import lattice
 from gkmchar.laurent import LaurentPoly
-from gkmchar.graphs import (ValidationError, action_violations,
+from gkmchar.graphs import (Edge, GkmAction, ValidationError,
+                            action_violations,
                             class_violations, constant_class,
                             gen_cp1_in_plane, gen_hirzebruch, gen_product,
                             gen_projective, gen_weyl_orbit, graph_to_data,
@@ -56,6 +58,86 @@ def test_out_index_lists_the_edges_of_a_scan():
             r = action.edges[i ^ 1]
             assert (e.eid, r.src, r.dst, r.weight) == \
                 (i, e.dst, e.src, tuple(-x for x in e.weight))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_direction_table_holds_the_class_of_each_edge(all_fixtures, data):
+    name = data.draw(st.sampled_from(sorted(all_fixtures)))
+    action, sym = all_fixtures[name]
+    if name in ("proj3", "p1xp2") and data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        action = random_restriction(action, sym, rng)[1]
+    for e in action.edges:
+        u, sign, mult = action.direction[e.eid]
+        assert (u, sign, mult) == lattice.direction(e.weight)
+        assert action.direction[e.eid ^ 1] == (u, -sign, mult)
+
+
+def test_direction_table_leaves_a_zero_weight_out():
+    # the GKM stage reports a zero weight, so the action must still build
+    edges = (Edge(0, "a", "b", (0, 0)), Edge(1, "b", "a", (0, 0)),
+             Edge(2, "a", "b", (2, -4)), Edge(3, "b", "a", (-2, 4)))
+    action = GkmAction(n=2, vertices=("a", "b"), edges=edges)
+    assert action.direction == (None, None, ((1, -2), 1, 2),
+                                ((1, -2), -1, 2))
+
+
+def _proportional(a, b):
+    """Whether every 2 x 2 minor of the columns a, b vanishes."""
+    return all(a[i] * b[j] == a[j] * b[i]
+               for i, j in combinations(range(len(a)), 2))
+
+
+def _pairwise_gkm_lines(vertices, pairs):
+    """The GKM-stage lines of the pairwise-minor test: at each vertex, in
+    out-edge order, a zero weight once, else each later nonzero weight
+    proportional to it."""
+    out = {v: [] for v in vertices}
+    for idx, (src, dst, w) in enumerate(pairs):
+        label = f"edge#{idx} {src}->{dst}"
+        out[src].append((label, w))
+        out[dst].append((label, tuple(-x for x in w)))
+    lines = []
+    for v, es in out.items():
+        for i, (label, w) in enumerate(es):
+            if not any(w):
+                lines.append(f"E_GKM at {v}: zero weight on {label}")
+                continue
+            lines += [f"E_GKM at {v}: proportional weights on {label} and "
+                      f"{other}" for other, x in es[i + 1:]
+                      if any(x) and _proportional(w, x)]
+    return lines
+
+
+@st.composite
+def complete_graph_weights(draw):
+    """(n, vertices, pairs): the complete graph on 3-5 vertices, in a drawn
+    edge order, each edge weight a multiple in [-3, 3] of one of 1-3 drawn
+    vectors, so zero, parallel, antiparallel and integer-multiple weights
+    meet at the vertices."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(3, 5))
+    bases = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                          min_size=1, max_size=3))
+    vertices = [f"v{i}" for i in range(m)]
+    pairs = [(vertices[i], vertices[j],
+              tuple(draw(st.integers(-3, 3)) * x
+                    for x in draw(st.sampled_from(bases))))
+             for i, j in combinations(range(m), 2)]
+    return n, vertices, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(complete_graph_weights())
+def test_gkm_stage_matches_the_pairwise_minor_test(graph):
+    n, vertices, pairs = graph
+    got = [str(x) for x in action_violations(n, vertices, pairs)]
+    want = _pairwise_gkm_lines(vertices, pairs)
+    if want:
+        assert got == want
+    else:
+        assert not any(line.startswith("E_GKM") for line in got)
 
 
 def test_orientation_weight_length_violation():

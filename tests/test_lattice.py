@@ -5,9 +5,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gkmchar.characters import polarize
 from gkmchar.lattice import (NotPrimitive, ZeroVector, bareiss,
-                             complete_to_basis, det, dot, dual_cone_rays,
-                             is_primitive, primitive_part, weight_from_basis,
-                             weight_in_basis)
+                             complete_to_basis, det, direction, dot,
+                             dual_cone_rays, is_primitive, primitive_part,
+                             weight_from_basis, weight_in_basis)
 from gkmchar.randomgen import random_generic_xi
 
 
@@ -22,6 +22,26 @@ def test_primitive_part_with_gcd():
 def test_primitive_part_zero_vector():
     with pytest.raises(ZeroVector):
         primitive_part((0, 0))
+
+
+def test_direction_of_the_zero_vector():
+    with pytest.raises(ZeroVector):
+        direction((0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any),
+       st.integers(-3, 3).filter(bool))
+def test_direction_names_the_class_of_a_weight(w, k):
+    w = tuple(w)
+    u, sign, mult = direction(w)
+    assert tuple(sign * mult * x for x in u) == w
+    assert is_primitive(u) and next(x for x in u if x) > 0
+    assert sign in (1, -1) and mult > 0
+    # a nonzero multiple is in the same class, with the sign of k
+    ku, ksign, kmult = direction(tuple(k * x for x in w))
+    assert (ku, ksign, kmult) == (u, sign * (1 if k > 0 else -1),
+                                  abs(k) * mult)
 
 
 def test_primitive_part_scaling():

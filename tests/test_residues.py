@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmchar.lattice import complete_to_basis, dot, vadd
+from gkmchar.lattice import complete_to_basis, dot, primitive_part, vadd
 from gkmchar.laurent import (DimMismatch, LaurentPoly, RationalChar,
                              eval_numeric)
 from gkmchar.characters import NotGeneric, localization_terms
@@ -198,7 +199,7 @@ def test_residue_equals_signed_fiber_average_sum(rng):
     for _ in range(10):
         star, xi = random_vertex_star(2, rng.randint(2, 3), rng)
         rv = res_T(star, xi)
-        g = random_pole_free_point([star], 2, rng)
+        g, _ = random_pole_free_point([star], 2, rng)
         lhs = eval_numeric(rv.total, g)
         rhs = 0j
         for j, w in enumerate(star.denominator):
@@ -265,3 +266,39 @@ def test_res_T_matches_basis_free_polarized_slices(case):
     assert rv.minus == _polarized_slice(star, xi)
     assert rv.plus == _polarized_slice(star, tuple(-x for x in xi))
     assert rv.total == rv.plus - rv.minus
+
+
+def _pairwise_vertex_star(n, d, rng, exp_bound=2):
+    """random_vertex_star as drawn with the pairwise 2 x 2 minor test for
+    parallel weights."""
+    def proportional(a, b):
+        return all(a[i] * b[j] == a[j] * b[i]
+                   for i, j in combinations(range(len(a)), 2))
+
+    while True:
+        weights = []
+        while len(weights) < d:
+            w = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(n))
+            if all(x == 0 for x in w):
+                continue
+            if any(proportional(w, u) for u in weights):
+                continue
+            weights.append(w)
+        mu = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(n))
+        star = RationalChar(LaurentPoly.monomial(mu), tuple(weights))
+        xi = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(x != 0 for x in xi):
+            xi, _ = primitive_part(xi)
+            if all(dot(w, xi) != 0 for w in weights):
+                return star, xi
+
+
+def test_vertex_star_draws_as_the_pairwise_test():
+    for seed in range(200):
+        n, d = 2 + seed % 2, 2 + seed % 3
+        rng, ref = random.Random(seed), random.Random(seed)
+        star, xi = random_vertex_star(n, d, rng)
+        want, want_xi = _pairwise_vertex_star(n, d, ref)
+        assert (star.numerator, star.denominator, xi) == \
+            (want.numerator, want.denominator, want_xi)
+        assert rng.random() == ref.random()
