@@ -5,14 +5,12 @@ exact-division route to the same character.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
 from operator import add, mul, sub
 
-from .lattice import NotPrimitive, dot, is_primitive, vadd, vneg, vscale, \
-    vsub
+from .lattice import NotPrimitive, dot, is_primitive, vadd, vneg, vsub
 from .laurent import DimMismatch, LaurentPoly, NotDivisible, RationalChar, \
     _Kronecker, _box, divide_exact
 from .graphs import GkmAction, KClass, SymplecticClass
@@ -419,85 +417,68 @@ def character_oracle(f: KClass) -> LaurentPoly:
     """Character by the independent exact-division route.
 
     The localized sum is assembled over a common denominator of binomials
-    1 - x^gamma, gamma = big * u, one per direction class u of the edge
-    weights (GkmAction.direction), with big the lcm of the class's
-    multiplicities.  The classes are taken in the order the vertices first
-    meet them.  The numerator is divided by all of them in one
-    divide_exact call.  No polarization is involved.
+    1 - x^g, one per distinct edge weight g taken up to sign: g = mult * u
+    from GkmAction.direction, the one of w and -w whose first nonzero
+    entry is positive.  The weights at a vertex are pairwise independent,
+    so each g occurs there at most once.  The gs are taken in the order
+    the vertices first meet them, and the numerator is divided by all of
+    them in one divide_exact call.  No polarization is involved.
 
-    Vertex v puts f_v * own_v * prod over the classes absent at v of
-    (1 - x^gamma) into the numerator, where own_v is the product of the
-    partial geometric sums (1 - x^gamma) / (1 - x^w) of its own weights
-    w = sign * mult * u.  Where big == mult that sum is 1 or -x^(mult * u),
-    so these fold into one monomial, times the other sums (built once per
-    call, see _partial_geometric) smallest first, then f_v: a LaurentPoly
-    product.  The absent binomials are applied on Kronecker-packed integer
-    keys (see laurent._Kronecker), one shifted pass out[k + L(gamma)] -= c
-    each, and every vertex adds into one packed map, decoded once.
+    A weight w = -g contributes 1 / (1 - x^-g) = -x^g / (1 - x^g), so
+    vertex v puts f_v * m_v * prod over the gs absent at v of (1 - x^g)
+    into the numerator, where the monomial m_v is the sign and shift of
+    its negated weights: (-1)^k x^(sum of their gs).  f_v * m_v is one
+    LaurentPoly product.  The absent binomials are applied on
+    Kronecker-packed integer keys (see laurent._Kronecker), one shifted
+    pass out[k + L(g)] -= c each, and every vertex adds into one packed
+    map, decoded once.
 
-    The packing is exact.  The box is the box of all the f_v * own_v,
-    widened in each coordinate i by the sum over all gammas of
-    min(0, gamma_i) below and of max(0, gamma_i) above, and B is its
-    largest coordinate span plus 1.  A map that vertex v builds is
-    f_v * own_v times the binomials of some of its absent classes, so it
-    lies in box(f_v * own_v) + the sum over those gammas of
-    [min(0, gamma_i), max(0, gamma_i)], inside the box, where each width
-    is below B and L is injective.  L is additive, so the shifted pass by
-    gamma sends the key of e to the key of e + gamma, and every pass is
+    The packing is exact.  The box is the box of all the f_v * m_v,
+    widened in each coordinate i by the sum over all gs of min(0, g_i)
+    below and of max(0, g_i) above, and B is its largest coordinate span
+    plus 1.  A map that vertex v builds is f_v * m_v times the binomials
+    of some of its absent gs, so it lies in box(f_v * m_v) + the sum over
+    those gs of [min(0, g_i), max(0, g_i)], inside the box, where each
+    width is below B and L is injective.  L is additive, so the shifted
+    pass by g sends the key of e to the key of e + g, and every pass is
     exact.
     """
     action = f.action
     n = action.n
-    # direction classes: u -> lcm of multiplicities; per vertex: u -> the
-    # (u, sign, mult) of its edge in that class
-    lcms: dict = {}
-    used_at = []
+    gammas = {}     # the distinct gs, in first-meet order
+    parts = []      # (f_v * m_v, the gs at v)
     for v, es in action.out_index.items():
-        used = {}
+        coeff, exp, used = 1, (0,) * n, set()
         for e in es:
-            d = action.direction[e.eid]
-            lcms[d[0]] = math.lcm(lcms.get(d[0], 1), d[2])
-            used[d[0]] = d
-        used_at.append((v, used))
-    gammas = {u: vscale(u, big) for u, big in lcms.items()}
-    geometric = {}  # (u, sign, mult) -> its partial geometric sum
-    parts = []      # (f_v * own_v, the classes absent at v)
-    for v, used in used_at:
+            g = e.weight
+            if action.direction[e.eid][1] < 0:
+                g = vneg(g)
+                coeff, exp = -coeff, vadd(exp, g)
+            gammas[g] = None
+            used.add(g)
         if f[v].terms:
-            coeff, exp, factors = 1, (0,) * n, []
-            for d in used.values():
-                u, sign, mult = d
-                if lcms[u] != mult:
-                    factor = geometric.get(d)
-                    if factor is None:
-                        factor = geometric[d] = _partial_geometric(
-                            n, u, mult, lcms[u], sign)
-                    factors.append(factor)
-                elif sign < 0:
-                    coeff, exp = -coeff, tuple(map(add, exp, vscale(u, mult)))
-            factors.sort(key=len)
-            own = f[v] * reduce(mul, factors,
-                                LaurentPoly._unchecked(n, {exp: coeff}))
-            parts.append((own.terms, [u for u in lcms if u not in used]))
+            own = f[v] * LaurentPoly._unchecked(n, {exp: coeff})
+            parts.append((own.terms, used))
     numerator = {}
     if parts:
         exps = [e for own, _ in parts for e in own]
         lo, hi = _box(exps)
-        for g in gammas.values():
+        for g in gammas:
             lo = [x + min(y, 0) for x, y in zip(lo, g)]
             hi = [x + max(y, 0) for x, y in zip(hi, g)]
         span = list(map(sub, hi, lo))
         codec = _Kronecker(lo, span, max(span) + 1)
-        shift = {u: codec.key(g) for u, g in gammas.items()}
+        shift = {g: codec.key(g) for g in gammas}
         keys = codec.keys(exps)
         get = numerator.get
         i = 0
-        for own, absent in parts:
+        for own, used in parts:
             packed = dict(zip(keys[i:i + len(own)], own.values()))
             i += len(own)
-            for u in absent:
+            for g, a in shift.items():
+                if g in used:
+                    continue
                 # times 1 - t^a
-                a = shift[u]
                 out = dict(packed)
                 out_get = out.get
                 for k, c in packed.items():
@@ -508,21 +489,11 @@ def character_oracle(f: KClass) -> LaurentPoly:
                 numerator[k] = get(k, 0) + c
         numerator = codec.decode({k: c for k, c in numerator.items() if c})
     try:
-        return divide_exact(LaurentPoly._unchecked(n, numerator),
-                            *gammas.values())
+        return divide_exact(LaurentPoly._unchecked(n, numerator), *gammas)
     except NotDivisible as exc:
         raise InternalDivisionFailure(
             "exact division by the direction binomials failed; "
             "the input is not a compatible class") from exc
-
-
-def _partial_geometric(n, prim, mult, big, sign):
-    """(1 - x^{big*prim}) / (1 - x^{sign*mult*prim}) as a polynomial: sign
-    times the sum of x^{i*mult*prim} over i in [0, q) for sign 1 and over
-    [1, q] for sign -1, where q = big // mult."""
-    lo = (1 - sign) // 2
-    return LaurentPoly._unchecked(n, {tuple([i * mult * x for x in prim]): sign
-                                      for i in range(lo, big // mult + lo)})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -47,10 +48,20 @@ def _parse_vec(text, n=None):
 
 
 def _parse_rational(text):
+    """text as a Fraction whose numerator and denominator print within the
+    interpreter's limit on int digits.  A decimal exponent beyond that
+    limit is refused before Fraction expands it, which can take minutes."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    exp = re.search(r"e([-+]?\d[\d_]*)\s*\Z", text, re.IGNORECASE)
     try:
-        return Fraction(text)
+        huge = exp is not None and abs(int(exp[1])) > limit
+        value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"not a rational number: {text!r}")
+    if huge or max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise CliError(f"rational number {text!r} has more than {limit} "
+                       f"digits")
+    return value
 
 
 def _load(args):

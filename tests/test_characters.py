@@ -228,10 +228,10 @@ def test_expansion_within_answer_size_budget(xi):
 def test_oracle_division_reads_within_budget(monkeypatch):
     # projective 5-space scaled by 6 has a 462-term character.  The oracle
     # divides its 720-term numerator by all 15 direction binomials in one
-    # divide_exact call.  The partial geometric sums of each vertex's 5
-    # own directions are monomials, folded into one, so each vertex makes
-    # one product, its monomial f_v times that one; the binomials of the
-    # 10 directions absent at a vertex never go through LaurentPoly.__mul__.
+    # divide_exact call.  The 5 own weights of each vertex give one
+    # monomial, the sign and shift of its negated weights, so each vertex
+    # makes one product, its monomial f_v times that one; the binomials of
+    # the 10 weights absent at a vertex never go through LaurentPoly.__mul__.
     action, sym = gen_projective(5)
     sym = symplectic_class(action, {v: tuple(6 * x for x in a)
                                     for v, a in sym.alphas.items()})
@@ -943,9 +943,11 @@ def test_restriction_oracle_is_the_pushed_forward_character(fixtures, data):
 
 
 def test_restriction_oracle_with_a_shifted_geometric_sum(fixtures):
-    # seed 1 restricts projective 3-space so that some vertex has a weight
-    # -mult * prim whose class lcm exceeds mult: its partial geometric sum
-    # has several terms and a shift
+    # seed 1 restricts projective 3-space so that some vertex has a negated
+    # weight -mult * prim whose class also holds a larger multiplicity: the
+    # weight keeps its own binomial 1 - x^(mult * prim), next to the one
+    # of the larger multiplicity, and the vertex takes its sign and shift
+    # -x^(mult * prim)
     action, sym = fixtures["proj3"]
     P, raction, rsym = random_restriction(action, sym, random.Random(1))
     parts = [primitive_part(e.weight) for e in raction.edges]
@@ -963,34 +965,71 @@ def test_restriction_oracle_with_a_shifted_geometric_sum(fixtures):
     assert character_oracle(rsym.base) == LaurentPoly(2, pushed)
 
 
-def test_oracle_with_true_partial_sums_equals_the_expansion(fixtures):
+def _multiplicities(action):
+    """Direction class u -> the multiplicities of the edges in it."""
+    mults = {}
+    for u, _, mult in action.direction:
+        mults.setdefault(u, set()).add(mult)
+    return mults
+
+
+def test_oracle_divides_by_each_multiplicity_of_a_class(fixtures,
+                                                        monkeypatch):
     # P sends e1 to (1, 0) and e3 - e2 to (2, 0): the disjoint edges P0-P1
-    # and P2-P3 share the class (1, 0) with multiplicities 1 and 2, so P0
-    # and P1 multiply in a two-term partial geometric sum, not a monomial
+    # and P2-P3 share the class (1, 0) with multiplicities 1 and 2.  Each
+    # is its own binomial of the common denominator, taken with the other
+    # distinct weights (up to sign) in the order the vertices meet them
     action, sym = fixtures["proj3"]
     raction, rsym = graphs.restrict(action, sym, [(1, 0, 2), (0, 1, 1)])
-    lcms = {}
-    for u, _, mult in raction.direction:
-        lcms[u] = math.lcm(lcms.get(u, 1), mult)
-    assert [(u, mult) for u, _, mult in raction.direction
-            if mult < lcms[u]] == [((1, 0), 1)] * 2
+    assert {u: m for u, m in _multiplicities(raction).items()
+            if len(m) > 1} == {(1, 0): {1, 2}}
+    calls = []
+
+    def recording(p, *gammas):
+        calls.append(gammas)
+        return laurent.divide_exact(p, *gammas)
+
+    monkeypatch.setattr(characters, "divide_exact", recording)
+    got = character_oracle(rsym.base)
+    monkeypatch.undo()
+    # of w and -w, the one with its first nonzero entry positive
+    met = dict.fromkeys(max(e.weight, vneg(e.weight))
+                        for v in raction.vertices
+                        for e in raction.out_index[v])
+    assert calls == [tuple(met)]
+    assert {(1, 0), (2, 0)} <= set(met)
     rng = random.Random(26)
-    for f in [rsym.base, *(random_class(raction, rsym, rng)
-                           for _ in range(6))]:
+    assert got == character_expand(
+        rsym.base, polarize(raction, random_generic_xi(raction, rng))).poly
+    for f in [random_class(raction, rsym, rng) for _ in range(6)]:
         xi = random_generic_xi(raction, rng)
         assert character_oracle(f) == \
             character_expand(f, polarize(raction, xi)).poly
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
-       st.integers(1, 4), st.integers(1, 5), st.sampled_from((1, -1)))
-def test_partial_geometric_is_the_exact_quotient(prim, mult, q, sign):
-    # against divide_exact, which finds the quotient by its own route
-    n, prim, big = len(prim), tuple(prim), q * mult
-    binomial = LaurentPoly.one(n) - LaurentPoly.monomial(vscale(prim, big))
-    want = laurent.divide_exact(binomial, vscale(prim, sign * mult))
-    assert characters._partial_geometric(n, prim, mult, big, sign) == want
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_oracle_equals_the_expansion_with_two_multiplicities_in_a_class(
+        fixtures, seed):
+    # of the standard fixtures only projective 3-space restricts to a
+    # 2-torus with two multiplicities in one class (the other graphs make
+    # such weights meet at a vertex); each edge of that class also runs
+    # backwards, so some vertex meets a negated weight there
+    rng = random.Random(seed)
+    action, sym = fixtures["proj3"]
+    sym = random_symplectic(action, sym, rng)
+    for _ in range(100):
+        _, raction, rsym = random_restriction(action, sym, rng)
+        mults = _multiplicities(raction)
+        if any(sign < 0 and len(mults[u]) > 1
+               for u, sign, _ in raction.direction):
+            break
+    else:
+        pytest.fail("no restriction has two multiplicities in a class")
+    pol = polarize(raction, random_generic_xi(raction, rng))
+    for f in [rsym.base, *(random_class(raction, rsym, rng)
+                           for _ in range(2))]:
+        assert character_oracle(f) == character_expand(f, pol).poly
 
 
 # --- d > n inputs, cut by the dual-cone rays of every vertex -----------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +223,24 @@ def test_oriented_cycle_is_violation_not_traceback(capsys):
                          capsys)
     assert (code, out) == (2, "")
     assert err == "error: oriented cycle: 0 -> 1 -> 2 -> 3 -> 0\n"
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("level", [
+    "1e5000", "-1E+5000", "1e-5000", "1e999999999",
+    pytest.param("1" * 4000 + "e4000", id="long-mantissa-e4000")])
+def test_reduce_refuses_a_level_too_long_to_print(capsys, level, output):
+    # a decimal exponent slips past the int digit limit that a plain
+    # digit string meets: refused before Fraction expands it, or after,
+    # when the parsed numerator or denominator has too many digits
+    start = time.perf_counter()
+    code, out, err = run(["reduce", PROJ2, "--xi=1,2", f"--c={level}",
+                          "--output", output], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
 
 
 def _write_doc(tmp_path, doc):
