@@ -130,15 +130,28 @@ def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
     """Coefficient of x^alpha in the character, by the signed partition-count
     sum over vertices: pol.sign[v] times the number of ways to write
     alpha - alpha_v - pol.prefix[v] from the weights pol.weights[v].
-    Raises DimMismatch when alpha is not of length n."""
+    Raises DimMismatch when alpha is not of length n.
+
+    A vertex is counted only when its target pairs nonnegatively with every
+    dual-cone ray of its weights (GkmAction.cone_rays, the rays that
+    character_expand cuts by, eliminated once per graph and weight set).
+    Otherwise some ray eta has eta . target < 0 while eta . w >= 0 for each
+    weight w, so every nonnegative combination of the weights pairs >= 0
+    with eta, none reaches the target, and the count is exactly 0.  The
+    test is one-sided: a target that passes it may still have count 0 (it
+    can lie off the span of the weights, or off their lattice), and
+    kostant_count decides it."""
     alpha = tuple(alpha)
-    if len(alpha) != pol.action.n:
+    action = pol.action
+    if len(alpha) != action.n:
         raise DimMismatch(f"weight {alpha} has length {len(alpha)}, "
-                          f"expected {pol.action.n}")
+                          f"expected {action.n}")
     total = 0
-    for v in pol.action.vertices:
+    for v in action.vertices:
         arg = vsub(vsub(alpha, sym.alphas[v]), pol.prefix[v])
-        total += pol.sign[v] * kostant_count(pol.weights[v], arg, pol.xi)
+        weights = pol.weights[v]
+        if all(dot(eta, arg) >= 0 for eta in action.cone_rays(weights)):
+            total += pol.sign[v] * kostant_count(weights, arg, pol.xi)
     return total
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -69,7 +70,8 @@ def _load(args):
         return load_graph_file(args.input)
     except ValidationError:
         raise
-    except (OSError, ValueError) as exc:     # unreadable, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not JSON, or nested deeper than the decoder recurses
         raise CliError(f"cannot parse {args.input}: {exc}")
 
 
@@ -322,6 +324,20 @@ def _glue_negative_vectors(argv):
 
 
 def main(argv=None):
+    """Run one subcommand and return its exit code.  A stdout closed before
+    the output is written, as by `gkmchar ... | head`, exits 1 with nothing
+    on stderr: stdout then points at os.devnull, so the interpreter's last
+    flush does not fail a second time."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
+
+
+def _run(argv):
     parser = build_parser()
     argv = _glue_negative_vectors(sys.argv[1:] if argv is None else argv)
     try:

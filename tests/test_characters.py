@@ -74,22 +74,24 @@ def _standard_and_flag_fixtures():
 
 
 @st.composite
-def polarized_inputs(draw):
-    """A standard or flag fixture, or a random restriction of a standard
-    fixture to a 2-torus, and a random generic primitive direction."""
+def polarized_inputs(draw, skip=()):
+    """A standard or flag fixture not named in skip, or a random
+    restriction of a standard fixture to a 2-torus, with its symplectic
+    class, and a random generic primitive direction."""
     standard, flags = _standard_and_flag_fixtures()
-    name = draw(st.sampled_from(sorted(standard) + sorted(flags)))
+    name = draw(st.sampled_from([name for name in sorted(standard)
+                                 + sorted(flags) if name not in skip]))
     action, sym = standard.get(name) or flags[name]
     rng = random.Random(draw(st.integers(0, 10**6)))
     if name in standard and draw(st.booleans()):
         _, action, sym = random_restriction(action, sym, rng)
-    return action, random_generic_xi(action, rng, bound=20)
+    return action, sym, random_generic_xi(action, rng, bound=20)
 
 
 @settings(max_examples=60, deadline=None)
 @given(polarized_inputs())
 def test_polarize_turns_each_out_weight_toward_xi(case):
-    action, xi = case
+    action, _, xi = case
     pol = polarize(action, xi)
     assert pol.xi == xi
     for v in action.vertices:
@@ -893,7 +895,7 @@ def test_rank_two_orbit_expansion_matches_oracle(name):
     (3, (0, 2, 5)),
     (4, (0, 1, 2, 3)),
 ])
-def test_flag_multiplicity_matches_oracle(m, lam):
+def test_flag_multiplicity_matches_oracle(monkeypatch, m, lam):
     # d > n - 1: every vertex has more positive weights than the rank, so
     # each partition count runs over a dependent weight list; checked on
     # the support and on every weight one root step outside it
@@ -903,8 +905,12 @@ def test_flag_multiplicity_matches_oracle(m, lam):
     roots = {primitive_part(e.weight)[0] for e in action.edges}
     outside = {vadd(mu, r) for mu in chi.terms for r in roots} - set(chi.terms)
     assert outside
+    calls = _recorded_kostant_calls(monkeypatch)
     for mu in [*chi.terms, *sorted(outside)]:
         assert multiplicity(sym, pol, mu) == chi.coeff(mu)
+    for weights, target in calls:
+        assert all(dot(eta, target) >= 0
+                   for eta in action.cone_rays(weights)), (weights, target)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -1306,3 +1312,78 @@ def test_multiplicity_matches_coefficients_on_box(rng):
     for a in range(-2, 4):
         for b in range(-2, 4):
             assert multiplicity(sym, pol, (a, b)) == char.poly.coeff((a, b))
+
+
+def _recorded_kostant_calls(monkeypatch):
+    """Wrap characters.kostant_count; the list it returns collects the
+    (weights, target) of every call."""
+    calls = []
+    count = characters.kostant_count
+
+    def recording(weights, target, xi):
+        calls.append((tuple(weights), tuple(target)))
+        return count(weights, target, xi)
+
+    monkeypatch.setattr(characters, "kostant_count", recording)
+    return calls
+
+
+def _padded_box(poly, pad):
+    """The lattice points of the bounding box of poly's support, widened
+    by pad on every side."""
+    sides = [range(min(c) - pad, max(c) + pad + 1)
+             for c in zip(*poly.terms)]
+    return list(product(*sides))
+
+
+@settings(max_examples=30, deadline=None)
+@given(polarized_inputs(skip=("fl4", "fl4-2rho")), st.integers(0, 2**32))
+def test_multiplicity_counts_only_targets_inside_the_cones(case, seed):
+    # over the support's box padded by 2, multiplicity is the division
+    # route's coefficient, and a vertex whose target pairs negatively with
+    # one of its dual-cone rays (count 0) never reaches kostant_count.
+    # The whole support is checked, and 100 random points of the box.
+    # Fl(4) is left out: off the hyperplane of its support no ray cuts, and
+    # one example took up to 3.5 s; test_flag_multiplicity_matches_oracle
+    # checks it on and next to the support.
+    action, sym, xi = case
+    pol = polarize(action, xi)
+    want = character_oracle(sym.base)
+    box = _padded_box(want, 2)
+    points = sorted({*random.Random(seed).sample(box, min(len(box), 100)),
+                     *want.terms})
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_kostant_calls(mp)
+        for mu in points:
+            assert multiplicity(sym, pol, mu) == want.coeff(mu), mu
+    assert calls
+    for weights, target in calls:
+        assert all(dot(eta, target) >= 0
+                   for eta in action.cone_rays(weights)), (weights, target)
+
+
+def test_multiplicity_cost_is_the_targets_inside_their_cones(monkeypatch):
+    # projective 2-space scaled by 3 at xi = (1, 2), over its support's box
+    # padded by 2: kostant_count runs once per vertex whose target
+    # alpha - alpha_v - prefix_v is a nonnegative real combination of its
+    # two weights, found here by Cramer's rule, and not at any other: 64 of
+    # the 192 vertex targets of the box
+    action, sym = gen_projective(2)
+    sym = symplectic_class(action, {v: vscale(a, 3)
+                                    for v, a in sym.alphas.items()})
+    pol = polarize(action, (1, 2))
+    want = character_oracle(sym.base)
+    box = _padded_box(want, 2)
+    inside = 0
+    for mu in box:
+        for v in action.vertices:
+            t = vsub(vsub(mu, sym.alphas[v]), pol.prefix[v])
+            (a, b), (c, d) = pol.weights[v]
+            det = a * d - b * c
+            inside += (t[0] * d - t[1] * c) * det >= 0 \
+                and (a * t[1] - b * t[0]) * det >= 0
+    calls = _recorded_kostant_calls(monkeypatch)
+    for mu in box:
+        assert multiplicity(sym, pol, mu) == want.coeff(mu)
+    assert len(box) == 64
+    assert len(calls) == inside == 64

@@ -506,14 +506,64 @@ def test_json_output_renders_no_text(monkeypatch, capsys):
         assert code == 0 and out, argv
 
 
+def _source_env():
+    """The environment with this checkout's package directory on the
+    path, for running `python -m gkmchar` with nothing installed."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     # a source checkout runs the CLI with the package directory on the path
     # and nothing installed
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-m", "gkmchar", "selftest",
-                           "--seed", "42"], env=env, capture_output=True,
-                          timeout=120)
+                           "--seed", "42"], env=_source_env(),
+                          capture_output=True, timeout=120)
     code, out, _ = run(["selftest", "--seed", "42"], capsys)
     assert (proc.returncode, code) == (0, 0)
     assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--output", "json"],
+    ["character", PROJ2, "--xi=1,2", "--output", "json"],
+])
+def test_closed_stdout_exits_1_silently(argv):
+    # the child's stdout is a pipe whose read end is closed before the
+    # child starts, so its first write fails whatever the timing, as
+    # under `gkmchar ... | head -c 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gkmchar", *argv],
+                              env=_source_env(), stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _deep_nesting(depth=100_000):
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["character", "--xi=1,2"]])
+@pytest.mark.parametrize("where", ["document", "class value"])
+def test_deeply_nested_document_is_usage_error(tmp_path, capsys, argv,
+                                               where):
+    # the JSON decoder gives up on deep nesting with RecursionError; the
+    # file is unparsable like any other, not a traceback
+    if where == "document":
+        text = _deep_nesting()
+    else:
+        with open(PROJ2) as fh:
+            doc = json.load(fh)
+        doc["classes"]["omega"]["P0"] = "deep"
+        text = json.dumps(doc).replace('"deep"', _deep_nesting())
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(argv[:1] + [str(path)] + argv[1:], capsys)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot parse {path}: ")
+    assert len(err.splitlines()) == 1
