@@ -133,14 +133,12 @@ def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
     Raises DimMismatch when alpha is not of length n.
 
     A vertex is counted only when its target pairs nonnegatively with every
-    dual-cone ray of its weights (GkmAction.cone_rays, the rays that
-    character_expand cuts by, eliminated once per graph and weight set).
-    Otherwise some ray eta has eta . target < 0 while eta . w >= 0 for each
-    weight w, so every nonnegative combination of the weights pairs >= 0
-    with eta, none reaches the target, and the count is exactly 0.  The
-    test is one-sided: a target that passes it may still have count 0 (it
-    can lie off the span of the weights, or off their lattice), and
-    kostant_count decides it."""
+    dual-cone ray of its weights and to zero with every normal of their
+    span (GkmAction.cone_rays and span_normals).  Otherwise the target
+    lies off the span, or some ray eta has eta . target < 0 while every
+    nonnegative combination of the weights pairs >= 0 with eta: the count
+    is exactly 0.  A target that passes may still have count 0 (off the
+    lattice of the weights), and kostant_count decides it."""
     alpha = tuple(alpha)
     action = pol.action
     if len(alpha) != action.n:
@@ -150,7 +148,8 @@ def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
     for v in action.vertices:
         arg = vsub(vsub(alpha, sym.alphas[v]), pol.prefix[v])
         weights = pol.weights[v]
-        if all(dot(eta, arg) >= 0 for eta in action.cone_rays(weights)):
+        if all(dot(eta, arg) >= 0 for eta in action.cone_rays(weights)) and \
+                not any(dot(nu, arg) for nu in action.span_normals(weights)):
             total += pol.sign[v] * kostant_count(weights, arg, pol.xi)
     return total
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .lattice import direction, dot, dual_cone_rays, primitive_part, \
-    vadd, vneg, vscale, vsub
+    span_normals, vadd, vneg, vscale, vsub
 from .laurent import LaurentPoly, congruent_mod_edge
 
 
@@ -68,8 +68,10 @@ class GkmAction:
     out_index: dict = field(init=False, compare=False, repr=False)
     out_weights: dict = field(init=False, compare=False, repr=False)
     direction: tuple = field(init=False, compare=False, repr=False)
-    # sorted weight set -> its dual_cone_rays, filled by cone_rays
+    # sorted weight set -> its dual_cone_rays, filled by cone_rays, and
+    # its span_normals, filled by span_normals
     _rays: dict = field(init=False, compare=False, repr=False)
+    _normals: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         index = {v: [] for v in self.vertices}
@@ -86,6 +88,7 @@ class GkmAction:
             table += (d, d and (d[0], -d[1], d[2]))
         object.__setattr__(self, "direction", tuple(table))
         object.__setattr__(self, "_rays", {})
+        object.__setattr__(self, "_normals", {})
 
     @property
     def d(self) -> int:
@@ -101,6 +104,13 @@ class GkmAction:
         if rays is None:
             rays = self._rays[key] = dual_cone_rays(key)
         return rays
+
+    def span_normals(self, weights):
+        """lattice.span_normals of a set of weights, once per set, too."""
+        key = tuple(sorted(weights))
+        if key not in self._normals:
+            self._normals[key] = span_normals(key, self.n)
+        return self._normals[key]
 
     def geometric_edges(self):
         """One representative per unoriented edge: the even-numbered one."""

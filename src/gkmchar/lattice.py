@@ -199,6 +199,19 @@ def dual_cone_rays(weights):
     return list(rays)
 
 
+def span_normals(weights, n):
+    """n - rank independent primitive vectors of Z^n that pair to zero
+    with every weight: the dual basis vectors of the unit vectors that
+    complete a basis of the span, taken from the weights, to Q^n."""
+    basis = []
+    for w in [*weights, *(tuple(int(i == j) for j in range(n))
+                          for i in range(n))]:
+        if _dual_basis([*basis, w]) is not None:
+            basis.append(w)
+    return [eta for eta in _dual_basis(basis)
+            if not any(dot(eta, w) for w in weights)]
+
+
 def complete_to_basis(xi) -> BasisChange:
     """Complete a primitive vector xi to a lattice basis, xi last.
 

@@ -100,90 +100,72 @@ def moment_map(action: GkmAction, xi, phi=None) -> MomentMap:
     Each edge is oriented by the sign of its xi-pairing, taken once per
     geometric edge by the pairing helper polarize uses, so a zero pairing
     raises the same NotGeneric.  Without explicit values, vertices get
-    their longest-path rank in the oriented graph, perturbed by the vertex
-    index to make all values distinct.  Explicit values are validated
-    against the same monotonicity condition, after a check that they name
-    every vertex and no other.
+    their longest-path rank in the oriented graph (CycleError on a cycle)
+    plus less than 1/2 by vertex index: distinct and increasing along each
+    edge by construction.  Explicit values must name every vertex and no
+    other, be distinct and increase along every oriented edge.
     """
     xi = tuple(xi)
     pairs = _edge_pairings(action, xi)
-    succ = {v: [] for v in action.vertices}
-    for e in action.edges:
-        if pairs[e.eid] > 0:
-            succ[e.src].append(e.dst)
-    order = _toposort(action.vertices, succ)
     if phi is None:
+        succ = {v: [e.dst for e in es if pairs[e.eid] > 0]
+                for v, es in action.out_index.items()}
         rank = {v: 0 for v in action.vertices}
-        for v in order:
+        for v in _toposort(action.vertices, succ):
             for w in succ[v]:
                 rank[w] = max(rank[w], rank[v] + 1)
         den = 2 * len(action.vertices)
-        phi = {v: Fraction(rank[v] * den + i, den)
-               for i, v in enumerate(action.vertices)}
-    else:
-        missing = next((v for v in action.vertices if v not in phi), None)
-        if missing is not None:
-            raise ValueError(f"phi has no value at vertex {missing}")
-        unknown = next((v for v in phi if v not in succ), None)
-        if unknown is not None:
-            raise ValueError(f"phi has a value at unknown vertex {unknown}")
-        phi = {v: Fraction(x) for v, x in phi.items()}
-    mm = MomentMap(action=action, xi=xi, phi=phi)
-    _validate_moment(mm, pairs)
+        return MomentMap(action=action, xi=xi,
+                         phi={v: Fraction(rank[v] * den + i, den)
+                              for i, v in enumerate(action.vertices)})
+    missing = next((v for v in action.vertices if v not in phi), None)
+    if missing is not None:
+        raise ValueError(f"phi has no value at vertex {missing}")
+    unknown = next((v for v in phi if v not in action.out_index), None)
+    if unknown is not None:
+        raise ValueError(f"phi has a value at unknown vertex {unknown}")
+    mm = MomentMap(action=action, xi=xi,
+                   phi={v: Fraction(x) for v, x in phi.items()})
+    levels, phi = mm._levels, mm.phi
+    if any(a == b for a, b in zip(levels, levels[1:])):
+        raise ValueError("critical values are not distinct")
+    for e in action.edges:
+        if pairs[e.eid] > 0 and phi[e.dst] < phi[e.src]:
+            raise ValueError(
+                f"phi does not increase along edge {e.src}->{e.dst}")
     return mm
 
 
 def _toposort(vertices, succ):
-    state = {v: 0 for v in vertices}
-    order = []
-    for start in vertices:
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        path = [start]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                state[v] = 2
-                order.append(v)
-                stack.pop()
-                path.pop()
-                continue
-            if state[nxt] == 1:
-                cycle = path[path.index(nxt):] + [nxt]
-                raise CycleError(cycle)
-            if state[nxt] == 0:
-                state[nxt] = 1
-                stack.append((nxt, iter(succ[nxt])))
-                path.append(nxt)
-    order.reverse()
-    return order
-
-
-def _validate_moment(mm: MomentMap, pairs):
-    levels = mm._levels
-    if any(a == b for a, b in zip(levels, levels[1:])):
-        raise ValueError("critical values are not distinct")
-    # with distinct values, the rank order is the order of phi
-    rank = {v: i for i, v in enumerate(mm._order)}
-    for e in mm.action.edges:
-        if (rank[e.dst] > rank[e.src]) != (pairs[e.eid] > 0):
-            raise ValueError(
-                f"phi does not increase along edge {e.src}->{e.dst}")
+    # depth first from a root None whose successors are all the vertices
+    state = {v: 0 for v in vertices}    # 0: new, 1: on the path, 2: done
+    order, stack = [], [(None, iter(vertices))]
+    while stack:
+        v, it = stack[-1]
+        nxt = next(it, None)
+        if nxt is None:
+            state[v] = 2
+            order.append(v)
+            stack.pop()
+        elif state[nxt] == 1:
+            path = [u for u, _ in stack]
+            raise CycleError(path[path.index(nxt):] + [nxt])
+        elif state[nxt] == 0:
+            state[nxt] = 1
+            stack.append((nxt, iter(succ[nxt])))
+    return order[-2::-1]        # reversed, without the root
 
 
 def symplectic_moment_map(sym: SymplecticClass, xi) -> MomentMap:
-    """phi(p) = alpha_p(xi), perturbed to break ties between non-adjacent
-    vertices; the perturbation is below 1/2 so edge monotonicity and the
-    regularity of integer levels survive."""
-    xi = tuple(xi)
-    action = sym.action
+    """phi(p) = alpha_p(xi) plus less than 1/2 to break ties: alpha(xi)
+    rises by m_e * (xi . w_e) >= 1 along each xi-positive edge, so phi
+    increases along it, and a regular integer level stays regular."""
+    xi, action = tuple(xi), sym.action
+    _edge_pairings(action, xi)      # NotGeneric on a zero pairing
     den = 2 * (len(action.vertices) + 1)
-    phi = {v: Fraction(dot(sym.alphas[v], xi) * den + i, den)
-           for i, v in enumerate(action.vertices)}
-    return moment_map(action, xi, phi)
+    return MomentMap(action=action, xi=xi, phi={
+        v: Fraction(dot(sym.alphas[v], xi) * den + i, den)
+        for i, v in enumerate(action.vertices)})
 
 
 def _require_regular(mm: MomentMap, c, placed) -> int:
@@ -392,9 +374,9 @@ def qr_check(sym: SymplecticClass, xi) -> QrResult:
         if dot(sym.alphas[v], xi) == 0:
             raise ZeroNotRegular(
                 f"alpha_{v} pairs to zero with {xi}; zero is critical")
-    pol = polarize(sym.action, xi)
-    invariant = character_expand(sym.base, pol, level=0).poly
-    mm = symplectic_moment_map(sym, xi)
-    reduced = chi_reduced(sym.base, mm, 0).value
+    base = sym.base
+    invariant = character_expand(base, polarize(sym.action, xi),
+                                 level=0).poly
+    reduced = chi_reduced(base, symplectic_moment_map(sym, xi), 0).value
     return QrResult(ok=invariant == reduced, invariant_part=invariant,
                     reduced=reduced)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, itemgetter, mul
 
-from .lattice import BasisChange, complete_to_basis, dot, vadd, vneg
+from .lattice import BasisChange, complete_to_basis, dot, vneg
 from .laurent import DimMismatch, LaurentPoly, RationalChar, eval_numeric
 from .characters import NotGeneric
 
@@ -74,51 +74,45 @@ def _z0_terms(z: ZForm, flip) -> dict:
     Inside the unit circle 1/(1 - a*z^s) is sum_l a^l z^(s*l) for s > 0
     and -sum_l a^-(l+1) z^(|s|*(l+1)) for s < 0.  The sign, the shift in
     z and offset in y of the negative factors, and the steps (|s|, +-beta)
-    are the same for every monomial and set up once.  Each monomial walks
-    the l_i with sum l_i*|s_i| = -(k + shift) depth first, its stack
-    holding one next l per outer factor at most; the second to last
-    factor runs over its range in place, and the last factor's l is solved
-    for.
+    are set up once.  Each monomial seeds a state (z-degree left, y).
+    Every factor but the last, longest step first, takes each state to
+    those its l >= 0 reach with the z-degree >= 0, equal states merged;
+    the last factor's l is solved for.  So the work follows the distinct
+    states, not the ways of reaching them.
     """
-    shift = sum(max(-flip * k, 0) for _, k in z.factors)
-    targets = [-(flip * k + shift) for _, _, k in z.numer]
-    top = max(targets, default=-1)
-    if top < 0:
-        return {}
-    zero = offset = (0,) * (z.n - 1)
-    sign, steps = 1, []
+    sign, shift, offset, steps = 1, 0, (0,) * (z.n - 1), []
     for beta, k in z.factors:
-        if flip * k < 0:
-            sign, beta = -sign, vneg(beta)
-            offset = vadd(offset, beta)
+        k *= flip
+        if k < 0:
+            sign, shift, beta = -sign, shift - k, vneg(beta)
+            offset = tuple(map(add, offset, beta))
         steps.append((abs(k), beta))
-    # longest steps outermost; below two factors, padded by factors longer
-    # than any target, which take only l = 0
-    steps = [(top + 1, zero)] * (2 - len(steps)) + \
-        sorted(steps, key=lambda t: -t[0])
-    (in_s, in_step), (last_s, last_step) = steps.pop(-2), steps.pop()
-    depth = len(steps)
+    # distinct monomials seed distinct states: the basis change is invertible
+    states = {(r, tuple(map(add, beta, offset))): sign * c
+              for c, beta, k in z.numer if (r := -(flip * k + shift)) >= 0}
+    if not steps:
+        return {y: c for (r, y), c in states.items() if not r}
+    steps.sort(key=itemgetter(0), reverse=True)
+    last_s, last_step = steps.pop()
+    for s, step in steps:
+        reached = {}
+        get = reached.get
+        for (r, y), c in states.items():
+            while True:
+                key = (r, y)
+                reached[key] = get(key, 0) + c
+                if r < s:
+                    break
+                r -= s
+                y = tuple(map(add, y, step))
+        states = reached
     out = {}
     get = out.get
-    for (c, beta, _), target in zip(z.numer, targets):
-        if target < 0:
-            continue
-        c *= sign
-        stack = [(0, target, vadd(beta, offset))]
-        while stack:
-            i, r, acc = stack.pop()
-            while i < depth:        # the outer factors from i on at l = 0
-                s, step = steps[i]
-                if r >= s:
-                    stack.append((i, r - s, tuple(map(add, acc, step))))
-                i += 1
-            while r >= 0:           # the second to last at every l
-                l, rest = divmod(r, last_s)
-                if not rest:
-                    key = tuple([a + l * y for a, y in zip(acc, last_step)])
-                    out[key] = get(key, 0) + c
-                r -= in_s
-                acc = tuple(map(add, acc, in_step))
+    for (r, y), c in states.items():
+        l, rest = divmod(r, last_s)
+        if not rest:
+            key = tuple([a + l * b for a, b in zip(y, last_step)])
+            out[key] = get(key, 0) + c
     return {key: c for key, c in out.items() if c}
 
 

@@ -1337,15 +1337,13 @@ def _padded_box(poly, pad):
 
 
 @settings(max_examples=30, deadline=None)
-@given(polarized_inputs(skip=("fl4", "fl4-2rho")), st.integers(0, 2**32))
+@given(polarized_inputs(skip=("fl4-2rho",)), st.integers(0, 2**32))
 def test_multiplicity_counts_only_targets_inside_the_cones(case, seed):
     # over the support's box padded by 2, multiplicity is the division
     # route's coefficient, and a vertex whose target pairs negatively with
-    # one of its dual-cone rays (count 0) never reaches kostant_count.
-    # The whole support is checked, and 100 random points of the box.
-    # Fl(4) is left out: off the hyperplane of its support no ray cuts, and
-    # one example took up to 3.5 s; test_flag_multiplicity_matches_oracle
-    # checks it on and next to the support.
+    # one of its dual-cone rays, or off the span of its weights (count 0
+    # either way), never reaches kostant_count.  The whole support is
+    # checked, and 100 random points of the box.
     action, sym, xi = case
     pol = polarize(action, xi)
     want = character_oracle(sym.base)
@@ -1360,6 +1358,28 @@ def test_multiplicity_counts_only_targets_inside_the_cones(case, seed):
     for weights, target in calls:
         assert all(dot(eta, target) >= 0
                    for eta in action.cone_rays(weights)), (weights, target)
+        assert not any(dot(nu, target)
+                       for nu in action.span_normals(weights)), \
+            (weights, target)
+
+
+def test_multiplicity_off_the_span_counts_no_partitions(monkeypatch):
+    # every weight of Fl(4) is a root, in the hyperplane of coordinate sum
+    # 0, and so is every vertex target of a weight with the support's
+    # coordinate sum.  A weight off that hyperplane has multiplicity 0, and
+    # each vertex finds its target off the span of its weights without
+    # counting a partition.
+    action, sym = flag_fixtures()["fl4"]
+    pol = polarize(action, (-20, 19, -2, 18))
+    support = character_oracle(sym.base).terms
+    assert len(support) == 38
+    off = {vadd(mu, step) for mu in support
+           for step in ((1, 0, 0, 0), (0, 0, 0, -1))}
+    calls = _recorded_kostant_calls(monkeypatch)
+    for mu in sorted(off):
+        assert multiplicity(sym, pol, mu) == 0, mu
+    assert len(off) == 76
+    assert calls == []
 
 
 def test_multiplicity_cost_is_the_targets_inside_their_cones(monkeypatch):

@@ -67,6 +67,22 @@ def test_multiplicity_cp1(capsys):
     assert out.strip().endswith("= 0")
 
 
+def test_multiplicity_refuses_a_class_without_vertex_weights(tmp_path,
+                                                             capsys):
+    # twice the class x^alpha is still a class, but no monomial with
+    # coefficient 1, so it names no vertex weights alpha_p
+    doc = json.loads(open(CP1).read())
+    for terms in doc["classes"]["omega"].values():
+        terms[0]["coeff"] = 2
+    path = tmp_path / "cp1x2.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["multiplicity", str(path), "--xi", "1,0",
+                          "--alpha", "0,0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: class 'omega' is not monomial with unit "
+                   "coefficients; cannot read vertex weights from it\n")
+
+
 def test_reduce_cp1(capsys):
     code, out, _ = run(["reduce", CP1, "--xi", "1,0", "--c", "1/2"], capsys)
     assert code == 0

@@ -1,7 +1,7 @@
 """The CLI's exit code, stdout and stderr, byte for byte, against
 tests/golden/cli.json: every subcommand of `test_cli._subcommands` on
-every shipped document, in text and in JSON, a few self-test seeds and
-the character run the README shows.
+every shipped document, in text and in JSON, a few self-test seeds, the
+character run the README shows and the two refusals of a vector option.
 
 Keys are the argv joined by spaces, with paths relative to the repository
 root, where the runs are made.  The file lives outside tests/data/, whose
@@ -31,6 +31,10 @@ def _runs():
             for fmt in ([], ["--output", "json"])]
     runs += [["selftest", "--seed", seed] for seed in ("42", "7", "54")]
     runs.append(["character", "tests/data/cp1.json", "--xi", "1,0"])
+    # the two refusals of a vector option
+    runs += [["character", "tests/data/proj2.json", "--xi=1,a"],
+             ["multiplicity", "tests/data/proj2.json", "--xi=1,2",
+              "--alpha=0,0,0"]]
     return runs
 
 

@@ -148,6 +148,15 @@ def test_orientation_weight_length_violation():
         ["E_ORIENT at edge#0 p->q: weight length 3 != 2"]
 
 
+def test_loop_edge_violation():
+    # an edge from a vertex to itself has no free involution: its reverse
+    # would leave the same vertex
+    v = action_violations(2, ["p", "q"], [("p", "p", (1, 0)),
+                                          ("p", "q", (0, 1))])
+    assert [str(x) for x in v] == \
+        ["E_INVOLUTION at edge#0 p->p: loop edge has no free involution"]
+
+
 def test_gkm_condition_violation():
     v = action_violations(
         2, ["a", "b", "c"],
@@ -247,6 +256,19 @@ def test_cp1_nonpositive_multiple():
     with pytest.raises(ValidationError) as exc:
         symplectic_class(action, {"p": (1, 0), "q": (-1, 0)})
     assert any(v.code == "E_NONPOSITIVE" for v in exc.value.violations)
+    assert exc.value.stage == "class"
+
+
+def test_cp1_edge_difference_off_the_weight_is_refused():
+    # alpha_q - alpha_p = (2, 1) is no multiple of the edge weight (1, 0)
+    action, _ = gen_cp1_in_plane()
+    with pytest.raises(ValidationError) as exc:
+        symplectic_class(action, {"p": (-1, 0), "q": (1, 1)})
+    assert [str(v) for v in exc.value.violations] == [
+        "E_NOT_MULTIPLE at edge p->q: (2, 1) is not an integer multiple "
+        "of (1, 0)",
+        "E_NOT_MULTIPLE at edge q->p: (-2, -1) is not an integer multiple "
+        "of (-1, 0)"]
     assert exc.value.stage == "class"
 
 

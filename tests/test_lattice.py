@@ -7,7 +7,8 @@ from gkmchar.characters import polarize
 from gkmchar.lattice import (NotPrimitive, ZeroVector, bareiss,
                              complete_to_basis, det, direction, dot,
                              dual_cone_rays, is_primitive, primitive_part,
-                             weight_from_basis, weight_in_basis)
+                             span_normals, weight_from_basis,
+                             weight_in_basis)
 from gkmchar.randomgen import random_generic_xi
 
 
@@ -249,6 +250,28 @@ def test_dual_cone_rays_are_extreme_and_cut_every_weight(ws):
         assert _rank([w for w, p in zip(ws, pairs) if p == 0]) == r - 1
     for w in ws:
         assert any(dot(eta, w) > 0 for eta in rays)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pointed_weight_sets())
+def test_span_normals_complete_the_span(ws):
+    # n - r independent primitive normals, each pairing to zero with every
+    # weight: together with the span they fill Z^n up to finite index
+    n = len(ws[0])
+    normals = span_normals(ws, n)
+    assert len(normals) == n - _rank(ws)
+    assert _rank(ws + normals) == n
+    for nu in normals:
+        assert is_primitive(nu)
+        assert not any(dot(nu, w) for w in ws)
+
+
+def test_span_normals_of_few_weights():
+    assert span_normals([(1, 0, 0), (0, 1, 0)], 3) == [(0, 0, 1)]
+    assert span_normals([(1, 2, 3, 4), (2, 4, 6, 8)], 4) == \
+        [(4, 0, 0, -1), (0, 2, 0, -1), (0, 0, 4, -3)]
+    assert span_normals([(1, 0), (0, 1), (1, 1)], 2) == []
+    assert span_normals([], 2) == [(1, 0), (0, 1)]
 
 
 def test_dual_cone_rays_match_the_dual_basis_on_toric_vertices(fixtures):

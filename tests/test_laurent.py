@@ -59,6 +59,15 @@ def test_divide_exact_unit_fails():
         divide_exact(ONE, (1, 0))
 
 
+def test_divide_exact_refuses_a_quotient_outside_the_box():
+    # x^(2,0) - x^(1,2) is not divisible by 1 - x^(0,-1) (at x^(0,1) = 1
+    # it is x1^2 - x1), and its quotient series runs out of the box of p
+    p = LaurentPoly(2, {(1, 2): -1, (2, 0): 1})
+    with pytest.raises(NotDivisible) as exc:
+        divide_exact(p, (0, -1))
+    assert str(exc.value) == "the quotient leaves the box of p"
+
+
 def test_divide_exact_shifted_geometric():
     p = LaurentPoly.monomial((0, 1)) - LaurentPoly.monomial((3, 1))
     q = divide_exact(p, (1, 0))

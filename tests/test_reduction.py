@@ -18,9 +18,9 @@ from gkmchar.reduction import (CycleError, NotRegular, WrongWallCount,
                                symplectic_moment_map, vertex_residues,
                                wall_crossing_check)
 from gkmchar.randomgen import (flag_fixtures, random_class,
-                               random_generic_xi, random_ring_element,
-                               random_symplectic, random_zero_regular_xi,
-                               standard_fixtures)
+                               random_generic_xi, random_restriction,
+                               random_ring_element, random_symplectic,
+                               random_zero_regular_xi, standard_fixtures)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -71,6 +71,41 @@ def test_moment_map_cycle():
     with pytest.raises(CycleError) as exc:
         moment_map(action, (4, 3))
     assert exc.value.cycle == ["0", "1", "2", "3", "0"]
+
+
+def test_moment_map_cycle_with_explicit_values():
+    # explicit values are checked edge by edge, with no search for a
+    # cycle: on the cycle 0->1->2->3->0 they fail to increase along some
+    # edge, whatever they are
+    action, _ = load_graph_file(os.path.join(DATA, "cycle.json"))
+    with pytest.raises(ValueError) as exc:
+        moment_map(action, (4, 3), phi={"0": 0, "1": 1, "2": 2, "3": 3})
+    assert not isinstance(exc.value, CycleError)
+    assert str(exc.value) == "phi does not increase along edge 3->0"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_built_moment_maps_increase_along_every_edge(data):
+    """What moment_map and symplectic_moment_map no longer check on the
+    values they build: they are distinct and increase along every
+    xi-positive edge, on the standard and flag fixtures and on
+    restrictions of the standard ones to a 2-torus."""
+    standard, flags = standard_fixtures(), flag_fixtures()
+    name = data.draw(st.sampled_from(sorted(standard) + sorted(flags)))
+    action, sym = standard.get(name) or flags[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if name in standard and data.draw(st.booleans()):
+        _, action, sym = random_restriction(action, sym, rng)
+    xi = random_generic_xi(action, rng, bound=20)
+    sym = random_symplectic(action, sym, rng)
+    for mm in (moment_map(action, xi), symplectic_moment_map(sym, xi)):
+        values = list(mm.phi.values())
+        assert sorted(mm.phi) == sorted(action.vertices), name
+        assert len(set(values)) == len(values), name
+        for e in action.edges:
+            if dot(e.weight, xi) > 0:
+                assert mm.phi[e.src] < mm.phi[e.dst], (name, e)
 
 
 def test_chi_reduced_cp1(cp1):
