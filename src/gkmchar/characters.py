@@ -134,7 +134,7 @@ def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
 
     A vertex is counted only when its target pairs nonnegatively with every
     dual-cone ray of its weights and to zero with every normal of their
-    span (GkmAction.cone_rays and span_normals).  Otherwise the target
+    span (both from one GkmAction.dual_cone).  Otherwise the target
     lies off the span, or some ray eta has eta . target < 0 while every
     nonnegative combination of the weights pairs >= 0 with eta: the count
     is exactly 0.  A target that passes may still have count 0 (off the
@@ -148,8 +148,9 @@ def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
     for v in action.vertices:
         arg = vsub(vsub(alpha, sym.alphas[v]), pol.prefix[v])
         weights = pol.weights[v]
-        if all(dot(eta, arg) >= 0 for eta in action.cone_rays(weights)) and \
-                not any(dot(nu, arg) for nu in action.span_normals(weights)):
+        rays, normals = action.dual_cone(weights)
+        if all(dot(eta, arg) >= 0 for eta in rays) and \
+                not any(dot(nu, arg) for nu in normals):
             total += pol.sign[v] * kostant_count(weights, arg, pol.xi)
     return total
 
@@ -172,9 +173,9 @@ def character_expand(f: KClass, pol: Polarization,
     in the weight.  The series are truncated by support bounds of the
     character (see support_bound) from one cut set, built once per call:
     xi, and the dual-cone rays of the positive weights of every vertex
-    with f_v != 0 (see lattice.dual_cone_rays: eta . w >= 0 for each of
-    its weights w, and for linearly independent weights the dual basis).
-    The rays come from the graph (GkmAction.cone_rays), so vertices with
+    with f_v != 0 (see lattice.dual_cone: eta . w >= 0 for each of its
+    weights w, and for linearly independent weights the dual basis).
+    The rays come from the graph (GkmAction.dual_cone), so vertices with
     the same weights, and later calls on the graph, share one elimination.
     A vertex is cut by every direction of the set that pairs nonnegatively
     with all of its positive weights (xi and its own rays always do), so
@@ -323,7 +324,7 @@ def _cut_directions(action: GkmAction, xi, rows) -> list:
     weights of every row, each once."""
     rays = {}
     for ws in dict.fromkeys(ws for _, ws in rows):
-        rays.update(dict.fromkeys(action.cone_rays(ws)))
+        rays.update(dict.fromkeys(action.dual_cone(ws)[0]))
     rays.pop(xi, None)
     return [xi, *rays]
 

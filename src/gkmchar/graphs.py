@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .lattice import direction, dot, dual_cone_rays, primitive_part, \
-    span_normals, vadd, vneg, vscale, vsub
+from .lattice import direction, dot, dual_cone, primitive_part, vadd, \
+    vneg, vscale, vsub
 from .laurent import LaurentPoly, congruent_mod_edge
 
 
@@ -68,10 +68,8 @@ class GkmAction:
     out_index: dict = field(init=False, compare=False, repr=False)
     out_weights: dict = field(init=False, compare=False, repr=False)
     direction: tuple = field(init=False, compare=False, repr=False)
-    # sorted weight set -> its dual_cone_rays, filled by cone_rays, and
-    # its span_normals, filled by span_normals
-    _rays: dict = field(init=False, compare=False, repr=False)
-    _normals: dict = field(init=False, compare=False, repr=False)
+    # sorted weight set -> its lattice.dual_cone, filled by dual_cone
+    _cones: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         index = {v: [] for v in self.vertices}
@@ -87,30 +85,23 @@ class GkmAction:
             d = direction(e.weight) if any(e.weight) else None
             table += (d, d and (d[0], -d[1], d[2]))
         object.__setattr__(self, "direction", tuple(table))
-        object.__setattr__(self, "_rays", {})
-        object.__setattr__(self, "_normals", {})
+        object.__setattr__(self, "_cones", {})
 
     @property
     def d(self) -> int:
         """The valence, read off the edges: regular once validated."""
         return len(self.out_index[self.vertices[0]])
 
-    def cone_rays(self, weights):
-        """lattice.dual_cone_rays of a set of weights, such as a vertex's
-        polarized weights, eliminated once per distinct set on this graph:
-        vertices with the same set, and later calls, read the same rays."""
+    def dual_cone(self, weights):
+        """lattice.dual_cone of a set of weights, such as a vertex's
+        polarized weights: its (rays, normals), eliminated once per
+        distinct set on this graph, so vertices with the same set, and
+        later calls, read the same pair."""
         key = tuple(sorted(weights))
-        rays = self._rays.get(key)
-        if rays is None:
-            rays = self._rays[key] = dual_cone_rays(key)
-        return rays
-
-    def span_normals(self, weights):
-        """lattice.span_normals of a set of weights, once per set, too."""
-        key = tuple(sorted(weights))
-        if key not in self._normals:
-            self._normals[key] = span_normals(key, self.n)
-        return self._normals[key]
+        cone = self._cones.get(key)
+        if cone is None:
+            cone = self._cones[key] = dual_cone(key, self.n)
+        return cone
 
     def geometric_edges(self):
         """One representative per unoriented edge: the even-numbered one."""
@@ -322,11 +313,10 @@ def symplectic_class(action: GkmAction, alphas) -> SymplecticClass:
 
 
 def _integer_multiple(diff, w):
-    """m with diff == m*w, or None."""
+    """m with diff == m*w, or None.  m is read off the pivot entry of w, the
+    first nonzero one; diff == m*w then rejects a remainder there too."""
     pivot = next((i for i, x in enumerate(w) if x != 0), None)
     if pivot is None:
-        return None
-    if diff[pivot] % w[pivot] != 0:
         return None
     m = diff[pivot] // w[pivot]
     return m if diff == vscale(w, m) else None

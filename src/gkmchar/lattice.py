@@ -159,57 +159,64 @@ def _dual_basis(weights):
     return [primitive_part(row[d:])[0] for row in red]
 
 
-def dual_cone_rays(weights):
-    """The extreme rays of the dual cone of the weights inside their span:
-    primitive eta in the span with eta . w >= 0 for every weight w, one
-    per facet of the cone the weights span.  Weights of unequal length
+def dual_cone(weights, n):
+    """(rays, normals) of weights in Z^n, from one basis of their span.
+    A target lies in the cone the weights span only if it pairs >= 0 with
+    every ray and to zero with every normal.  Weights of unequal length
     raise ValueError.
 
-    For linearly independent weights w_1..w_d these are their dual basis
-    eta_1..eta_d, in the order of the weights: eta_i . w_j == 0 for
-    i != j and eta_i . w_i > 0 (see _dual_basis).
+    The rays are the extreme rays of the dual cone of the weights inside
+    their span: primitive eta in the span with eta . w >= 0 for every
+    weight w, one per facet of the cone the weights span.  For linearly
+    independent weights w_1..w_d these are their dual basis eta_1..eta_d,
+    in the order of the weights: eta_i . w_j == 0 for i != j and
+    eta_i . w_i > 0 (see _dual_basis).
 
-    For dependent weights of rank r, each facet is spanned by r - 1
-    independent weights T, and its normal inside the span is the last
-    vector of the dual basis of T and one more weight b that completes T
-    to a basis of the span.  That normal pairs positively with b, so it
-    faces the cone whenever T spans a facet: it is a ray when it pairs
-    >= 0 with every weight, and any other normal is dropped.  The rays are
-    deduplicated, in the order of the subsets T.  When the cone is
-    pointed, as it is for weights that all pair positively with one
-    direction, the rays span the dual cone, so every nonzero weight in
-    the cone pairs positively with some ray.
+    For dependent weights of rank r, the basis of the span is taken from
+    the weights, and each facet is spanned by r - 1 independent weights T.
+    Its normal inside the span is the last vector of the dual basis of T
+    and one more basis weight b that completes T to a basis of the span.
+    That normal pairs positively with b, so it faces the cone whenever T
+    spans a facet: it is a ray when it pairs >= 0 with every weight, and
+    any other normal is dropped.  The rays are deduplicated, in the order
+    of the subsets T.  When the cone is pointed, as it is for weights that
+    all pair positively with one direction, the rays span the dual cone,
+    so every nonzero weight in the cone pairs positively with some ray.
+
+    The normals are n - r independent primitive vectors of Z^n that pair
+    to zero with every weight: the basis of the span is completed to Q^n
+    by unit vectors, and the normals are the dual basis vectors of the
+    added unit vectors, in their order.  Full rank gives no normals.
     """
     weights = [tuple(w) for w in weights]
     rays = _dual_basis(weights)
     if rays is not None:
-        return rays
-    basis = []              # a basis of the span, taken from the weights
-    for w in weights:
-        if _dual_basis([*basis, w]) is not None:
-            basis.append(w)
-    rays = {}
-    for face in combinations(weights, len(basis) - 1):
-        eta = next((etas[-1] for b in basis
-                    if (etas := _dual_basis([*face, b])) is not None), None)
-        if eta is None:
-            continue        # the face has rank below r - 1
-        if all(dot(eta, w) >= 0 for w in weights):
-            rays[eta] = None
-    return list(rays)
-
-
-def span_normals(weights, n):
-    """n - rank independent primitive vectors of Z^n that pair to zero
-    with every weight: the dual basis vectors of the unit vectors that
-    complete a basis of the span, taken from the weights, to Q^n."""
-    basis = []
-    for w in [*weights, *(tuple(int(i == j) for j in range(n))
-                          for i in range(n))]:
-        if _dual_basis([*basis, w]) is not None:
-            basis.append(w)
-    return [eta for eta in _dual_basis(basis)
-            if not any(dot(eta, w) for w in weights)]
+        basis = list(weights)
+    else:
+        basis = []          # a basis of the span, taken from the weights
+        for w in weights:
+            if _dual_basis([*basis, w]) is not None:
+                basis.append(w)
+        rays = {}
+        for face in combinations(weights, len(basis) - 1):
+            eta = next((etas[-1] for b in basis
+                        if (etas := _dual_basis([*face, b])) is not None),
+                       None)
+            if eta is None:
+                continue    # the face has rank below r - 1
+            if all(dot(eta, w) >= 0 for w in weights):
+                rays[eta] = None
+        rays = list(rays)
+    r = len(basis)
+    if r == n:
+        return rays, []
+    for i in range(n):
+        unit = tuple(int(i == j) for j in range(n))
+        if _dual_basis([*basis, unit]) is not None:
+            basis.append(unit)
+            if len(basis) == n:
+                break
+    return rays, _dual_basis(basis)[r:]
 
 
 def complete_to_basis(xi) -> BasisChange:

@@ -15,6 +15,7 @@ from .laurent import LaurentPoly, NotDivisible, RationalChar, \
     congruent_mod_edge, divide_exact, eval_numeric, poly_sum
 from .characters import character_expand, character_oracle, hull_report, \
     localization_terms, multiplicity, polarize
+from .graphs import class_violations
 from .residues import fiber_average_numeric, res_T
 from .reduction import chi_reduced, edge_compat_check, moment_map, \
     qr_check, vertex_residues, wall_crossing_check
@@ -35,27 +36,43 @@ class CheckResult:
                                            if self.detail else "")
 
 
+class _Fail(Exception):
+    """A battery found a counterexample; the message is the FAIL detail."""
+
+
 def run_selftest(seed: int, corrupt: bool = False) -> list[CheckResult]:
+    """One CheckResult per battery, in order, each under its one name.  A
+    battery takes (rng, fixtures) and returns its PASS detail, or raises
+    _Fail with its FAIL detail."""
     rng = random.Random(seed)
     fixtures = standard_fixtures()
-    results = [
-        _check_lattice(rng),
-        _check_division(rng),
-        _check_characters(rng, fixtures),
-        _check_numeric_localization(rng, fixtures),
-        _check_hull_and_multiplicity(rng, fixtures),
-        _check_residue_vanishing(rng, fixtures),
-        _check_fiber_average(rng),
-        _check_walls(rng, fixtures),
-        _check_qr(rng, fixtures),
-        _check_edge_compat(rng, fixtures),
+    batteries = [
+        ("lattice basis completion and round trip", _check_lattice),
+        ("exact division round trip and congruence", _check_division),
+        ("character: expansion equals division route, direction "
+         "independent", _check_characters),
+        ("numeric localization agreement", _check_numeric_localization),
+        ("hull containment, extremal weights, partition-count "
+         "multiplicities", _check_hull_and_multiplicity),
+        ("residue vanishing laws and total-residue cancellation",
+         _check_residue_vanishing),
+        ("residue equals signed fiber-average sum", _check_fiber_average),
+        ("chamber independence, telescoping, wall crossing", _check_walls),
+        ("invariant part equals reduced character", _check_qr),
+        ("edge compatibility of localized classes", _check_edge_compat),
     ]
     if corrupt:
-        results.append(_check_corrupted(fixtures))
+        batteries.append(("injected corruption", _check_corrupted))
+    results = []
+    for name, battery in batteries:
+        try:
+            results.append(CheckResult(name, True, battery(rng, fixtures)))
+        except _Fail as fail:
+            results.append(CheckResult(name, False, str(fail)))
     return results
 
 
-def _check_lattice(rng) -> CheckResult:
+def _check_lattice(rng, fixtures) -> str:
     for _ in range(50):
         n = rng.randint(1, 4)
         xi = tuple(rng.randint(-9, 9) for _ in range(n))
@@ -64,21 +81,18 @@ def _check_lattice(rng) -> CheckResult:
         xi, _ = primitive_part(xi)
         basis = complete_to_basis(xi)
         if abs(det(basis.matrix)) != 1 or basis.xi != xi:
-            return CheckResult("lattice basis completion", False,
-                               f"bad completion for {xi}")
+            raise _Fail(f"bad completion for {xi}")
         for _ in range(20):
             alpha = tuple(rng.randint(-9, 9) for _ in range(n))
             beta, k = weight_in_basis(alpha, basis)
             if k != dot(alpha, xi):
-                return CheckResult("lattice basis completion", False,
-                                   "pairing mismatch")
+                raise _Fail("pairing mismatch")
             if weight_from_basis(beta, k, basis) != alpha:
-                return CheckResult("lattice basis completion", False,
-                                   "round trip failed")
-    return CheckResult("lattice basis completion and round trip", True)
+                raise _Fail("round trip failed")
+    return ""
 
 
-def _check_division(rng) -> CheckResult:
+def _check_division(rng, fixtures) -> str:
     for _ in range(60):
         n = rng.randint(1, 3)
         gamma = tuple(rng.randint(-2, 2) for _ in range(n))
@@ -90,17 +104,15 @@ def _check_division(rng) -> CheckResult:
         try:
             back = divide_exact(p, gamma)
         except NotDivisible:
-            return CheckResult("exact division", False,
-                               f"divisible product rejected for {gamma}")
+            raise _Fail(f"divisible product rejected for {gamma}")
         if back * one_minus != p:
-            return CheckResult("exact division", False, "round trip failed")
+            raise _Fail("round trip failed")
         if not congruent_mod_edge(p, LaurentPoly.zero(n), gamma):
-            return CheckResult("exact division", False,
-                               "congruence disagrees with division")
-    return CheckResult("exact division round trip and congruence", True)
+            raise _Fail("congruence disagrees with division")
+    return ""
 
 
-def _check_characters(rng, fixtures) -> CheckResult:
+def _check_characters(rng, fixtures) -> str:
     for name, (action, sym) in fixtures.items():
         for _ in range(3):
             f = random_class(action, sym, rng)
@@ -109,17 +121,14 @@ def _check_characters(rng, fixtures) -> CheckResult:
                 xi = random_generic_xi(action, rng)
                 polys.add(character_expand(f, polarize(action, xi)).poly)
             if len(polys) != 1:
-                return CheckResult("character polynomiality", False,
-                                   f"direction dependence on {name}")
+                raise _Fail(f"direction dependence on {name}")
             if character_oracle(f) != polys.pop():
-                return CheckResult(
-                    "character polynomiality", False,
-                    f"division route disagrees with expansion on {name}")
-    return CheckResult("character: expansion equals division route, "
-                       "direction independent", True)
+                raise _Fail(f"division route disagrees with expansion on "
+                            f"{name}")
+    return ""
 
 
-def _check_numeric_localization(rng, fixtures) -> CheckResult:
+def _check_numeric_localization(rng, fixtures) -> str:
     worst = 0.0
     for name, (action, sym) in fixtures.items():
         f = random_class(action, sym, rng)
@@ -131,13 +140,11 @@ def _check_numeric_localization(rng, fixtures) -> CheckResult:
             err = abs(raw - eval_numeric(chi, pt))
             worst = max(worst, err)
             if err > 1e-6:
-                return CheckResult("numeric localization", False,
-                                   f"error {err:.2e} on {name}")
-    return CheckResult("numeric localization agreement", True,
-                       f"max error {worst:.2e}")
+                raise _Fail(f"error {err:.2e} on {name}")
+    return f"max error {worst:.2e}"
 
 
-def _check_hull_and_multiplicity(rng, fixtures) -> CheckResult:
+def _check_hull_and_multiplicity(rng, fixtures) -> str:
     for name, (action, sym) in fixtures.items():
         s2 = random_symplectic(action, sym, rng)
         xi = random_generic_xi(action, rng)
@@ -145,18 +152,15 @@ def _check_hull_and_multiplicity(rng, fixtures) -> CheckResult:
         char = character_expand(s2.base, pol)
         report = hull_report(s2, char)
         if not report.ok:
-            return CheckResult("hull containment / extremal weights", False,
-                               f"violated on {name}")
+            raise _Fail(f"violated on {name}")
         for mu in list(sorted(char.poly.terms))[:6]:
             if multiplicity(s2, pol, mu) != char.poly.coeff(mu):
-                return CheckResult(
-                    "hull containment / extremal weights", False,
-                    f"partition-count multiplicity mismatch on {name}")
-    return CheckResult("hull containment, extremal weights, "
-                       "partition-count multiplicities", True)
+                raise _Fail(f"partition-count multiplicity mismatch on "
+                            f"{name}")
+    return ""
 
 
-def _check_residue_vanishing(rng, fixtures) -> CheckResult:
+def _check_residue_vanishing(rng, fixtures) -> str:
     # per-monomial vanishing laws on random one-vertex stars, whose
     # numerator is the one monomial x^mu
     for _ in range(40):
@@ -169,11 +173,9 @@ def _check_residue_vanishing(rng, fixtures) -> CheckResult:
         pos = sum(s for s in degrees if s > 0)
         rv = res_T(star, xi)
         if k > neg and not rv.minus.is_zero():
-            return CheckResult("residue vanishing laws", False,
-                               "inner contour should vanish")
+            raise _Fail("inner contour should vanish")
         if k < pos and not rv.plus.is_zero():
-            return CheckResult("residue vanishing laws", False,
-                               "outer contour should vanish")
+            raise _Fail("outer contour should vanish")
     # total residue vanishing on the fixtures
     for name, (action, sym) in fixtures.items():
         f = random_class(action, sym, rng)
@@ -181,13 +183,11 @@ def _check_residue_vanishing(rng, fixtures) -> CheckResult:
         total = poly_sum(action.n, vertex_residues(
             f, xi, action.vertices).values())
         if not total.is_zero():
-            return CheckResult("residue vanishing laws", False,
-                               f"nonzero total residue on {name}")
-    return CheckResult("residue vanishing laws and total-residue "
-                       "cancellation", True)
+            raise _Fail(f"nonzero total residue on {name}")
+    return ""
 
 
-def _check_fiber_average(rng) -> CheckResult:
+def _check_fiber_average(rng, fixtures) -> str:
     worst = 0.0
     for _ in range(10):
         star, xi = random_vertex_star(2, rng.randint(2, 3), rng)
@@ -203,13 +203,11 @@ def _check_fiber_average(rng) -> CheckResult:
         err = abs(lhs - rhs)
         worst = max(worst, err)
         if err > 1e-6:
-            return CheckResult("residue vs fiber averaging", False,
-                               f"error {err:.2e}")
-    return CheckResult("residue equals signed fiber-average sum", True,
-                       f"max error {worst:.2e}")
+            raise _Fail(f"error {err:.2e}")
+    return f"max error {worst:.2e}"
 
 
-def _check_walls(rng, fixtures) -> CheckResult:
+def _check_walls(rng, fixtures) -> str:
     for name, (action, sym) in fixtures.items():
         f = random_class(action, sym, rng)
         xi = random_generic_xi(action, rng)
@@ -219,29 +217,24 @@ def _check_walls(rng, fixtures) -> CheckResult:
             [(a + b) / 2 for a, b in zip(crits, crits[1:])] + [crits[-1] + 1]
         chis = [chi_reduced(f, mm, c).value for c in levels]
         if not chis[-1].is_zero() or not chis[0].is_zero():
-            return CheckResult("wall crossing", False,
-                               f"boundary chambers nonzero on {name}")
+            raise _Fail(f"boundary chambers nonzero on {name}")
         for i in range(len(crits)):
             res = wall_crossing_check(f, mm, levels[i], levels[i + 1])
             if not res.ok:
-                return CheckResult("wall crossing", False,
-                                   f"wall identity fails on {name}")
+                raise _Fail(f"wall identity fails on {name}")
             if chis[i] - chis[i + 1] != res.residue:
-                return CheckResult("wall crossing", False,
-                                   f"telescoping fails on {name}")
+                raise _Fail(f"telescoping fails on {name}")
         # chamber independence: same chamber, same character
         mid = levels[len(levels) // 2]
         eps = (crits[-1] - crits[0]) / 1000
         a = chi_reduced(f, mm, mid).value
         b = chi_reduced(f, mm, mid + eps).value
         if a != b:
-            return CheckResult("wall crossing", False,
-                               f"chamber dependence on {name}")
-    return CheckResult("chamber independence, telescoping, wall crossing",
-                       True)
+            raise _Fail(f"chamber dependence on {name}")
+    return ""
 
 
-def _check_qr(rng, fixtures) -> CheckResult:
+def _check_qr(rng, fixtures) -> str:
     for name, (action, sym) in fixtures.items():
         for _ in range(2):
             s2 = random_symplectic(action, sym, rng)
@@ -249,14 +242,12 @@ def _check_qr(rng, fixtures) -> CheckResult:
                 xi = random_zero_regular_xi(s2, rng, attempts=100)
             except ValueError:
                 continue
-            res = qr_check(s2, xi)
-            if not res.ok:
-                return CheckResult("invariant part equals reduced character",
-                                   False, f"mismatch on {name} at {xi}")
-    return CheckResult("invariant part equals reduced character", True)
+            if not qr_check(s2, xi).ok:
+                raise _Fail(f"mismatch on {name} at {xi}")
+    return ""
 
 
-def _check_edge_compat(rng, fixtures) -> CheckResult:
+def _check_edge_compat(rng, fixtures) -> str:
     worst = 0.0
     for name, (action, sym) in fixtures.items():
         f = random_class(action, sym, rng)
@@ -265,22 +256,18 @@ def _check_edge_compat(rng, fixtures) -> CheckResult:
                                     rng=random.Random(rng.randrange(2**30)))
             worst = max(worst, res.max_error)
             if not res.ok:
-                return CheckResult("edge compatibility of localized classes",
-                                   False, f"edge {e.src}->{e.dst} on {name}")
-    return CheckResult("edge compatibility of localized classes", True,
-                       f"max error {worst:.2e}")
+                raise _Fail(f"edge {e.src}->{e.dst} on {name}")
+    return f"max error {worst:.2e}"
 
 
-def _check_corrupted(fixtures) -> CheckResult:
-    """Deliberately break a class value; the compatibility check must fire."""
+def _check_corrupted(rng, fixtures) -> str:
+    """Deliberately break a class value; the compatibility check must fire,
+    so this battery always fails."""
     action, sym = fixtures["proj2"]
     values = dict(sym.base.values)
     values["P1"] = values["P1"] + LaurentPoly.monomial((0, 1))
-    from .graphs import class_violations
     violations = class_violations(action, values)
     if violations:
-        return CheckResult(
-            "injected corruption", False,
-            "edge compatibility congruence violated: " + str(violations[0]))
-    return CheckResult("injected corruption", False,
-                       "corruption escaped the compatibility check")
+        raise _Fail("edge compatibility congruence violated: "
+                    + str(violations[0]))
+    raise _Fail("corruption escaped the compatibility check")

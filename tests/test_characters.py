@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gkmchar import characters, graphs, laurent, lattice
-from gkmchar.lattice import dot, primitive_part, vadd, vneg, vscale, vsub
+from gkmchar.lattice import NotPrimitive, dot, primitive_part, vadd, vneg, \
+    vscale, vsub
 from gkmchar.laurent import LaurentPoly, eval_numeric
 from gkmchar.graphs import Edge, GkmAction, KClass, SymplecticClass, \
     constant_class, gen_cp1_in_plane, gen_product, gen_projective, \
@@ -45,6 +46,20 @@ def test_polarize_rejects_degenerate_direction(cp1):
     action, _ = cp1
     with pytest.raises(NotGeneric):
         polarize(action, (0, 1))
+
+
+def test_polarize_rejects_a_non_primitive_direction(cp1):
+    action, _ = cp1
+    with pytest.raises(NotPrimitive):
+        polarize(action, (2, 2))
+
+
+def test_kostant_count_refuses_a_weight_not_positive_on_xi():
+    # one weight pairs negatively with xi, and one to zero; each target
+    # lies below level 0, where the count would otherwise read 0
+    for weights in ([(1, 0), (0, -1)], [(1, -1)]):
+        with pytest.raises(NotGeneric):
+            kostant_count(weights, (-1, -1), (1, 1))
 
 
 def test_polarize_and_moment_map_name_the_first_zero_edge():
@@ -910,7 +925,7 @@ def test_flag_multiplicity_matches_oracle(monkeypatch, m, lam):
         assert multiplicity(sym, pol, mu) == chi.coeff(mu)
     for weights, target in calls:
         assert all(dot(eta, target) >= 0
-                   for eta in action.cone_rays(weights)), (weights, target)
+                   for eta in action.dual_cone(weights)[0]), (weights, target)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -1092,20 +1107,25 @@ def test_grassmannian_character_is_the_sum_over_subsets(k, m):
 def test_cone_rays_are_eliminated_once_per_weight_set(monkeypatch):
     calls = []
 
-    def counting(weights):
+    def counting(weights, n):
         calls.append(weights)
-        return lattice.dual_cone_rays(weights)
+        return lattice.dual_cone(weights, n)
 
-    monkeypatch.setattr(graphs, "dual_cone_rays", counting)
+    monkeypatch.setattr(graphs, "dual_cone", counting)
     # every vertex of Fl(4) turns its weights into the same positive roots,
-    # and every vertex of a cube into the same signed axes
+    # and every vertex of a cube into the same signed axes: one weight set,
+    # whose rays and span normals come from one elimination
     for action, sym in [_flag(4), _p1_power(3)]:
         calls.clear()
         xi = (1, 3, 7, 15)[:action.n]
-        first = character_expand(sym.base, polarize(action, xi)).poly
+        pol = polarize(action, xi)
+        first = character_expand(sym.base, pol).poly
+        assert len({tuple(sorted(ws)) for ws in pol.weights.values()}) == 1
         assert len(calls) == 1
-        # later calls on the same graph, by any entry point, eliminate
-        # nothing
+        # multiplicity reads the same cone, and later calls on the same
+        # graph, by any entry point, eliminate nothing
+        for mu in sorted(first.terms)[:5]:
+            assert multiplicity(sym, pol, mu) == first.coeff(mu)
         assert character_expand(sym.base, polarize(action, xi)).poly == first
         character_expand(sym.base * sym.base, polarize(action, xi), level=1)
         assert len(calls) == 1
@@ -1356,11 +1376,9 @@ def test_multiplicity_counts_only_targets_inside_the_cones(case, seed):
             assert multiplicity(sym, pol, mu) == want.coeff(mu), mu
     assert calls
     for weights, target in calls:
-        assert all(dot(eta, target) >= 0
-                   for eta in action.cone_rays(weights)), (weights, target)
-        assert not any(dot(nu, target)
-                       for nu in action.span_normals(weights)), \
-            (weights, target)
+        rays, normals = action.dual_cone(weights)
+        assert all(dot(eta, target) >= 0 for eta in rays), (weights, target)
+        assert not any(dot(nu, target) for nu in normals), (weights, target)
 
 
 def test_multiplicity_off_the_span_counts_no_partitions(monkeypatch):

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmchar import cli
+from gkmchar import cli, selftest
 from gkmchar.characters import character_expand, character_oracle
 from gkmchar.cli import main
 from gkmchar.graphs import KClass, gen_projective, gen_weyl_orbit, \
@@ -172,6 +172,23 @@ def test_selftest_injected_corruption_fails(capsys):
     assert "congruence violated" in out
 
 
+def test_selftest_failure_keeps_the_battery_name(monkeypatch, capsys):
+    # a battery that finds a counterexample reports it under the name it
+    # passes under, in text and in JSON
+    name = ("hull containment, extremal weights, partition-count "
+            "multiplicities")
+    monkeypatch.setattr(selftest, "multiplicity", lambda sym, pol, mu: -1)
+    code, out, _ = run(["selftest", "--seed", "42"], capsys)
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] \
+        == [f"FAIL  {name}  (partition-count multiplicity mismatch on cp1)"]
+    code, out, _ = run(["selftest", "--seed", "42", "--output", "json"],
+                       capsys)
+    assert code == 2
+    assert [r["name"] for r in json.loads(out)["results"]
+            if not r["ok"]] == [name]
+
+
 def test_proj2_character(capsys):
     code, out, _ = run(["character", PROJ2, "--xi", "1,2"], capsys)
     assert code == 0
@@ -257,6 +274,11 @@ def test_reduce_refuses_a_level_too_long_to_print(capsys, level, output):
     assert "Traceback" not in err
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+def test_reduce_refuses_a_level_that_is_no_number(capsys):
+    assert run(["reduce", PROJ2, "--xi=1,2", "--c=abc"], capsys) == \
+        (1, "", "error: not a rational number: 'abc'\n")
 
 
 def _write_doc(tmp_path, doc):
@@ -372,6 +394,9 @@ def test_non_integer_numbers_are_violations(tmp_path, capsys, mutate, where):
      "E_SCHEMA at class omega at P0: missing exp"),
     (lambda d: d["classes"]["omega"]["P0"][0].update(exp=[0, 0, 0]),
      "E_SCHEMA at class omega at P0: exp length 3 != 2"),
+    (lambda d: d["classes"]["omega"].update(P0=5),
+     "E_SCHEMA at class omega at P0: not a JSON list"),
+    (lambda d: d.update(classes=[]), "E_SCHEMA at classes: not a JSON object"),
 ])
 def test_malformed_document_is_one_schema_violation(tmp_path, capsys, mutate,
                                                    line):

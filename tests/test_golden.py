@@ -1,7 +1,8 @@
 """The CLI's exit code, stdout and stderr, byte for byte, against
 tests/golden/cli.json: every subcommand of `test_cli._subcommands` on
-every shipped document, in text and in JSON, a few self-test seeds, the
-character run the README shows and the two refusals of a vector option.
+every shipped document, in text and in JSON, a few self-test seeds, one
+with an injected corruption, the character run the README shows, the two
+refusals of a vector option and one of a rational option.
 
 Keys are the argv joined by spaces, with paths relative to the repository
 root, where the runs are made.  The file lives outside tests/data/, whose
@@ -30,11 +31,13 @@ def _runs():
             for argv in _subcommands(f"tests/data/{doc.name}")
             for fmt in ([], ["--output", "json"])]
     runs += [["selftest", "--seed", seed] for seed in ("42", "7", "54")]
+    runs.append(["selftest", "--seed", "42", "--inject-corruption"])
     runs.append(["character", "tests/data/cp1.json", "--xi", "1,0"])
-    # the two refusals of a vector option
+    # the two refusals of a vector option, and one of a rational option
     runs += [["character", "tests/data/proj2.json", "--xi=1,a"],
              ["multiplicity", "tests/data/proj2.json", "--xi=1,2",
-              "--alpha=0,0,0"]]
+              "--alpha=0,0,0"],
+             ["reduce", "tests/data/proj2.json", "--xi=1,2", "--c=abc"]]
     return runs
 
 

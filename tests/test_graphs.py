@@ -272,6 +272,19 @@ def test_cp1_edge_difference_off_the_weight_is_refused():
     assert exc.value.stage == "class"
 
 
+def test_edge_difference_off_the_pivot_multiple_is_refused():
+    # alpha_q - alpha_p = (1, 0) is half the edge weight (2, 0): the pivot
+    # entry 1 is no multiple of 2
+    action = validate_action(2, ["p", "q"], [("p", "q", (2, 0))])
+    with pytest.raises(ValidationError) as exc:
+        symplectic_class(action, {"p": (0, 0), "q": (1, 0)})
+    assert [str(v) for v in exc.value.violations] == [
+        "E_NOT_MULTIPLE at edge p->q: (1, 0) is not an integer multiple "
+        "of (2, 0)",
+        "E_NOT_MULTIPLE at edge q->p: (-1, 0) is not an integer multiple "
+        "of (-2, 0)"]
+
+
 def test_projective2_default_multiples_are_one():
     action, sym = gen_projective(2)
     assert all(m == 1 for m in sym.m.values())

@@ -6,9 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 from gkmchar.characters import polarize
 from gkmchar.lattice import (NotPrimitive, ZeroVector, bareiss,
                              complete_to_basis, det, direction, dot,
-                             dual_cone_rays, is_primitive, primitive_part,
-                             span_normals, weight_from_basis,
-                             weight_in_basis)
+                             dual_cone, is_primitive, primitive_part,
+                             weight_from_basis, weight_in_basis)
 from gkmchar.randomgen import random_generic_xi
 
 
@@ -178,7 +177,7 @@ def test_dual_cone_rays_of_independent_weights_diagonalize(m, drop):
     m = m[:max(len(m) - drop, 1)]
     gram = [[dot(u, w) for w in m] for u in m]
     assume(_cofactor_det(gram) != 0)
-    etas = dual_cone_rays([tuple(row) for row in m])
+    etas = dual_cone([tuple(row) for row in m], len(m[0]))[0]
     assert etas == _reference_dual_basis([tuple(row) for row in m])
     assert len(etas) == len(m)
     for i, eta in enumerate(etas):
@@ -189,25 +188,25 @@ def test_dual_cone_rays_of_independent_weights_diagonalize(m, drop):
 
 
 def test_dual_cone_rays_of_fewer_independent_weights():
-    assert dual_cone_rays([(1, 0, 0), (0, 1, 0)]) == [(1, 0, 0), (0, 1, 0)]
-    assert dual_cone_rays([(2, 1, 0)]) == [(2, 1, 0)]
-    assert dual_cone_rays([(1, 1)]) == [(1, 1)]
-    assert dual_cone_rays([]) == []
+    assert dual_cone([(1, 0, 0), (0, 1, 0)], 3)[0] == [(1, 0, 0), (0, 1, 0)]
+    assert dual_cone([(2, 1, 0)], 3)[0] == [(2, 1, 0)]
+    assert dual_cone([(1, 1)], 2)[0] == [(1, 1)]
+    assert dual_cone([], 2)[0] == []
 
 
 def test_dual_cone_rays_of_dependent_weights():
     # a cone on one line: its one ray, inside the span
-    assert dual_cone_rays([(1, 2), (2, 4)]) == [(1, 2)]
-    assert dual_cone_rays([(1, 2, 0), (2, 4, 0)]) == [(1, 2, 0)]
+    assert dual_cone([(1, 2), (2, 4)], 2)[0] == [(1, 2)]
+    assert dual_cone([(1, 2, 0), (2, 4, 0)], 3)[0] == [(1, 2, 0)]
     # (1, 1) lies inside the cone of (1, 0) and (0, 1)
-    assert dual_cone_rays([(1, 0), (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
+    assert dual_cone([(1, 0), (0, 1), (1, 1)], 2)[0] == [(0, 1), (1, 0)]
     # the positive roots of A2 in Z^3: the fundamental coweights, in the
     # plane x + y + z = 0, primitive
     roots = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
-    assert sorted(dual_cone_rays(roots)) == [(1, 1, -2), (2, -1, -1)]
+    assert sorted(dual_cone(roots, 3)[0]) == [(1, 1, -2), (2, -1, -1)]
     # a cone that is not pointed: the normal (1, 0) of the face spanned by
     # (0, 1) pairs with both signs and drops
-    assert dual_cone_rays([(1, 0), (-1, 0), (0, 1)]) == [(0, 1)]
+    assert dual_cone([(1, 0), (-1, 0), (0, 1)], 2)[0] == [(0, 1)]
 
 
 def _rank(vectors):
@@ -237,7 +236,7 @@ def pointed_weight_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(pointed_weight_sets())
 def test_dual_cone_rays_are_extreme_and_cut_every_weight(ws):
-    rays = dual_cone_rays(ws)
+    rays = dual_cone(ws, len(ws[0]))[0]
     r = _rank(ws)
     assert len(set(rays)) == len(rays) >= r
     assert _rank(rays) == r
@@ -258,7 +257,7 @@ def test_span_normals_complete_the_span(ws):
     # n - r independent primitive normals, each pairing to zero with every
     # weight: together with the span they fill Z^n up to finite index
     n = len(ws[0])
-    normals = span_normals(ws, n)
+    normals = dual_cone(ws, n)[1]
     assert len(normals) == n - _rank(ws)
     assert _rank(ws + normals) == n
     for nu in normals:
@@ -267,11 +266,11 @@ def test_span_normals_complete_the_span(ws):
 
 
 def test_span_normals_of_few_weights():
-    assert span_normals([(1, 0, 0), (0, 1, 0)], 3) == [(0, 0, 1)]
-    assert span_normals([(1, 2, 3, 4), (2, 4, 6, 8)], 4) == \
+    assert dual_cone([(1, 0, 0), (0, 1, 0)], 3)[1] == [(0, 0, 1)]
+    assert dual_cone([(1, 2, 3, 4), (2, 4, 6, 8)], 4)[1] == \
         [(4, 0, 0, -1), (0, 2, 0, -1), (0, 0, 4, -3)]
-    assert span_normals([(1, 0), (0, 1), (1, 1)], 2) == []
-    assert span_normals([], 2) == [(1, 0), (0, 1)]
+    assert dual_cone([(1, 0), (0, 1), (1, 1)], 2)[1] == []
+    assert dual_cone([], 2)[1] == [(1, 0), (0, 1)]
 
 
 def test_dual_cone_rays_match_the_dual_basis_on_toric_vertices(fixtures):
@@ -280,7 +279,8 @@ def test_dual_cone_rays_match_the_dual_basis_on_toric_vertices(fixtures):
         for _ in range(4):
             pol = polarize(action, random_generic_xi(action, rng, 20))
             for ws in pol.weights.values():
-                assert dual_cone_rays(ws) == _reference_dual_basis(list(ws))
+                assert dual_cone(ws, action.n)[0] == \
+                    _reference_dual_basis(list(ws))
 
 
 def test_dot_rejects_length_mismatch():

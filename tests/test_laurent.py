@@ -93,6 +93,20 @@ def test_divide_exact_rejects_weight_of_wrong_length():
                     divide_exact(p, *gammas)
 
 
+def test_rational_char_refuses_a_zero_or_misfit_weight():
+    with pytest.raises(ZeroWeight):
+        RationalChar(ONE, ((1, 0), (0, 0)))
+    with pytest.raises(DimMismatch):
+        RationalChar(ONE, ((1, 0, 0),))
+
+
+def test_congruence_refuses_a_zero_weight_or_mixed_dimensions():
+    with pytest.raises(ZeroWeight):
+        congruent_mod_edge(ONE, X10, (0, 0))
+    with pytest.raises(DimMismatch):
+        congruent_mod_edge(ONE, LaurentPoly.one(3), (1, 0))
+
+
 def test_divide_exact_zero_weight_among_several():
     p = (ONE - X10) * (ONE - X01)
     with pytest.raises(ZeroWeight):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmchar import reduction
-from gkmchar.lattice import dot
+from gkmchar.lattice import NotPrimitive, dot
 from gkmchar.laurent import LaurentPoly
 from gkmchar.graphs import constant_class, gen_cp1_in_plane, \
     gen_projective, load_graph_file, symplectic_class
@@ -61,6 +61,15 @@ def test_moment_map_rejects_explicit_values_at_unknown_vertices():
         moment_map(action, (2, 1),
                    phi={"P0": 0, "P1": 2, "P2": 1, "Z": 3})
     assert str(exc.value) == "phi has a value at unknown vertex Z"
+
+
+def test_moment_map_rejects_equal_explicit_values():
+    # P1 and P2 share a value, and no edge decreases, since the edge
+    # P1 -> P2 pairs positively with (1, 2)
+    action, _ = gen_projective(2)
+    with pytest.raises(ValueError) as exc:
+        moment_map(action, (1, 2), phi={"P0": 0, "P1": 1, "P2": 1})
+    assert str(exc.value) == "critical values are not distinct"
 
 
 def test_moment_map_cycle():
@@ -533,6 +542,14 @@ def test_qr_check_zero_not_regular():
     _, sym = gen_projective(2)
     with pytest.raises(ZeroNotRegular):
         qr_check(sym, (1, 2))
+
+
+def test_qr_check_refuses_a_non_primitive_direction():
+    # refused as such before zero is found critical: alpha_P0 = 0 pairs to
+    # zero with every direction
+    _, sym = gen_projective(2)
+    with pytest.raises(NotPrimitive):
+        qr_check(sym, (2, 4))
 
 
 def test_qr_check_shifted_projective2():
