@@ -5,7 +5,7 @@ exact-division route to the same character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import add, mul, sub
@@ -39,6 +39,11 @@ class Polarization:
     xi; sign[v] is (-1) raised to the number of negated weights, and
     prefix[v] is their sum, the monomial shift of v's polarized expansion
     and of its partition-count argument.
+
+    The vertex table that multiplicity reads for a symplectic class (see
+    there) is built on the class's first multiplicity call with this
+    polarization, and kept for the class as long as the polarization
+    lives.
     """
 
     action: GkmAction
@@ -46,6 +51,13 @@ class Polarization:
     weights: dict           # vertex -> tuple of weights turned toward xi
     sign: dict              # vertex -> +1 or -1
     prefix: dict            # vertex -> sum of the negated out-weights
+    # id(sym) -> (sym, dirs, rows) of its _vertex_table, filled by
+    # multiplicity; holding sym keeps its id from being reused while the
+    # polarization lives
+    _tables: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tables", {})
 
 
 def _edge_pairings(action: GkmAction, xi) -> dict:
@@ -97,14 +109,19 @@ def kostant_count(weights, target, xi) -> int:
 
     Every weight must pair positively with the direction xi (NotGeneric
     otherwise).  The count is computed by a memoized recursion over the
-    weight list, bounded by the xi-pairing.  Raises DimMismatch when
-    target is not of the length of xi.
+    weight list, bounded by the xi-pairing.  Raises DimMismatch, naming
+    the first offender, when target or a weight is not of the length of
+    xi.
     """
     weights = [tuple(w) for w in weights]
     target = tuple(target)
     xi = tuple(xi)
     if len(target) != len(xi):
         raise DimMismatch(f"target {target} has length {len(target)}, "
+                          f"xi {xi} has length {len(xi)}")
+    bad = next((w for w in weights if len(w) != len(xi)), None)
+    if bad is not None:
+        raise DimMismatch(f"weight {bad} has length {len(bad)}, "
                           f"xi {xi} has length {len(xi)}")
     pairings = [dot(w, xi) for w in weights]
     if any(p <= 0 for p in pairings):
@@ -138,21 +155,50 @@ def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
     lies off the span, or some ray eta has eta . target < 0 while every
     nonnegative combination of the weights pairs >= 0 with eta: the count
     is exactly 0.  A target that passes may still have count 0 (off the
-    lattice of the weights), and kostant_count decides it."""
+    lattice of the weights), and kostant_count decides it.
+
+    The tests read a vertex table (see _vertex_table), built on the first
+    call for sym with pol and kept in pol as long as it lives: each
+    vertex's shift alpha_v + prefix_v and the pairing of the shift with
+    each of its rays and normals.  A call pairs alpha once with each
+    distinct ray or normal of the table, and eta . target >= 0 reads
+    eta . alpha >= eta . shift, nu . target == 0 reads nu . alpha ==
+    nu . shift.  Only the vertices that pass form their target."""
     alpha = tuple(alpha)
     action = pol.action
     if len(alpha) != action.n:
         raise DimMismatch(f"weight {alpha} has length {len(alpha)}, "
                           f"expected {action.n}")
+    entry = pol._tables.get(id(sym))
+    if entry is None:
+        entry = pol._tables[id(sym)] = (sym, *_vertex_table(sym, pol))
+    _, dirs, rows = entry
+    pairs = [sum(map(mul, d, alpha)) for d in dirs]
     total = 0
-    for v in action.vertices:
-        arg = vsub(vsub(alpha, sym.alphas[v]), pol.prefix[v])
-        weights = pol.weights[v]
-        rays, normals = action.dual_cone(weights)
-        if all(dot(eta, arg) >= 0 for eta in rays) and \
-                not any(dot(nu, arg) for nu in normals):
-            total += pol.sign[v] * kostant_count(weights, arg, pol.xi)
+    for shift, sign, weights, rays, normals in rows:
+        if all(pairs[i] >= t for i, t in rays) and \
+                all(pairs[i] == t for i, t in normals):
+            total += sign * kostant_count(weights, vsub(alpha, shift), pol.xi)
     return total
+
+
+def _vertex_table(sym: SymplecticClass, pol: Polarization) -> tuple:
+    """(dirs, rows): the distinct dual-cone rays and span normals of the
+    polarized weight sets, each once, and one row per vertex, (shift,
+    sign, weights, rays, normals).  shift is alpha_v + prefix_v, and rays
+    and normals list (index into dirs, its pairing with shift) for the
+    vertex's own cone, from one GkmAction.dual_cone read per vertex."""
+    action = pol.action
+    index = {}
+    rows = []
+    for v in action.vertices:
+        weights = pol.weights[v]
+        shift = vadd(sym.alphas[v], pol.prefix[v])
+        rays, normals = [
+            tuple((index.setdefault(d, len(index)), dot(d, shift)) for d in ds)
+            for ds in action.dual_cone(weights)]
+        rows.append((shift, pol.sign[v], weights, rays, normals))
+    return tuple(index), tuple(rows)
 
 
 @dataclass(frozen=True)

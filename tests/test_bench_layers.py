@@ -5,7 +5,8 @@ or when one of the workload's main layers is never called.  This runs one
 traced round of every workload (seed 1) the same way, so a change that
 stops a main layer from running -- say, a shortcut that settles every hull
 query before `in_convex_hull` is reached -- fails here and not only in the
-benchmark.
+benchmark.  The counts in PINNED must also repeat, so a change that does
+more or less of that work says so here.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ run, layers, speed, workloads = _bench_modules("run", "layers", "speed",
 Tracer, SpeedClock, WORKLOADS = \
     layers.Tracer, speed.SpeedClock, workloads.WORKLOADS
 
+# counts of a traced round at seed 1 that a change to the work behind
+# them has to restate: the partition counts of the multiplicity sweeps
+PINNED = {"convexity": {"characters.kostant_count.calls": 1087}}
+
 
 @pytest.fixture(scope="module")
 def gk():
@@ -62,3 +67,5 @@ def test_traced_round_calls_every_main_layer(gk, tmp_path, name):
     idle = [layer for layer in workload.main_layers
             if not snap[f"{layer}.calls"]]
     assert not idle, f"main layers never called: {idle}"
+    pinned = PINNED.get(name, {})
+    assert {key: snap[key] for key in pinned} == pinned

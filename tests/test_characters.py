@@ -141,6 +141,16 @@ def test_kostant_refuses_a_target_of_the_wrong_length():
             kostant_count(weights, target, (1, 2))
 
 
+def test_kostant_refuses_a_weight_of_the_wrong_length():
+    # a short or a long weight would otherwise fail in the xi-pairing with
+    # a plain ValueError from lattice.dot that names no weight
+    for weights, bad in [([(1, 0, 0)], (1, 0, 0)),
+                         ([(1, 0), (1,)], (1,))]:
+        with pytest.raises(laurent.DimMismatch,
+                           match=re.escape(f"weight {bad} has length")):
+            kostant_count(weights, (1, 0), (1, 0))
+
+
 def test_multiplicity_cp1(cp1):
     action, sym = cp1
     pol = polarize(action, (1, 0))
@@ -1381,6 +1391,44 @@ def test_multiplicity_counts_only_targets_inside_the_cones(case, seed):
         assert not any(dot(nu, target) for nu in normals), (weights, target)
 
 
+@settings(max_examples=20, deadline=None)
+@given(polarized_inputs(skip=("fl4-2rho",)), st.integers(0, 2**32))
+def test_one_polarization_keeps_a_table_per_class(case, seed):
+    # one polarization serves two classes queried in turn, then a third
+    # built after one of them is dropped, so that it may take the dropped
+    # class's id.  Every answer is the one of a fresh polarization and the
+    # division route's coefficient.
+    action, sym, xi = case
+    rng = random.Random(seed)
+    pol = polarize(action, xi)
+
+    def queries(cls):
+        want = character_oracle(cls.base)
+        box = _padded_box(want, 1)
+        points = rng.sample(box, min(len(box), 8))
+        points += rng.sample(sorted(want.terms), min(len(want), 4))
+        return [(cls, mu, want.coeff(mu)) for mu in points]
+
+    def check(cls, mu, coeff):
+        got = multiplicity(cls, pol, mu)
+        assert got == multiplicity(cls, polarize(action, xi), mu) == coeff, \
+            (cls.alphas, mu)
+
+    def two_classes():
+        # returns the second class only: the first is dropped on return
+        first, second = (random_symplectic(action, sym, rng)
+                         for _ in range(2))
+        for pair in zip(queries(first), queries(second)):
+            for query in pair:
+                check(*query)
+        return second
+
+    second = two_classes()
+    for query in queries(random_symplectic(action, sym, rng)) \
+            + queries(second):
+        check(*query)
+
+
 def test_multiplicity_off_the_span_counts_no_partitions(monkeypatch):
     # every weight of Fl(4) is a root, in the hyperplane of coordinate sum
     # 0, and so is every vertex target of a weight with the support's
@@ -1405,7 +1453,8 @@ def test_multiplicity_cost_is_the_targets_inside_their_cones(monkeypatch):
     # padded by 2: kostant_count runs once per vertex whose target
     # alpha - alpha_v - prefix_v is a nonnegative real combination of its
     # two weights, found here by Cramer's rule, and not at any other: 64 of
-    # the 192 vertex targets of the box
+    # the 192 vertex targets of the box.  The cones are read once per
+    # vertex, on the first query, and the rest of the sweep reads none.
     action, sym = gen_projective(2)
     sym = symplectic_class(action, {v: vscale(a, 3)
                                     for v, a in sym.alphas.items()})
@@ -1421,7 +1470,18 @@ def test_multiplicity_cost_is_the_targets_inside_their_cones(monkeypatch):
             inside += (t[0] * d - t[1] * c) * det >= 0 \
                 and (a * t[1] - b * t[0]) * det >= 0
     calls = _recorded_kostant_calls(monkeypatch)
-    for mu in box:
+    reads = []
+    cone = GkmAction.dual_cone
+
+    def reading(self, weights):
+        reads.append(weights)
+        return cone(self, weights)
+
+    monkeypatch.setattr(GkmAction, "dual_cone", reading)
+    for i, mu in enumerate(box):
         assert multiplicity(sym, pol, mu) == want.coeff(mu)
+        if i == 0:
+            assert reads == [pol.weights[v] for v in action.vertices]
     assert len(box) == 64
     assert len(calls) == inside == 64
+    assert len(reads) == len(action.vertices) == 3
