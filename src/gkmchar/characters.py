@@ -157,13 +157,14 @@ def multiplicity(sym: SymplecticClass, pol: Polarization, alpha) -> int:
     is exactly 0.  A target that passes may still have count 0 (off the
     lattice of the weights), and kostant_count decides it.
 
-    The tests read a vertex table (see _vertex_table), built on the first
-    call for sym with pol and kept in pol as long as it lives: each
-    vertex's shift alpha_v + prefix_v and the pairing of the shift with
-    each of its rays and normals.  A call pairs alpha once with each
-    distinct ray or normal of the table, and eta . target >= 0 reads
-    eta . alpha >= eta . shift, nu . target == 0 reads nu . alpha ==
-    nu . shift.  Only the vertices that pass form their target."""
+    The cone and span tests read a vertex table (see _vertex_table),
+    built on the first call for sym with pol and kept in pol as long as
+    it lives: each vertex's shift alpha_v + prefix_v and the pairing of
+    the shift with each of its rays and normals.  A call pairs alpha once
+    with each distinct ray or normal of the table, and eta . target >= 0
+    reads eta . alpha >= eta . shift, nu . target == 0 reads
+    nu . alpha == nu . shift.  Only the vertices that pass form their
+    target."""
     alpha = tuple(alpha)
     action = pol.action
     if len(alpha) != action.n:
