@@ -6,7 +6,7 @@ from .lattice import (BasisChange, NotPrimitive, ZeroVector,
                       weight_in_basis)
 from .laurent import (DimMismatch, LaurentPoly, NotDivisible, PoleAtPoint,
                       RationalChar, ZeroWeight, congruent_mod_edge,
-                      divide_exact, eval_numeric, render_poly)
+                      divide_exact, eval_mod, eval_numeric, render_poly)
 from .graphs import (GkmAction, KClass, SymplecticClass, ValidationError,
                      Violation, action_violations, class_violations,
                      constant_class, gen_cp1_in_plane, gen_hirzebruch,
@@ -16,9 +16,11 @@ from .graphs import (GkmAction, KClass, SymplecticClass, ValidationError,
                      validate_action, validate_class)
 from .characters import (CharacterResult, HullReport, InternalDivisionFailure,
                          NotGeneric, Polarization, TruncationOverflow,
-                         character_expand, character_oracle, hull_report,
-                         hull_vertices, in_convex_hull, kostant_count,
-                         localization_terms, multiplicity, polarize)
+                         character_expand, character_oracle,
+                         division_numerator_size, hull_report, hull_vertices,
+                         in_convex_hull, kostant_count,
+                         localization_identity_test, localization_terms,
+                         multiplicity, polarize)
 from .residues import (ResidueValue, ZForm, fiber_average_numeric, res_T,
                        to_z_form)
 from .reduction import (CycleError, MomentMap, NotRegular, QrResult,

@@ -29,7 +29,8 @@ class ZeroWeight(ValueError):
 
 
 class PoleAtPoint(ArithmeticError):
-    """A denominator factor vanishes (numerically) at the evaluation point."""
+    """A denominator factor vanishes at the evaluation point (numerically,
+    or modulo the prime of eval_mod)."""
 
 
 class LaurentPoly:
@@ -428,3 +429,47 @@ def _eval_terms(p: LaurentPoly, nums, lcd) -> complex:
     for e in sorted(terms):
         total += terms[e] * cmath.exp(TWO_PI_I * (dot(e, nums) / lcd))
     return total
+
+
+PRIME = 2 ** 61 - 1     # a Mersenne prime
+
+
+def eval_mod(f, point, p=PRIME) -> int:
+    """The value in F_p of a LaurentPoly or RationalChar at a point of
+    (F_p^*)^n, as an int in [0, p).
+
+    The monomial x^mu becomes the product of point_i^mu_i mod p; a negative
+    exponent takes a power of the modular inverse.  A RationalChar is its
+    numerator's value times the inverse of the product of its denominator
+    binomials' values, and raises PoleAtPoint when one of them is 0 mod p.
+    A point of the wrong length raises DimMismatch, and one with a
+    coordinate divisible by p raises ValueError.
+    """
+    numerator = f.numerator if isinstance(f, RationalChar) else f
+    if len(point) != numerator.dim:
+        raise DimMismatch(f"point {tuple(point)} has length {len(point)}, "
+                          f"expected {numerator.dim}")
+    if any(x % p == 0 for x in point):
+        raise ValueError(f"point {tuple(point)} has a coordinate 0 mod {p}")
+    terms = numerator.terms
+    value = sum(map(mul, terms.values(), _monomials_mod(terms, point, p)))
+    if isinstance(f, RationalChar):
+        den = 1
+        for g, x in zip(f.denominator, _monomials_mod(f.denominator, point,
+                                                      p)):
+            if x == 1:
+                raise PoleAtPoint(f"denominator weight {g} vanishes at "
+                                  f"{tuple(point)} mod {p}")
+            den = den * (1 - x) % p
+        value *= pow(den, -1, p)
+    return value % p
+
+
+def _monomials_mod(exps, point, p) -> list:
+    """[point^e mod p for e in exps], one coordinate at a time: each
+    distinct exponent in a coordinate takes one pow."""
+    values = [1] * len(exps)
+    for x, column in zip(point, zip(*exps)):
+        power = {e: pow(x, e, p) for e in set(column)}
+        values = [v * power[e] % p for v, e in zip(values, column)]
+    return values

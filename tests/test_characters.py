@@ -252,6 +252,41 @@ def test_expansion_within_answer_size_budget(xi):
     assert got.poly == want
 
 
+def test_division_numerator_size_counts_the_terms_multiplied_out():
+    # projective n-space meets n of its C(n + 1, 2) weight classes at each
+    # vertex, so each vertex multiplies in 2^C(n, 2) terms; a G/B graph
+    # meets every class (a root) at every vertex and multiplies in none
+    for n in range(1, 9):
+        action, sym = gen_projective(n)
+        assert characters.division_numerator_size(sym.base) == \
+            (n + 1) << (n * (n - 1) // 2)
+        assert characters.division_numerator_size(
+            constant_class(action, 0)) == 0
+    for name, (action, sym) in flag_fixtures().items():
+        if name == "g2-quadric":    # a G/P
+            continue
+        f = sym.base * sym.base + constant_class(action, 1)
+        assert characters.division_numerator_size(f) == \
+            sum(len(f[v].terms) for v in action.vertices) != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(polarized_inputs(), st.data())
+def test_identity_test_passes_the_character_and_fails_a_changed_one(case,
+                                                                    data):
+    action, sym, xi = case
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    f = random_class(action, sym, rng) if data.draw(st.booleans()) \
+        else sym.base
+    chi = character_expand(f, polarize(action, xi)).poly
+    assert characters.localization_identity_test(f, chi, rng)
+    # one coefficient changed: a term of chi, or a new one at xi
+    exp = data.draw(st.sampled_from(sorted(chi.terms) + [xi]))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    wrong = chi + LaurentPoly(action.n, {exp: delta})
+    assert not characters.localization_identity_test(f, wrong, rng)
+
+
 def test_oracle_division_reads_within_budget(monkeypatch):
     # projective 5-space scaled by 6 has a 462-term character.  The oracle
     # divides its 720-term numerator by all 15 direction binomials in one

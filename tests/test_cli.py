@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,12 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmchar import cli, selftest
-from gkmchar.characters import character_expand, character_oracle
+from gkmchar.characters import CharacterResult, character_expand, \
+    character_oracle
 from gkmchar.cli import main
 from gkmchar.graphs import KClass, gen_projective, gen_weyl_orbit, \
     graph_to_data, positive_roots
 from gkmchar.lattice import vscale
 from gkmchar.laurent import LaurentPoly, render_poly
+from gkmchar.randomgen import flag_fixtures, random_generic_xi, \
+    standard_fixtures
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CP1 = os.path.join(DATA, "cp1.json")
@@ -246,6 +250,75 @@ def test_truncation_overflow_is_violation_not_traceback(tmp_path, capsys,
     assert "Traceback" not in err
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+# projective n-space: over the division budget of `gkmchar character`
+BEYOND_BUDGET = {f"proj{n}": n for n in (5, 8, 12)}
+
+
+def _character_runs(tmp_path):
+    """(name, argv) of `character` on the symplectic class of every
+    standard and flag fixture at a generic direction, and of each entry
+    of BEYOND_BUDGET at xi = (1, ..., n)."""
+    rng = random.Random(0)
+    inputs = [(name, action, sym, random_generic_xi(action, rng))
+              for name, (action, sym) in sorted(
+                  {**standard_fixtures(), **flag_fixtures()}.items())]
+    inputs += [(name,) + gen_projective(n) + (tuple(range(1, n + 1)),)
+               for name, n in BEYOND_BUDGET.items()]
+    runs = []
+    for name, action, sym, xi in inputs:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(graph_to_data(action,
+                                                 {"omega": sym.base.values})))
+        runs.append((name, ["character", str(path),
+                            "--xi=" + ",".join(map(str, xi))]))
+    return runs
+
+
+def test_character_checks_by_division_only_within_its_budget(
+        tmp_path, capsys, monkeypatch):
+    # every fixture is checked by the division route, projective 5-space
+    # and up by the identity test in a prime field; on projective 12-space
+    # the division route would multiply out 13 * 2^66 terms
+    divided = []
+
+    def oracle(f):
+        divided.append(name)
+        assert name not in BEYOND_BUDGET, f"division route on {name}"
+        return character_oracle(f)
+
+    monkeypatch.setattr(cli, "character_oracle", oracle)
+    runs = _character_runs(tmp_path)
+    for name, argv in runs:
+        code, out, err = run(argv + ["--output", "json"], capsys)
+        assert (code, err) == (0, ""), name
+    assert divided == [name for name, _ in runs if name not in BEYOND_BUDGET]
+    # the last run, projective 12-space, has 13 terms
+    got = {tuple(t["exp"]): t["coeff"]
+           for t in json.loads(out)["character"]}
+    assert got == dict.fromkeys(
+        [(0,) * 12] + [tuple(int(i == j) for j in range(12))
+                       for i in range(12)], 1)
+
+
+def test_character_reports_a_wrong_expansion_on_either_route(
+        tmp_path, capsys, monkeypatch):
+    # one coefficient of the expansion changed: each cross-check refuses
+    # it with one error line, and exits 2
+    def corrupted(f, pol, **kwargs):
+        poly = character_expand(f, pol, **kwargs).poly
+        return CharacterResult(poly + LaurentPoly(poly.dim,
+                                                  {min(poly.terms): 1}))
+
+    monkeypatch.setattr(cli, "character_expand", corrupted)
+    for name, argv in _character_runs(tmp_path):
+        code, out, err = run(argv, capsys)
+        route = "localization sum at a point mod 2^61 - 1" \
+            if name in BEYOND_BUDGET else "division route"
+        assert (code, out) == (2, ""), name
+        assert err == f"error: internal cross-check failed: expansion != " \
+                      f"{route}\n", name
 
 
 def test_oriented_cycle_is_violation_not_traceback(capsys):

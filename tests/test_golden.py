@@ -1,6 +1,7 @@
 """The CLI's exit code, stdout and stderr, byte for byte, against
 tests/golden/cli.json: every subcommand of `test_cli._subcommands` on
-every shipped document, in text and in JSON, a few self-test seeds, one
+every shipped document but those of CHARACTER_ONLY, which have only their
+character runs, in text and in JSON, a few self-test seeds, one
 with an injected corruption, the character run the README shows, the two
 refusals of a vector option and one of a rational option.
 
@@ -25,10 +26,16 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.json"
 
 
+# shipped documents pinned by their character runs alone: projective
+# 5-space is there for the prime-field cross-check of `gkmchar character`
+CHARACTER_ONLY = {"proj5.json"}
+
+
 def _runs():
     runs = [argv + fmt
             for doc in sorted((ROOT / "tests" / "data").glob("*.json"))
             for argv in _subcommands(f"tests/data/{doc.name}")
+            if argv[0] == "character" or doc.name not in CHARACTER_ONLY
             for fmt in ([], ["--output", "json"])]
     runs += [["selftest", "--seed", seed] for seed in ("42", "7", "54")]
     runs.append(["selftest", "--seed", "42", "--inject-corruption"])

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmchar.laurent import (DimMismatch, LaurentPoly, NotDivisible,
+from gkmchar.laurent import (PRIME, DimMismatch, LaurentPoly, NotDivisible,
                              PoleAtPoint, RationalChar, ZeroWeight,
-                             congruent_mod_edge, divide_exact, eval_numeric,
-                             render_poly)
+                             congruent_mod_edge, divide_exact, eval_mod,
+                             eval_numeric, render_poly)
 from gkmchar.randomgen import random_ring_element, random_torus_point
 
 X10 = LaurentPoly.monomial((1, 0))
@@ -380,3 +380,80 @@ def test_eval_numeric_matches_fraction_phases_exactly(case):
         return
     got = eval_numeric(f, point)
     assert (got.real, got.imag) == (want.real, want.imag)
+
+
+@st.composite
+def polys_and_prime_points(draw):
+    """Two Laurent polynomials of one dimension, with negative exponents
+    and coefficients past p, some denominator weights, and a point of
+    (F_p^*)^n, p = 2^61 - 1."""
+    dim = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-40, 40)] * dim)
+    coeffs = st.integers(-5, 5) | st.integers(-2**70, 2**70)
+    a, b = (LaurentPoly(dim, draw(st.dictionaries(exps, coeffs, max_size=6)))
+            for _ in range(2))
+    den = tuple(draw(st.lists(exps.filter(any), max_size=3)))
+    point = tuple(draw(st.integers(1, PRIME - 1)) for _ in range(dim))
+    return a, b, den, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_prime_points())
+def test_eval_mod_preserves_sums_and_products(case):
+    a, b, _, point = case
+    va, vb = eval_mod(a, point), eval_mod(b, point)
+    assert 0 <= va < PRIME and 0 <= vb < PRIME
+    assert eval_mod(a + b, point) == (va + vb) % PRIME
+    assert eval_mod(a * b, point) == va * vb % PRIME
+    assert eval_mod(a - a, point) == 0
+    assert eval_mod(LaurentPoly.one(a.dim), point) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_prime_points())
+def test_eval_mod_of_a_rational_char_divides_by_its_denominator(case):
+    a, _, den, point = case
+    binomials = [eval_mod(LaurentPoly(a.dim, {(0,) * a.dim: 1, g: -1}),
+                          point) for g in den]
+    if 0 in binomials:
+        with pytest.raises(PoleAtPoint):
+            eval_mod(RationalChar(a, den), point)
+        return
+    product = 1
+    for x in binomials:
+        product = product * x % PRIME
+    got = eval_mod(RationalChar(a, den), point)
+    assert got * product % PRIME == eval_mod(a, point)
+    # a numerator that is a multiple of the denominator divides out
+    multiple = a
+    for g in den:
+        multiple = multiple * LaurentPoly(a.dim, {(0,) * a.dim: 1, g: -1})
+    assert eval_mod(RationalChar(multiple, den), point) == eval_mod(a, point)
+
+
+def test_eval_mod_takes_inverses_for_negative_exponents():
+    # in F_7, 2^-1 = 4 and 3^-2 = 5^2 = 4
+    assert eval_mod(LaurentPoly.monomial((-1, 0)), (2, 3), 7) == 4
+    assert eval_mod(LaurentPoly.monomial((-1, -2)), (2, 3), 7) == 16 % 7
+    assert eval_mod(LaurentPoly(2, {(1, 0): 3, (0, -1): -1}), (2, 3), 7) \
+        == (3 * 2 - 5) % 7
+
+
+def test_eval_mod_raises_where_a_denominator_vanishes():
+    # 2 has order 3 in F_7, so 1 - x^3 and 1 - x^-3 vanish at x = 2, and so
+    # does 1 - x^(3, 6) at (2, 4); 1 - x^2 does not
+    assert eval_mod(RationalChar(ONE, ((2, 0),)), (2, 4), 7) == \
+        pow(1 - 4, -1, 7)
+    for g in [(3, 0), (-3, 0), (3, 6), (0, 3)]:
+        with pytest.raises(PoleAtPoint):
+            eval_mod(RationalChar(ONE, ((1, 0), g)), (2, 4), 7)
+
+
+def test_eval_mod_refuses_a_point_off_the_torus():
+    with pytest.raises(DimMismatch):
+        eval_mod(ONE, (1, 2, 3))
+    with pytest.raises(DimMismatch):
+        eval_mod(RationalChar(ONE, ((1, 0),)), (1,))
+    for point in [(0, 1), (1, PRIME), (-PRIME, 5)]:
+        with pytest.raises(ValueError):
+            eval_mod(X10 + X01, point)
