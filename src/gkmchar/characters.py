@@ -475,34 +475,13 @@ def localization_terms(f: KClass) -> dict:
             for v in action.vertices}
 
 
-def _division_stars(action: GkmAction) -> tuple:
-    """(gammas, stars) of the division route (see character_oracle): the
-    distinct gs, in the order the vertices first meet them, as the keys of
-    a dict, and stars[v] = (sign, shift, used), the monomial m_v as its
-    coefficient and exponent and the set of the gs at v."""
-    n = action.n
-    gammas = {}
-    stars = {}
-    for v, es in action.out_index.items():
-        coeff, exp, used = 1, (0,) * n, set()
-        for e in es:
-            g = e.weight
-            if action.direction[e.eid][1] < 0:
-                g = vneg(g)
-                coeff, exp = -coeff, vadd(exp, g)
-            gammas[g] = None
-            used.add(g)
-        stars[v] = (coeff, exp, used)
-    return gammas, stars
-
-
 def division_numerator_size(f: KClass) -> int:
     """The number of terms the division route multiplies out before they
     cancel: sum over v of |f_v| * 2^(number of gs absent at v), read off
     before any product.  It bounds the route's numerator, and its running
     time grows with it, while the character can stay small: projective
     n-space has n + 1 terms and (n + 1) * 2^(n(n-1)/2) here."""
-    gammas, stars = _division_stars(f.action)
+    gammas, stars = f.action.division_stars
     k = len(gammas)
     return sum(len(f[v].terms) << (k - len(used))
                for v, (_, _, used) in stars.items())
@@ -540,7 +519,7 @@ def character_oracle(f: KClass) -> LaurentPoly:
     """
     action = f.action
     n = action.n
-    gammas, stars = _division_stars(action)
+    gammas, stars = action.division_stars
     parts = []      # (f_v * m_v, the gs at v)
     for v, (coeff, exp, used) in stars.items():
         if f[v].terms:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .lattice import direction, dot, dual_cone, primitive_part, vadd, \
@@ -102,6 +103,28 @@ class GkmAction:
         if cone is None:
             cone = self._cones[key] = dual_cone(key, self.n)
         return cone
+
+    @cached_property
+    def division_stars(self) -> tuple:
+        """(gammas, stars) of the division route (see
+        characters.character_oracle), built on first use and kept for the
+        graph: the distinct gs, in the order the vertices first meet them,
+        as the keys of a dict, and stars[v] = (sign, shift, used), the
+        monomial m_v as its coefficient and exponent and the set of the gs
+        at v."""
+        gammas = {}
+        stars = {}
+        for v, es in self.out_index.items():
+            coeff, exp, used = 1, (0,) * self.n, set()
+            for e in es:
+                g = e.weight
+                if self.direction[e.eid][1] < 0:
+                    g = vneg(g)
+                    coeff, exp = -coeff, vadd(exp, g)
+                gammas[g] = None
+                used.add(g)
+            stars[v] = (coeff, exp, used)
+        return gammas, stars
 
     def geometric_edges(self):
         """One representative per unoriented edge: the even-numbered one."""

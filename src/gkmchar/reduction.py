@@ -5,14 +5,14 @@ reducing before or after quantizing gives the same answer.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .lattice import complete_to_basis, dot, is_primitive, NotPrimitive
-from .laurent import LaurentPoly, PoleAtPoint, RationalChar, eval_numeric, \
+from .laurent import LaurentPoly, RationalChar, congruent_mod_edge, \
     poly_sum
 from .graphs import GkmAction, KClass, SymplecticClass
 from .characters import _edge_pairings, character_expand, polarize
@@ -296,59 +296,28 @@ def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
                               delta=delta, residue=residue)
 
 
-@dataclass(frozen=True)
-class EdgeCompatResult:
-    ok: bool
-    max_error: float
-    samples: int
+def edge_compat_check(f: KClass, eid: int) -> bool:
+    """Whether the two localized hat-classes of an edge agree on the
+    edge's subtorus {x^gamma = 1}, exactly.
 
-
-# edge_compat_check: the sides agree when every sample differs by less than
-# _TOL; sample coordinates are multiples of 1 / _MAX_DENOMINATOR
-_TOL = 1e-6
-_MAX_DENOMINATOR = 10_000
-
-
-def edge_compat_check(f: KClass, eid: int, samples: int = 10,
-                      rng=None) -> EdgeCompatResult:
-    """Numeric check that the two localized hat-classes of an edge agree on
-    the edge's subtorus.
-
-    Sample points have an integer pairing with the edge weight; points too
-    close to a pole of either side are rejected and retried.
+    The hat-class at an end v is f_v over the product of 1 - x^w for the
+    out-weights w at v other than the edge's own.  The denominators agree
+    on the subtorus when the tangent sums sum_w x^w of those weights at
+    the two ends are congruent modulo 1 - x^gamma, so that the weights
+    pair off with differences in Z*gamma; a validated action always has
+    this.  The numerators then decide: the ideal (1 - x^gamma) is radical
+    even when gamma = k*u is not primitive, since 1 - x^gamma is the
+    product of the distinct factors 1 - zeta*x^u over the k-th roots of
+    unity zeta, so f_src and f_dst agree on every component of the
+    subtorus exactly when they are congruent modulo 1 - x^gamma.
     """
-    rng = rng or random.Random(0)
     action = f.action
     e = action.edges[eid]
-    gamma = e.weight
-    hat_e, hat_ebar = (
-        RationalChar(f[v], tuple(x.weight for x in action.out_index[v]
-                                 if x.eid != skip))
+    tangent = (LaurentPoly(action.n, Counter(
+        x.weight for x in action.out_index[v] if x.eid != skip))
         for v, skip in ((e.src, eid), (e.dst, eid ^ 1)))
-    gg = dot(gamma, gamma)
-    max_err = 0.0
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 50 * samples:
-            raise PoleAtPoint("could not find enough pole-free sample points")
-        raw = [Fraction(rng.randrange(_MAX_DENOMINATOR), _MAX_DENOMINATOR)
-               for _ in range(action.n)]
-        # project onto {gamma(theta) integer}: shift along gamma/|gamma|^2
-        excess = sum(Fraction(g) * t for g, t in zip(gamma, raw)) \
-            - rng.randrange(0, max(abs(x) for x in gamma) + 1)
-        point = tuple((t - excess * Fraction(g, gg)) % 1
-                      for g, t in zip(gamma, raw))
-        try:
-            a = eval_numeric(hat_e, point)
-            b = eval_numeric(hat_ebar, point)
-        except PoleAtPoint:
-            continue
-        max_err = max(max_err, abs(a - b))
-        done += 1
-    return EdgeCompatResult(ok=max_err < _TOL, max_error=max_err,
-                            samples=samples)
+    return (congruent_mod_edge(f[e.src], f[e.dst], e.weight)
+            and congruent_mod_edge(*tangent, e.weight))
 
 
 @dataclass(frozen=True)

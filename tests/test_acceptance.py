@@ -261,14 +261,11 @@ def test_criterion_10_quantization_reduction(fixtures):
 
 def test_criterion_11_edge_compatibility(fixtures):
     rng = random.Random(SEED + 8)
-    worst = 0.0
+    edges = 0
     for name, (action, sym) in fixtures.items():
         f = random_class(action, sym, rng)
         for e in action.geometric_edges():
-            res = edge_compat_check(
-                f, e.eid, samples=10,
-                rng=random.Random(rng.randrange(2 ** 30)))
-            worst = max(worst, res.max_error)
-            assert res.ok, f"{name} edge {e.src}->{e.dst}"
-    _report(f"PASS criterion 11: localized classes agree on every edge "
-            f"subtorus at 10 points per edge, max error {worst:.2e}")
+            assert edge_compat_check(f, e.eid), f"{name} edge {e.src}->{e.dst}"
+            edges += 1
+    _report(f"PASS criterion 11: localized classes agree on the subtorus of "
+            f"each of {edges} edges, by two exact congruences")

@@ -179,18 +179,35 @@ def test_selftest_injected_corruption_fails(capsys):
 def test_selftest_failure_keeps_the_battery_name(monkeypatch, capsys):
     # a battery that finds a counterexample reports it under the name it
     # passes under, in text and in JSON
-    name = ("hull containment, extremal weights, partition-count "
+    hull = ("hull containment, extremal weights, partition-count "
             "multiplicities")
-    monkeypatch.setattr(selftest, "multiplicity", lambda sym, pol, mu: -1)
-    code, out, _ = run(["selftest", "--seed", "42"], capsys)
-    assert code == 2
-    assert [line for line in out.splitlines() if line.startswith("FAIL")] \
-        == [f"FAIL  {name}  (partition-count multiplicity mismatch on cp1)"]
-    code, out, _ = run(["selftest", "--seed", "42", "--output", "json"],
-                       capsys)
-    assert code == 2
-    assert [r["name"] for r in json.loads(out)["results"]
-            if not r["ok"]] == [name]
+    characters = ("character: expansion equals division route, direction "
+                  "independent")
+    cases = [
+        ("multiplicity", lambda sym, pol, mu: -1,
+         [(hull, "partition-count multiplicity mismatch on cp1")]),
+        # one coefficient of the division route off by one: the exact
+        # localization battery fails, and so does the battery that
+        # compares the division route with the expansion
+        ("character_oracle",
+         lambda f: character_oracle(f) + LaurentPoly.one(f.action.n),
+         [(characters, "division route disagrees with expansion on cp1"),
+          ("numeric localization agreement",
+           "localized sum differs from the character on cp1")]),
+    ]
+    for attr, fake, failures in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(selftest, attr, fake)
+            code, out, _ = run(["selftest", "--seed", "42"], capsys)
+            assert code == 2
+            assert [line for line in out.splitlines()
+                    if line.startswith("FAIL")] \
+                == [f"FAIL  {name}  ({detail})" for name, detail in failures]
+            code, out, _ = run(["selftest", "--seed", "42", "--output",
+                                "json"], capsys)
+            assert code == 2
+            assert [r["name"] for r in json.loads(out)["results"]
+                    if not r["ok"]] == [name for name, _ in failures]
 
 
 def test_proj2_character(capsys):

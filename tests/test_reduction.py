@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from gkmchar import reduction
 from gkmchar.lattice import NotPrimitive, dot
-from gkmchar.laurent import LaurentPoly
-from gkmchar.graphs import constant_class, gen_cp1_in_plane, \
+from gkmchar.laurent import LaurentPoly, RationalChar, \
+    congruent_mod_edge, eval_numeric
+from gkmchar.graphs import Edge, GkmAction, KClass, action_violations, \
+    constant_class, gen_cp1_in_plane, \
     gen_projective, load_graph_file, symplectic_class
 from gkmchar.characters import localization_terms
 from gkmchar.residues import res_T
@@ -506,28 +508,127 @@ def test_levels_of_any_type_read_as_fractions(fixtures, data):
                 (name, args)
 
 
+def _float_edge_agreement(f, eid, rng) -> bool:
+    """A float reference for edge_compat_check: whether the two localized
+    hat-classes of the edge have the same value at sample points of its
+    subtorus {x^gamma = 1}.
+
+    A point is a random one, moved along gamma until gamma . theta = t, an
+    integer; for gamma = k*u, t mod k picks the component x^u = zeta of
+    the subtorus, so t = 0, ..., k - 1 takes 3 points on every
+    component.  A point with a denominator phase within 1/50 of an
+    integer is redrawn, and values are compared relative to the larger,
+    so that a large value near a pole does not decide the verdict.
+    """
+    action = f.action
+    e = action.edges[eid]
+    gamma, k = e.weight, action.direction[eid][2]
+    hats = [RationalChar(f[v], tuple(x.weight for x in action.out_index[v]
+                                     if x.eid != skip))
+            for v, skip in ((e.src, eid), (e.dst, eid ^ 1))]
+    gg = dot(gamma, gamma)
+    for t in range(k):
+        done = 0
+        while done < 3:
+            raw = [Fraction(rng.randrange(10_000), 10_000)
+                   for _ in range(action.n)]
+            excess = dot(gamma, raw) - t
+            point = tuple((x - excess * Fraction(g, gg)) % 1
+                          for g, x in zip(gamma, raw))
+            phases = [dot(w, point) % 1 for h in hats for w in h.denominator]
+            if any(min(q, 1 - q) < Fraction(1, 50) for q in phases):
+                continue
+            a, b = (eval_numeric(h, point) for h in hats)
+            if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)):
+                return False
+            done += 1
+    return True
+
+
+def _one_minus(n, u, k):
+    return LaurentPoly(n, {(0,) * n: 1, tuple(k * x for x in u): -1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_edge_compat_check_agrees_with_a_float_reference(data):
+    """On the standard and flag fixtures and their restrictions to a
+    2-torus, for a random class, and for one corrupted at a vertex by
+    1 - x^(k u) with u the direction of some edge and k = 1 or 2, the
+    exact check and the float reference agree on every edge at that
+    vertex, in both orientations."""
+    standard, flags = standard_fixtures(), flag_fixtures()
+    name = data.draw(st.sampled_from(sorted(standard) + sorted(flags)))
+    action, sym = standard.get(name) or flags[name]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        _, action, sym = random_restriction(action, sym, rng)
+    values = dict(random_class(action, sym, rng).values)
+    v = data.draw(st.sampled_from(action.vertices))
+    if data.draw(st.booleans()):
+        u = action.direction[data.draw(st.sampled_from(
+            range(len(action.edges))))][0]
+        k = data.draw(st.sampled_from((1, 2)))
+        values[v] += _one_minus(action.n, u, k)
+    f = KClass(action, values)
+    for e in action.out_index[v]:
+        for eid in (e.eid, e.eid ^ 1):
+            assert edge_compat_check(f, eid) == \
+                _float_edge_agreement(f, eid, rng), (name, e)
+
+
 def test_edge_compat_cp1(cp1):
     action, sym = cp1
     e = action.geometric_edges()[0]
-    assert edge_compat_check(sym.base, e.eid, samples=5).ok
+    assert edge_compat_check(sym.base, e.eid)
 
 
 def test_edge_compat_constant_class():
     action, _ = gen_projective(2)
     f = constant_class(action, 1)
     for e in action.geometric_edges():
-        assert edge_compat_check(f, e.eid, samples=5).ok
+        assert edge_compat_check(f, e.eid)
 
 
 def test_edge_compat_detects_corruption():
     action, sym = gen_projective(2)
     values = dict(sym.base.values)
     values["P1"] = values["P1"] + LaurentPoly.monomial((0, 1))
-    from gkmchar.graphs import KClass
     bad = KClass(action, values)
-    assert any(not edge_compat_check(bad, e.eid, samples=5).ok
+    assert any(not edge_compat_check(bad, e.eid)
                for e in action.geometric_edges()
                if "P1" in (e.src, e.dst))
+
+
+def test_edge_compat_sees_every_component_of_a_multiple_weight():
+    # the c2 flag's edge of weight (2, 0) = 2u: 1 - x^u at one end keeps the
+    # ends congruent modulo 1 - x^u, but it is 2 on the component x^u = -1
+    # of the edge's subtorus, so a check by the direction u would pass it
+    action, sym = flag_fixtures()["c2"]
+    e = next(e for e in action.geometric_edges() if e.weight == (2, 0))
+    values = dict(sym.base.values)
+    values[e.src] += _one_minus(2, (1, 0), 1)
+    bad = KClass(action, values)
+    assert congruent_mod_edge(bad[e.src], bad[e.dst], (1, 0))
+    assert edge_compat_check(sym.base, e.eid)
+    assert not edge_compat_check(bad, e.eid)
+    assert not edge_compat_check(bad, e.eid ^ 1)
+
+
+def test_edge_compat_needs_the_denominators_to_agree():
+    # an action built past validation: at edge a->b the other weights are
+    # (0, 1) at a and (1, 2) at b, not congruent modulo (1, 0), so the
+    # hat-classes of the constant class 1 differ on x_1 = 1
+    pairs = [("a", "b", (1, 0)), ("a", "c", (0, 1)), ("b", "c", (1, 2))]
+    assert {v.code for v in action_violations(2, "abc", pairs)} == \
+        {"E_COMPAT"}
+    action = GkmAction(2, tuple("abc"), tuple(
+        e for i, (src, dst, w) in enumerate(pairs)
+        for e in (Edge(2 * i, src, dst, w),
+                  Edge(2 * i + 1, dst, src, tuple(-x for x in w)))))
+    f = constant_class(action, 1)
+    assert not _float_edge_agreement(f, 0, random.Random(0))
+    assert not edge_compat_check(f, 0)
 
 
 def test_qr_check_cp1(cp1):
