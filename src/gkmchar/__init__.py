@@ -19,21 +19,20 @@ from .characters import (CharacterResult, HullReport, InternalDivisionFailure,
                          character_expand, character_oracle,
                          division_numerator_size, hull_report, hull_vertices,
                          in_convex_hull, kostant_count,
-                         localization_identity_test, localization_terms,
-                         multiplicity, polarize)
+                         localization_identity_test, multiplicity, polarize)
 from .residues import (ResidueValue, ZForm, fiber_average_numeric, res_T,
                        to_z_form)
 from .reduction import (CycleError, MomentMap, NotRegular, QrResult,
                         ReducedCharacter, WrongWallCount, ZeroNotRegular,
-                        chi_reduced, edge_compat_check, moment_map, qr_check,
+                        chi_reduced, moment_map, qr_check,
                         symplectic_moment_map, vertex_residues,
                         wall_crossing_check)
 
 from .randomgen import (random_class, random_generic_xi,
                         random_pole_free_point, random_restriction,
                         random_ring_element, random_symplectic,
-                        random_torus_point, random_vertex_star,
-                        random_zero_regular_xi, standard_fixtures)
+                        random_vertex_star, random_zero_regular_xi,
+                        standard_fixtures)
 from .selftest import CheckResult, run_selftest
 
 __version__ = "0.1.0"

@@ -13,8 +13,7 @@ from operator import add, mul, sub
 
 from .lattice import NotPrimitive, dot, is_primitive, vadd, vneg, vsub
 from .laurent import PRIME, DimMismatch, LaurentPoly, NotDivisible, \
-    RationalChar, _Kronecker, _box, _monomials_mod, divide_exact, \
-    eval_mod
+    _Kronecker, _box, _monomials_mod, divide_exact, eval_mod
 from .graphs import GkmAction, KClass, SymplecticClass
 
 
@@ -220,10 +219,13 @@ def character_expand(f: KClass, pol: Polarization,
     Each vertex v contributes pol.sign[v] * x^pol.prefix[v] * f_v *
     product over its positive weights pol.weights[v] of a geometric series
     in the weight.  The series are truncated by support bounds of the
-    character (see support_bound) from one cut set, built once per call:
-    xi, and the dual-cone rays of the positive weights of every vertex
-    with f_v != 0 (see lattice.dual_cone: eta . w >= 0 for each of its
-    weights w, and for linearly independent weights the dual basis).
+    character: every weight mu of the character has eta . mu <= B(eta),
+    B(eta) the max over vertices v with f_v != 0 of max_{mu in f_v}
+    eta . mu - sum over the out-weights u at v of max(eta . u, 0).  The
+    bounds come from one cut set, built once per call: xi, and the
+    dual-cone rays of the positive weights of every vertex with f_v != 0
+    (see lattice.dual_cone: eta . w >= 0 for each of its weights w, and
+    for linearly independent weights the dual basis).
     The rays come from the graph (GkmAction.dual_cone), so vertices with
     the same weights, and later calls on the graph, share one elimination.
     A vertex is cut by every direction of the set that pairs nonnegatively
@@ -443,38 +445,6 @@ def _swar_max(a, b, guard, shift):
     return b ^ ((a ^ b) & (ge - (ge >> shift)))
 
 
-def support_bound(f: KClass, eta) -> int | None:
-    """B(eta): every weight mu in the support of the character of f has
-    eta . mu <= B(eta); None when f is zero.
-
-    B(eta) = max over vertices v with f_v != 0 of
-    max_{mu in f_v} eta . mu - sum over the out-weights u at v of
-    max(eta . u, 0).  For generic eta this is the largest eta-pairing in
-    the expansion polarized by -eta, which sums to the same character;
-    for any eta it is the limit of that bound at eta + xi/N, N -> infinity,
-    xi generic.
-
-    character_expand computes the same bound from the polarized weights
-    and the shifted values x^prefix * f_v: turning out-weights u into w,
-    with the turned ones summing to prefix, sum_u max(eta . u, 0) =
-    sum_w max(eta . w, 0) - eta . prefix, and the shift by prefix adds
-    eta . prefix to every term's pairing.
-    """
-    eta = tuple(eta)
-    action = f.action
-    bounds = [max(dot(mu, eta) for mu in f[v].terms)
-              - sum(max(dot(u, eta), 0) for u in action.out_weights[v])
-              for v in action.vertices if f[v].terms]
-    return max(bounds, default=None)
-
-
-def localization_terms(f: KClass) -> dict:
-    """The per-vertex rational summands of the localized character sum."""
-    action = f.action
-    return {v: RationalChar(f[v], action.out_weights[v])
-            for v in action.vertices}
-
-
 def division_numerator_size(f: KClass) -> int:
     """The number of terms the division route multiplies out before they
     cancel: sum over v of |f_v| * 2^(number of gs absent at v), read off
@@ -583,20 +553,21 @@ def localization_identity_test(f: KClass, chi: LaurentPoly, rng) -> bool:
     probability at most deg / (p - 1 - deg D), about deg / p: below
     10^-15 for deg < 2 000.  A true chi always passes.
     """
-    summands = [s for s in localization_terms(f).values()
-                if s.numerator.terms]
-    weights = list({w: None for s in summands for w in s.denominator})
+    action = f.action
+    summands = [(f[v], action.out_weights[v]) for v in action.vertices
+                if f[v].terms]
+    weights = list({w: None for _, ws in summands for w in ws})
     while True:
-        point = tuple(rng.randrange(1, PRIME) for _ in range(f.action.n))
+        point = tuple(rng.randrange(1, PRIME) for _ in range(action.n))
         power = dict(zip(weights, _monomials_mod(weights, point, PRIME)))
         if 1 not in power.values():
             break
     num, den = 0, 1
-    for s in summands:
+    for fv, ws in summands:
         d = 1
-        for w in s.denominator:
+        for w in ws:
             d = d * (1 - power[w]) % PRIME
-        num = (num * d + eval_mod(s.numerator, point) * den) % PRIME
+        num = (num * d + eval_mod(fv, point) * den) % PRIME
         den = den * d % PRIME
     return (eval_mod(chi, point) * den - num) % PRIME == 0
 

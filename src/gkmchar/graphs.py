@@ -88,11 +88,6 @@ class GkmAction:
         object.__setattr__(self, "direction", tuple(table))
         object.__setattr__(self, "_cones", {})
 
-    @property
-    def d(self) -> int:
-        """The valence, read off the edges: regular once validated."""
-        return len(self.out_index[self.vertices[0]])
-
     def dual_cone(self, weights):
         """lattice.dual_cone of a set of weights, such as a vertex's
         polarized weights: its (rays, normals), eliminated once per
@@ -233,7 +228,8 @@ class KClass:
         return self.values[v]
 
     def __add__(self, other):
-        assert self.action is other.action
+        if other.action is not self.action:
+            raise ValueError("the classes are on different actions")
         return KClass(self.action,
                       {v: self.values[v] + other.values[v]
                        for v in self.action.vertices})
@@ -243,7 +239,8 @@ class KClass:
             return KClass(self.action,
                           {v: self.values[v] * other
                            for v in self.action.vertices})
-        assert self.action is other.action
+        if other.action is not self.action:
+            raise ValueError("the classes are on different actions")
         return KClass(self.action,
                       {v: self.values[v] * other.values[v]
                        for v in self.action.vertices})

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from operator import add, mul, sub
 
-from .lattice import dot, vadd
+from .lattice import dot
 
 
 class DimMismatch(ValueError):
@@ -29,8 +29,7 @@ class ZeroWeight(ValueError):
 
 
 class PoleAtPoint(ArithmeticError):
-    """A denominator factor vanishes at the evaluation point (numerically,
-    or modulo the prime of eval_mod)."""
+    """A denominator factor vanishes numerically at the evaluation point."""
 
 
 class LaurentPoly:
@@ -130,19 +129,6 @@ class LaurentPoly:
                                       {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
-
-    def shift(self, exp):
-        """Multiply by the monomial x^exp."""
-        exp = tuple(exp)
-        if len(exp) != self.dim:
-            raise DimMismatch(
-                f"exponent {exp} has length {len(exp)}, expected {self.dim}")
-        return LaurentPoly._unchecked(
-            self.dim, {vadd(e, exp): c for e, c in self.terms.items()})
-
-    def filter_terms(self, keep):
-        return LaurentPoly(self.dim,
-                           {e: c for e, c in self.terms.items() if keep(e)})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -434,35 +420,23 @@ def _eval_terms(p: LaurentPoly, nums, lcd) -> complex:
 PRIME = 2 ** 61 - 1     # a Mersenne prime
 
 
-def eval_mod(f, point, p=PRIME) -> int:
-    """The value in F_p of a LaurentPoly or RationalChar at a point of
-    (F_p^*)^n, as an int in [0, p).
+def eval_mod(f: LaurentPoly, point, p=PRIME) -> int:
+    """The value in F_p of a LaurentPoly at a point of (F_p^*)^n, as an int
+    in [0, p).
 
     The monomial x^mu becomes the product of point_i^mu_i mod p; a negative
-    exponent takes a power of the modular inverse.  A RationalChar is its
-    numerator's value times the inverse of the product of its denominator
-    binomials' values, and raises PoleAtPoint when one of them is 0 mod p.
-    A point of the wrong length raises DimMismatch, and one with a
-    coordinate divisible by p raises ValueError.
+    exponent takes a power of the modular inverse.  A point of the wrong
+    length raises DimMismatch, and one with a coordinate divisible by p
+    raises ValueError.
     """
-    numerator = f.numerator if isinstance(f, RationalChar) else f
-    if len(point) != numerator.dim:
+    if len(point) != f.dim:
         raise DimMismatch(f"point {tuple(point)} has length {len(point)}, "
-                          f"expected {numerator.dim}")
+                          f"expected {f.dim}")
     if any(x % p == 0 for x in point):
         raise ValueError(f"point {tuple(point)} has a coordinate 0 mod {p}")
-    terms = numerator.terms
-    value = sum(map(mul, terms.values(), _monomials_mod(terms, point, p)))
-    if isinstance(f, RationalChar):
-        den = 1
-        for g, x in zip(f.denominator, _monomials_mod(f.denominator, point,
-                                                      p)):
-            if x == 1:
-                raise PoleAtPoint(f"denominator weight {g} vanishes at "
-                                  f"{tuple(point)} mod {p}")
-            den = den * (1 - x) % p
-        value *= pow(den, -1, p)
-    return value % p
+    terms = f.terms
+    return sum(map(mul, terms.values(),
+                   _monomials_mod(terms, point, p))) % p
 
 
 def _monomials_mod(exps, point, p) -> list:

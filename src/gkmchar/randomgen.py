@@ -88,6 +88,7 @@ def random_ring_element(dim: int, rng: random.Random, terms: int = 2,
     p = LaurentPoly(dim, out)
     return p if not p.is_zero() else LaurentPoly.one(dim)
 
+
 def random_class(action: GkmAction, sym: SymplecticClass,
                  rng: random.Random) -> KClass:
     """A random compatible class, built from constants and the symplectic
@@ -136,23 +137,19 @@ def random_restriction(action: GkmAction, sym: SymplecticClass,
     raise ValueError("no restriction to a 2-torus validates")
 
 
-def random_torus_point(dim: int, rng: random.Random,
-                       max_denominator: int = 1_000_000):
-    return tuple(Fraction(rng.randrange(max_denominator), max_denominator)
-                 for _ in range(dim))
-
-
-def random_pole_free_point(chars, dim: int, rng: random.Random,
-                           attempts: int = 200):
-    """(point, values): a torus point at which every given rational
-    character is pole free, and the characters' values there, in order."""
-    for _ in range(attempts):
-        point = random_torus_point(dim, rng)
+def random_pole_free_point(chars, dim: int, rng: random.Random):
+    """A torus point, each coordinate a multiple of 10^-6 in [0, 1), at
+    which every given rational character is pole free; raises PoleAtPoint
+    after 200 draws that all hit a pole."""
+    for _ in range(200):
+        point = tuple(Fraction(rng.randrange(1_000_000), 1_000_000)
+                      for _ in range(dim))
         try:
-            values = [eval_numeric(ch, point) for ch in chars]
+            for ch in chars:
+                eval_numeric(ch, point)
         except PoleAtPoint:
             continue
-        return point, values
+        return point
     raise PoleAtPoint("no pole-free point found")
 
 

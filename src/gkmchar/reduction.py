@@ -6,14 +6,12 @@ reducing before or after quantizing gives the same answer.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .lattice import complete_to_basis, dot, is_primitive, NotPrimitive
-from .laurent import LaurentPoly, RationalChar, congruent_mod_edge, \
-    poly_sum
+from .laurent import LaurentPoly, RationalChar, poly_sum
 from .graphs import GkmAction, KClass, SymplecticClass
 from .characters import _edge_pairings, character_expand, polarize
 from .residues import res_T
@@ -294,30 +292,6 @@ def wall_crossing_check(f: KClass, mm: MomentMap, c, cp) -> WallCrossingResult:
     residue = residues[p]
     return WallCrossingResult(ok=delta == residue, vertex=p,
                               delta=delta, residue=residue)
-
-
-def edge_compat_check(f: KClass, eid: int) -> bool:
-    """Whether the two localized hat-classes of an edge agree on the
-    edge's subtorus {x^gamma = 1}, exactly.
-
-    The hat-class at an end v is f_v over the product of 1 - x^w for the
-    out-weights w at v other than the edge's own.  The denominators agree
-    on the subtorus when the tangent sums sum_w x^w of those weights at
-    the two ends are congruent modulo 1 - x^gamma, so that the weights
-    pair off with differences in Z*gamma; a validated action always has
-    this.  The numerators then decide: the ideal (1 - x^gamma) is radical
-    even when gamma = k*u is not primitive, since 1 - x^gamma is the
-    product of the distinct factors 1 - zeta*x^u over the k-th roots of
-    unity zeta, so f_src and f_dst agree on every component of the
-    subtorus exactly when they are congruent modulo 1 - x^gamma.
-    """
-    action = f.action
-    e = action.edges[eid]
-    tangent = (LaurentPoly(action.n, Counter(
-        x.weight for x in action.out_index[v] if x.eid != skip))
-        for v, skip in ((e.src, eid), (e.dst, eid ^ 1)))
-    return (congruent_mod_edge(f[e.src], f[e.dst], e.weight)
-            and congruent_mod_edge(*tangent, e.weight))
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,8 @@ def test_multiplicity_refuses_a_class_without_vertex_weights(tmp_path,
                                                              capsys):
     # twice the class x^alpha is still a class, but no monomial with
     # coefficient 1, so it names no vertex weights alpha_p
-    doc = json.loads(open(CP1).read())
+    with open(CP1) as fh:
+        doc = json.load(fh)
     for terms in doc["classes"]["omega"].values():
         terms[0]["coeff"] = 2
     path = tmp_path / "cp1x2.json"

@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 import random
 from itertools import combinations, permutations
@@ -27,10 +28,16 @@ def all_fixtures(fixtures):
     return {**fixtures, **flag_fixtures()}
 
 
+def _valence(action):
+    """The number of edges at the first vertex: the valence of a validated,
+    hence regular, action."""
+    return len(action.out_index[action.vertices[0]])
+
+
 def test_gen_projective_2_is_valid():
     action, sym = gen_projective(2)
     assert len(action.vertices) == 3
-    assert action.d == 2
+    assert _valence(action) == 2
     weights = {tuple(sorted((w, tuple(-x for x in w))))
                for w in (e.weight for e in action.geometric_edges())}
     expected = {(1, 0), (0, 1), (-1, 1)}
@@ -296,7 +303,7 @@ def test_gen_projective_sizes():
     assert len(a1.geometric_edges()) == 1
     assert a1.geometric_edges()[0].weight == (1,)
     a3, _ = gen_projective(3)
-    assert a3.d == 3
+    assert _valence(a3) == 3
     assert len(a3.vertices) == 4
 
 
@@ -319,9 +326,10 @@ def test_gen_flag_a_valid(m):
     # joined to the permutations one transposition away, so d = m(m-1)/2,
     # above the rank m-1 of the weights once m >= 3
     action, sym = gen_weyl_orbit(positive_roots("A", m - 1), range(m))
-    assert (action.n, action.d) == (m, m * (m - 1) // 2)
+    assert (action.n, _valence(action)) == (m, m * (m - 1) // 2)
     assert set(sym.alphas.values()) == set(permutations(range(m)))
-    assert len(action.geometric_edges()) == factorial(m) * action.d // 2
+    assert len(action.geometric_edges()) == \
+        factorial(m) * _valence(action) // 2
     for e in action.edges:
         p, q = sym.alphas[e.src], sym.alphas[e.dst]
         assert sorted(p) == sorted(q)
@@ -350,7 +358,7 @@ def test_gen_grassmannian_valid(k, m):
     # 2 <= k <= m-2
     lam = (1,) * k + (0,) * (m - k)
     action, sym = gen_weyl_orbit(positive_roots("A", m - 1), lam)
-    assert (action.n, action.d) == (m, k * (m - k))
+    assert (action.n, _valence(action)) == (m, k * (m - k))
     assert len(action.vertices) == comb(m, k)
     assert sym.alphas[",".join(map(str, lam))] == lam
     assert all(sorted(e.weight) == [-1] + [0] * (m - 2) + [1]
@@ -403,7 +411,7 @@ def test_weyl_orbit_of_a_singular_weight_is_a_partial_flag(kind, rank, lam,
     assert d == sum(1 for b in roots
                     if sum(x * y for x, y in zip(lam, b)) != 0)
     action, _ = gen_weyl_orbit(roots, lam)
-    assert (len(action.vertices), action.d) == (vertices, d)
+    assert (len(action.vertices), _valence(action)) == (vertices, d)
 
 
 @pytest.mark.parametrize("kind, rank, lam", [
@@ -444,8 +452,8 @@ def test_all_fixtures_valid(all_fixtures):
         assert action_violations(action.n, action.vertices, pairs) == []
         rebuilt = validate_action(action.n, action.vertices, pairs)
         assert rebuilt == action
-        assert all(rebuilt.d == action.d == len(action.out_index[v])
-                   for v in action.vertices)
+        assert all(len(rebuilt.out_index[v]) == len(action.out_index[v])
+                   == _valence(action) for v in action.vertices)
 
 
 @settings(max_examples=60, deadline=None)
@@ -506,7 +514,7 @@ def test_restrict_maps_weights_and_vertex_weights():
     action, sym = gen_projective(3)
     P = [(1, 1, -2), (0, 2, 1)]
     raction, rsym = restrict(action, sym, P)
-    assert (raction.n, raction.d) == (2, 3)
+    assert (raction.n, _valence(raction)) == (2, 3)
     assert raction.vertices == action.vertices
     for e in action.edges:
         w = e.weight
@@ -528,3 +536,15 @@ def test_restrict_rejects_a_matrix_of_the_wrong_shape(P):
     action, sym = gen_projective(3)
     with pytest.raises(ValueError):
         restrict(action, sym, P)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul])
+def test_classes_on_two_actions_do_not_combine(op):
+    # the restriction has the vertices and the rank of projective 2-space
+    # but other edge weights, so the sum or product of the two base classes
+    # is compatible on neither action; a check by assert would let it
+    # through under python -O
+    action, sym = gen_projective(2)
+    _, rsym = restrict(action, sym, [(2, 1), (1, 3)])
+    with pytest.raises(ValueError):
+        op(sym.base, rsym.base)

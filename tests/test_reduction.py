@@ -10,13 +10,12 @@ from gkmchar.lattice import NotPrimitive, dot
 from gkmchar.laurent import LaurentPoly, RationalChar, \
     congruent_mod_edge, eval_numeric
 from gkmchar.graphs import Edge, GkmAction, KClass, action_violations, \
-    constant_class, gen_cp1_in_plane, \
+    class_violations, constant_class, gen_cp1_in_plane, \
     gen_projective, load_graph_file, symplectic_class
-from gkmchar.characters import localization_terms
 from gkmchar.residues import res_T
 from gkmchar.reduction import (CycleError, NotRegular, WrongWallCount,
-                               ZeroNotRegular, chi_reduced,
-                               edge_compat_check, moment_map, qr_check,
+                               ZeroNotRegular, chi_reduced, moment_map,
+                               qr_check,
                                symplectic_moment_map, vertex_residues,
                                wall_crossing_check)
 from gkmchar.randomgen import (flag_fixtures, random_class,
@@ -25,6 +24,13 @@ from gkmchar.randomgen import (flag_fixtures, random_class,
                                random_zero_regular_xi, standard_fixtures)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _localization_terms(f):
+    """Each vertex's localized summand f_v / prod_w (1 - x^w)."""
+    action = f.action
+    return {v: RationalChar(f[v], action.out_weights[v])
+            for v in action.vertices}
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +157,7 @@ def test_wall_crossing_cp1(cp1):
     assert res.ok
     assert res.vertex == "q"
     assert res.delta == res.residue == \
-        res_T(localization_terms(sym.base)["q"], (1, 0)).total
+        res_T(_localization_terms(sym.base)["q"], (1, 0)).total
 
 
 def test_wall_crossing_same_chamber_rejected(cp1):
@@ -187,7 +193,7 @@ def test_telescoping(rng):
         xi = random_generic_xi(action, rng)
         mm = moment_map(action, xi)
         levels = _chamber_levels(mm)
-        terms = localization_terms(f)
+        terms = _localization_terms(f)
         residue = {v: res_T(terms[v], xi).total for v in action.vertices}
 
         def expected(c):
@@ -292,7 +298,7 @@ def test_vertex_residues_match_res_T_on_any_subset(fixtures, rng,
     for name, (action, sym) in {**fixtures, **flag_fixtures()}.items():
         f = random_class(action, sym, rng)
         xi = random_generic_xi(action, rng)
-        terms = localization_terms(f)
+        terms = _localization_terms(f)
         for _ in range(3):
             subset = rng.sample(action.vertices,
                                 rng.randint(1, len(action.vertices)))
@@ -333,7 +339,7 @@ def test_vertex_residues_sum_to_zero_on_either_side(fixtures, data):
         mm = moment_map(action, xi, phi={
             v: dot(alphas[v], xi) + Fraction(s, 2000)
             for v, s in zip(action.vertices, shifts)})
-    terms = localization_terms(f)
+    terms = _localization_terms(f)
     residue = {v: res_T(terms[v], xi).total for v in action.vertices}
     zero = LaurentPoly.zero(action.n)
     assert sum(residue.values(), zero) == zero
@@ -508,10 +514,23 @@ def test_levels_of_any_type_read_as_fractions(fixtures, data):
                 (name, args)
 
 
+def _edge_flagged(f, eid) -> bool:
+    """Whether class_violations flags the edge eid, in either orientation.
+    It names an edge by its ends, which name one edge on every fixture,
+    since none has parallel edges."""
+    e = f.action.edges[eid & ~1]
+    return f"edge {e.src}->{e.dst}" in {
+        v.where for v in class_violations(f.action, f.values)}
+
+
 def _float_edge_agreement(f, eid, rng) -> bool:
-    """A float reference for edge_compat_check: whether the two localized
-    hat-classes of the edge have the same value at sample points of its
-    subtorus {x^gamma = 1}.
+    """A float reference for the edge compatibility check: whether the two
+    localized hat-classes of the edge have the same value at sample points
+    of its subtorus {x^gamma = 1}.
+
+    On a validated action the denominators of the hat-classes agree on
+    the subtorus, so the verdict is the congruence of f's values at the
+    two ends modulo 1 - x^gamma that class_violations tests.
 
     A point is a random one, moved along gamma until gamma . theta = t, an
     integer; for gamma = k*u, t mod k picks the component x^u = zeta of
@@ -554,8 +573,8 @@ def _one_minus(n, u, k):
 def test_edge_compat_check_agrees_with_a_float_reference(data):
     """On the standard and flag fixtures and their restrictions to a
     2-torus, for a random class, and for one corrupted at a vertex by
-    1 - x^(k u) with u the direction of some edge and k = 1 or 2, the
-    exact check and the float reference agree on every edge at that
+    1 - x^(k u) with u the direction of some edge and k = 1 or 2,
+    class_violations and the float reference agree on every edge at that
     vertex, in both orientations."""
     standard, flags = standard_fixtures(), flag_fixtures()
     name = data.draw(st.sampled_from(sorted(standard) + sorted(flags)))
@@ -573,21 +592,18 @@ def test_edge_compat_check_agrees_with_a_float_reference(data):
     f = KClass(action, values)
     for e in action.out_index[v]:
         for eid in (e.eid, e.eid ^ 1):
-            assert edge_compat_check(f, eid) == \
+            assert (not _edge_flagged(f, eid)) == \
                 _float_edge_agreement(f, eid, rng), (name, e)
 
 
 def test_edge_compat_cp1(cp1):
     action, sym = cp1
-    e = action.geometric_edges()[0]
-    assert edge_compat_check(sym.base, e.eid)
+    assert class_violations(action, sym.base.values) == []
 
 
 def test_edge_compat_constant_class():
     action, _ = gen_projective(2)
-    f = constant_class(action, 1)
-    for e in action.geometric_edges():
-        assert edge_compat_check(f, e.eid)
+    assert class_violations(action, constant_class(action, 1).values) == []
 
 
 def test_edge_compat_detects_corruption():
@@ -595,7 +611,7 @@ def test_edge_compat_detects_corruption():
     values = dict(sym.base.values)
     values["P1"] = values["P1"] + LaurentPoly.monomial((0, 1))
     bad = KClass(action, values)
-    assert any(not edge_compat_check(bad, e.eid)
+    assert any(_edge_flagged(bad, e.eid)
                for e in action.geometric_edges()
                if "P1" in (e.src, e.dst))
 
@@ -610,25 +626,25 @@ def test_edge_compat_sees_every_component_of_a_multiple_weight():
     values[e.src] += _one_minus(2, (1, 0), 1)
     bad = KClass(action, values)
     assert congruent_mod_edge(bad[e.src], bad[e.dst], (1, 0))
-    assert edge_compat_check(sym.base, e.eid)
-    assert not edge_compat_check(bad, e.eid)
-    assert not edge_compat_check(bad, e.eid ^ 1)
+    assert not _edge_flagged(sym.base, e.eid)
+    assert _edge_flagged(bad, e.eid)
 
 
 def test_edge_compat_needs_the_denominators_to_agree():
-    # an action built past validation: at edge a->b the other weights are
-    # (0, 1) at a and (1, 2) at b, not congruent modulo (1, 0), so the
-    # hat-classes of the constant class 1 differ on x_1 = 1
+    # at edge a->b the other weights are (0, 1) at a and (1, 2) at b, not
+    # congruent modulo (1, 0), so on an action built past validation the
+    # hat-classes of the constant class 1 differ on x_1 = 1; validation
+    # refuses the edge
     pairs = [("a", "b", (1, 0)), ("a", "c", (0, 1)), ("b", "c", (1, 2))]
-    assert {v.code for v in action_violations(2, "abc", pairs)} == \
-        {"E_COMPAT"}
+    violations = action_violations(2, "abc", pairs)
+    assert {v.code for v in violations} == {"E_COMPAT"}
+    assert "edge#0 a->b" in {v.where for v in violations}
     action = GkmAction(2, tuple("abc"), tuple(
         e for i, (src, dst, w) in enumerate(pairs)
         for e in (Edge(2 * i, src, dst, w),
                   Edge(2 * i + 1, dst, src, tuple(-x for x in w)))))
     f = constant_class(action, 1)
     assert not _float_edge_agreement(f, 0, random.Random(0))
-    assert not edge_compat_check(f, 0)
 
 
 def test_qr_check_cp1(cp1):
