@@ -50,11 +50,17 @@ def _parse_vec(text, n=None):
     return vec
 
 
+def _int_digit_limit():
+    """The interpreter's limit on the digits of an int converted to or
+    from a string, or 4300, its default, where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def _parse_rational(text):
     """text as a Fraction whose numerator and denominator print within the
     interpreter's limit on int digits.  A decimal exponent beyond that
     limit is refused before Fraction expands it, which can take minutes."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = _int_digit_limit()
     exp = re.search(r"e([-+]?\d[\d_]*)\s*\Z", text, re.IGNORECASE)
     try:
         huge = exp is not None and abs(int(exp[1])) > limit
@@ -114,12 +120,17 @@ def _symplectic_from_class(action, values, name):
 
 def _emit(args, payload, text_lines):
     """Print payload as JSON, or for text output the lines that
-    text_lines(), called only then, returns."""
-    if args.output == "json":
-        print(_json_text(payload))
-    else:
-        for line in text_lines():
-            print(line)
+    text_lines(), called only then, returns.  The whole output is rendered
+    before any of it is printed, so an int too long to print (see
+    _int_digit_limit) leaves stdout empty and raises CliError."""
+    try:
+        lines = ([_json_text(payload)] if args.output == "json"
+                 else text_lines())
+    except ValueError:
+        raise CliError(f"the output holds an integer of more than "
+                       f"{_int_digit_limit()} digits")
+    for line in lines:
+        print(line)
 
 
 _ENCODE_STRING = json.encoder.encode_basestring_ascii
@@ -127,7 +138,9 @@ _ENCODE_STRING = json.encoder.encode_basestring_ascii
 
 def _json_text(value, newline="\n"):
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
-    dicts with string keys, lists, strings, ints, bools and None.
+    dicts with string keys, lists, strings, ints, bools and None, where a
+    LaurentPoly stands for its list of {"coeff": c, "exp": [...]} terms in
+    sorted exponent order.
 
     With indent set, json.dumps falls back to its pure-Python encoder.
     This writes the same layout, encodes strings with the C encoder and
@@ -153,6 +166,19 @@ def _json_text(value, newline="\n"):
         return "[" + inner + ("," + inner).join([
             int.__repr__(v) if type(v) is int else _json_text(v, inner)
             for v in value]) + newline + "]"
+    if kind is LaurentPoly:
+        # one %-template per polynomial, with a %d for the coefficient and
+        # for each exponent entry: every polynomial written has dim >= 1
+        if not value.terms:
+            return "[]"
+        key = inner + "  "
+        entry = key + "  "
+        template = ("{" + key + '"coeff": %d,' + key + '"exp": [' + entry
+                    + ("," + entry).join(["%d"] * value.dim) + key + "]"
+                    + inner + "}")
+        return "[" + inner + ("," + inner).join([
+            template % (c, *e) for e, c in sorted(value.terms.items())]) \
+            + newline + "]"
     return json.dumps(value)
 
 
@@ -197,7 +223,7 @@ def cmd_character(args):
         raise CliError("internal cross-check failed: expansion != "
                        "localization sum at a point mod 2^61 - 1",
                        EXIT_VIOLATION)
-    _emit(args, {"class": name, "character": _poly_payload(chi)},
+    _emit(args, {"class": name, "character": chi},
           lambda: [render_poly(chi)])
     return EXIT_OK
 
@@ -223,7 +249,7 @@ def cmd_reduce(args):
     red = chi_reduced(kclass, mm, c).value
     _emit(args, {"class": name, "level": str(c),
                  "phi": {v: str(x) for v, x in mm.phi.items()},
-                 "reduced_character": _poly_payload(red)},
+                 "reduced_character": red},
           lambda: [
               "phi: " + ", ".join(f"{v}={mm.phi[v]}" for v in action.vertices),
               f"chi_red at c={c}: {render_poly(red)}"])
@@ -237,9 +263,7 @@ def cmd_residue(args):
     per_vertex = vertex_residues(kclass, xi, action.vertices)
     total = poly_sum(action.n, per_vertex.values())
     payload = {"class": name,
-               "per_vertex": {v: _poly_payload(p)
-                              for v, p in per_vertex.items()},
-               "total": _poly_payload(total)}
+               "per_vertex": per_vertex, "total": total}
 
     def lines():
         return ([f"{v}: {render_poly(p)}" for v, p in per_vertex.items()]
@@ -257,8 +281,8 @@ def cmd_qr_check(args):
     res = qr_check(sym, xi)
     status = "PASS" if res.ok else "FAIL"
     payload = {"class": name, "ok": res.ok,
-               "invariant_part": _poly_payload(res.invariant_part),
-               "reduced": _poly_payload(res.reduced)}
+               "invariant_part": res.invariant_part,
+               "reduced": res.reduced}
     _emit(args, payload,
           lambda: [f"{status}  chi_red = {render_poly(res.reduced)}"]
           + ([] if res.ok else
@@ -273,10 +297,6 @@ def cmd_selftest(args):
                            for r in results]}
     _emit(args, payload, lambda: [r.line() for r in results])
     return EXIT_OK if all(r.ok for r in results) else EXIT_VIOLATION
-
-
-def _poly_payload(p: LaurentPoly):
-    return [{"coeff": c, "exp": list(e)} for e, c in sorted(p.terms.items())]
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .lattice import direction, dot, dual_cone, primitive_part, vadd, \
     vneg, vscale, vsub
-from .laurent import LaurentPoly, congruent_mod_edge
+from .laurent import LaurentPoly, incongruent_edges
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,15 @@ def _build_action(n, vertices, edge_pairs):
     independence (GKM) and compatibility.  The last three read the
     out_index of the action the pairs built.  Pair i becomes oriented
     edges 2i and 2i + 1, both labeled "edge#i src->dst".
+
+    Compatibility is one call of laurent.incongruent_edges on the
+    even-numbered edges, with each vertex's out-weights as the exponents
+    of one term map, all coefficients 1; no LaurentPoly is built.  The
+    kernel names each class e + Z*alpha by the representative
+    e - floor(e_i / alpha_i) * alpha, i the first nonzero entry of alpha,
+    and packs each vertex's weights once into int keys in base
+    2E(1+X) + 1, E and X the largest |entry| of a weight, which keeps the
+    keys of distinct representatives apart (see its docstring).
     """
     if n < 1:
         return None, [_schema("n", "n is not positive")]
@@ -187,14 +196,15 @@ def _build_action(n, vertices, edge_pairs):
 
     # compatibility across each edge: the weight multisets at the two
     # endpoints agree modulo Z*alpha, i.e. their tangent weights
-    # sum_w x^w are congruent modulo 1 - x^alpha
-    tangent = {v: LaurentPoly(n, Counter(ws))
-               for v, ws in action.out_weights.items()}
-    violations = [Violation("E_COMPAT", labels[e.eid], "endpoint weight "
+    # sum_w x^w are congruent modulo 1 - x^alpha.  The weights at a vertex
+    # are pairwise independent by now, so no two are equal, and each is
+    # one term with coefficient 1.
+    tangent = {v: dict.fromkeys(ws, 1) for v, ws in action.out_weights.items()}
+    bad = incongruent_edges(n, tangent, [(e.src, e.dst, e.weight)
+                                         for e in edges[::2]])
+    violations = [Violation("E_COMPAT", labels[2 * i], "endpoint weight "
                             "multisets differ modulo the edge weight")
-                  for e in edges[::2]
-                  if not congruent_mod_edge(tangent[e.src], tangent[e.dst],
-                                            e.weight)]
+                  for i in bad]
     return (None, violations) if violations else (action, [])
 
 
@@ -251,16 +261,21 @@ class KClass:
 def class_violations(action: GkmAction, values) -> list:
     """Why values is not a class on action: a vertex without a value or a
     value on a vertex the graph does not have, else every edge whose
-    endpoint values are not congruent modulo its weight."""
+    endpoint values are not congruent modulo its weight, in edge order.
+    The congruences are tested by laurent.incongruent_edges, which packs
+    each value once; a value of a length other than action.n raises
+    DimMismatch."""
     out = _key_violations(action, values)
     if out:
         return out
-    for e in action.geometric_edges():
-        if not congruent_mod_edge(values[e.src], values[e.dst], e.weight):
-            out.append(Violation(
-                "E_COMPAT", f"edge {e.src}->{e.dst}",
-                "vertex values are not congruent modulo the edge weight"))
-    return out
+    edges = action.geometric_edges()
+    bad = incongruent_edges(action.n,
+                            {v: values[v].terms for v in action.vertices},
+                            [(e.src, e.dst, e.weight) for e in edges])
+    return [Violation("E_COMPAT", f"edge {edges[i].src}->{edges[i].dst}",
+                      "vertex values are not congruent modulo the edge "
+                      "weight")
+            for i in bad]
 
 
 def _key_violations(action: GkmAction, values) -> list:

@@ -354,25 +354,78 @@ def _divide_univariate(f: dict, a: int, limit: int) -> dict:
 
 
 def congruent_mod_edge(p: LaurentPoly, q: LaurentPoly, gamma) -> bool:
-    """True iff p - q lies in the ideal (1 - x^gamma).
-
-    Checked by collapsing each exponent e to its representative
-    e - floor(e.gamma / gamma.gamma) * gamma modulo Z*gamma and comparing
-    the resulting coefficient maps.
-    """
-    gamma = tuple(gamma)
-    gg = dot(gamma, gamma)
-    if gg == 0:
-        raise ZeroWeight("congruence modulo the zero weight")
+    """True iff p - q lies in the ideal (1 - x^gamma): the one-edge case
+    of incongruent_edges.  A zero gamma raises ZeroWeight; p and q of two
+    dimensions, or a gamma of another length, raise DimMismatch."""
     if p.dim != q.dim:
         raise DimMismatch(f"{p.dim} vs {q.dim}")
-    out: dict = {}
-    for poly, sign in ((p, 1), (q, -1)):
-        for e, c in poly.terms.items():
-            t = dot(e, gamma) // gg
-            r = tuple([x - t * g for x, g in zip(e, gamma)])
-            out[r] = out.get(r, 0) + sign * c
-    return not any(out.values())
+    return not incongruent_edges(p.dim, {0: p.terms, 1: q.terms},
+                                 ((0, 1, gamma),))
+
+
+def incongruent_edges(n, values, edges) -> list:
+    """The positions, in edge order, of the edges (src, dst, gamma) whose
+    end values values[src] and values[dst], each a map of exponents in Z^n
+    to integer coefficients, differ modulo 1 - x^gamma.
+
+    p lies in the ideal (1 - x^gamma) exactly when the coefficients of p
+    sum to zero on every class e + Z*gamma.  The class of e is named by
+    its representative r = e - floor(e_i / gamma_i) * gamma, where i is
+    the first coordinate with gamma_i != 0: moving e by k * gamma moves
+    the floor by k, so r is the same for the whole class, and r = e mod
+    Z*gamma, so two classes have two representatives.
+
+    Each representative is packed into one int key by balanced base-B
+    digits, key(e) = sum_j e_j * B^(n-1-j).  With E the largest |entry|
+    of an exponent and X that of a weight, |floor(e_i / gamma_i)| <= E,
+    so every entry of r lies in [-E(1+X), E(1+X)], and B = 2E(1+X) + 1
+    makes key injective on the representatives: two of them differ by at
+    most B - 1 in each entry, so the first entry in which they differ
+    outweighs all later ones.  B >= 2 covers E = 0.  key is linear, so a
+    term's key at an edge is key(e) - floor(e_i / gamma_i) * key(gamma),
+    and each value is packed once for all its edges.
+
+    A zero gamma raises ZeroWeight, and a gamma or a value whose length
+    is not n raises DimMismatch.
+    """
+    big = 0
+    for _, _, g in edges:
+        if not any(g):
+            raise ZeroWeight("congruence modulo the zero weight")
+        if len(g) != n:
+            raise DimMismatch(f"weight {tuple(g)} has length {len(g)}, "
+                              f"expected {n}")
+        big = max(big, max(g), -min(g))
+    top = 0
+    for v, terms in values.items():
+        if terms:
+            m = len(next(iter(terms)))
+            if m != n:
+                raise DimMismatch(f"value at {v} has length {m}, "
+                                  f"expected {n}")
+            top = max(top, max(map(max, terms)), -min(map(min, terms)))
+    base = max(2, 2 * top * (1 + big) + 1)
+    powers = [base ** j for j in range(n - 1, -1, -1)]
+    # (key, exponent, coefficient) of each term of each value
+    packed = {v: list(zip([sum(map(mul, e, powers)) for e in terms], terms,
+                          terms.values()))
+              for v, terms in values.items()}
+    out = []
+    for pos, (src, dst, g) in enumerate(edges):
+        step = sum(map(mul, g, powers))
+        i = g.index(next(filter(None, g)))
+        gi = g[i]
+        acc = {}
+        get = acc.get
+        for k, e, c in packed[src]:
+            r = k - e[i] // gi * step
+            acc[r] = get(r, 0) + c
+        for k, e, c in packed[dst]:
+            r = k - e[i] // gi * step
+            acc[r] = get(r, 0) - c
+        if any(acc.values()):
+            out.append(pos)
+    return out
 
 
 TWO_PI_I = 2j * cmath.pi

@@ -628,6 +628,62 @@ def test_json_text_is_json_dumps_byte_for_byte(payload):
                                                  sort_keys=True)
 
 
+@st.composite
+def laurent_polys(draw):
+    n = draw(st.integers(1, 4))
+    big = st.integers(-10**30, 10**30)
+    exps = st.tuples(*[st.integers(-3, 3) | big] * n)
+    coeffs = st.integers(-5, 5).filter(bool) | big.filter(bool)
+    return LaurentPoly(n, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+def _list_form(value):
+    """value with each LaurentPoly replaced by its list of terms."""
+    if isinstance(value, LaurentPoly):
+        return [{"coeff": c, "exp": list(e)}
+                for e, c in sorted(value.terms.items())]
+    if isinstance(value, dict):
+        return {k: _list_form(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_list_form(v) for v in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    laurent_polys() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8))
+def test_json_text_writes_a_polynomial_as_its_list_of_terms(payload):
+    assert cli._json_text(payload) == json.dumps(_list_form(payload),
+                                                 indent=2, sort_keys=True)
+
+
+def _huge_coefficient_doc(tmp_path):
+    """cp1.json with a class c whose values each sum two terms of
+    9 * 10^4299 into one coefficient of 4301 digits, one more than the
+    interpreter prints by default."""
+    with open(CP1) as fh:
+        doc = json.load(fh)
+    term = {"coeff": 9 * 10**4299, "exp": [0, 0]}
+    doc["classes"] = {"c": {"p": [term, term], "q": [term, term]}}
+    return _write_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["character", "--xi=1,1"], ["character", "--xi=1,1", "--output", "json"],
+    ["reduce", "--xi=1,1", "--c=1/2"],
+    ["reduce", "--xi=1,1", "--c=1/2", "--output", "json"]])
+def test_an_answer_too_long_to_print_is_a_usage_error(tmp_path, capsys,
+                                                      argv):
+    path = _huge_coefficient_doc(tmp_path)
+    code, out, err = run([argv[0], path, *argv[1:], "--class", "c"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: the output holds an integer of more than "
+                   f"{cli._int_digit_limit()} digits\n")
+
+
 def test_json_output_renders_no_text(monkeypatch, capsys):
     def refuse(p):
         raise AssertionError("text rendered for --output json")

@@ -2,11 +2,12 @@ import json
 import operator
 import os
 import random
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gkmchar import lattice
 from gkmchar.laurent import LaurentPoly
@@ -198,6 +199,38 @@ def test_compat_violation():
         [("a", "b", (1, 0)), ("b", "c", (0, 2)),
          ("c", "d", (-1, 0)), ("d", "a", (0, -1))])
     assert any(x.code == "E_COMPAT" for x in v)
+
+
+def _tuple_representative(e, w):
+    """The representative of e + Z*w by the pairing with w, as a tuple:
+    e - floor(e.w / w.w) * w."""
+    t = lattice.dot(e, w) // lattice.dot(w, w)
+    return tuple(x - t * g for x, g in zip(e, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compat_stage_flags_the_edges_a_counter_reference_flags(all_fixtures,
+                                                                data):
+    # one weight of a valid graph moved: every edge whose endpoint weight
+    # multisets then differ modulo its weight is flagged, and no other
+    name = data.draw(st.sampled_from(sorted(all_fixtures)))
+    action, _ = all_fixtures[name]
+    pairs = [(e.src, e.dst, e.weight) for e in action.geometric_edges()]
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    src, dst, w = pairs[i]
+    moved = tuple(x + data.draw(st.integers(-3, 3)) for x in w)
+    pairs[i] = (src, dst, moved)
+    stars = {v: [] for v in action.vertices}
+    for a, b, w in pairs:
+        stars[a].append(w)
+        stars[b].append(tuple(-x for x in w))
+    got = action_violations(action.n, action.vertices, pairs)
+    assume(all(v.code == "E_COMPAT" for v in got))
+    want = [f"edge#{j} {a}->{b}" for j, (a, b, w) in enumerate(pairs)
+            if Counter(_tuple_representative(e, w) for e in stars[a])
+            != Counter(_tuple_representative(e, w) for e in stars[b])]
+    assert [v.where for v in got] == want
 
 
 def test_constant_class_is_valid():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkmchar.graphs import class_violations, gen_projective, validate_action
 from gkmchar.laurent import (PRIME, DimMismatch, LaurentPoly, NotDivisible,
                              PoleAtPoint, RationalChar, ZeroWeight,
                              congruent_mod_edge, divide_exact, eval_mod,
@@ -287,6 +288,77 @@ def test_congruence_agrees_with_division(rng):
         except NotDivisible:
             divisible = False
         assert congruent_mod_edge(p, q, gamma) == divisible
+
+
+@st.composite
+def congruence_cases(draw):
+    """(p, q, gamma) with entries of gamma up to 50 in size, some leading
+    ones zero, and exponents up to 10^6 apart, all moved by one common
+    translation up to about 10^30.  p - q is a multiple of 1 - x^gamma,
+    plus, half the time, a few more terms.  Far-apart terms stay within
+    10^6 of each other, so divide_exact's runs along gamma stay short."""
+    n = draw(st.integers(1, 4))
+    lead = draw(st.integers(0, n - 1))
+    gamma = (0,) * lead + draw(st.tuples(
+        *[st.integers(-50, 50)] * (n - lead)).filter(any))
+    near = st.integers(-3, 3)
+    shift = tuple(draw(st.just(0) | near.map(lambda d: 10**30 + d)
+                       | near.map(lambda d: -10**30 + d)) for _ in range(n))
+    coord = st.integers(-10, 10) | st.integers(-10**6, 10**6)
+    exps = st.tuples(*[coord] * n).map(lambda e: tuple(map(operator.add,
+                                                           e, shift)))
+
+    def poly(size, coeffs=st.integers(-5, 5)):
+        return LaurentPoly(n, draw(st.dictionaries(exps, coeffs,
+                                                   max_size=size)))
+
+    q = poly(5)
+    d = poly(4) * LaurentPoly(n, {(0,) * n: 1, gamma: -1})
+    if draw(st.booleans()):
+        d = d + poly(2, st.integers(-5, 5) | st.integers(-10**40, 10**40))
+    return q + d, q, gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(congruence_cases())
+def test_congruence_agrees_with_division_at_any_scale(case):
+    """The packed keys of incongruent_edges stay apart at exponents up to
+    10^30 and weights up to 50, so both callers of the kernel agree with
+    divide_exact."""
+    p, q, gamma = case
+    try:
+        divide_exact(p - q, gamma)
+        divisible = True
+    except NotDivisible:
+        divisible = False
+    assert congruent_mod_edge(p, q, gamma) == divisible
+    action = validate_action(p.dim, ["a", "b"], [("a", "b", gamma)])
+    assert (class_violations(action, {"a": p, "b": q}) == []) == divisible
+
+
+def test_congruence_of_monomials_on_a_grid():
+    """x^e and x^f are congruent modulo 1 - x^gamma exactly when e - f is
+    an integer multiple of gamma, for every e, f and gamma in [-3, 3]^2:
+    where the base of the packed keys is too small, some two of these
+    collide."""
+    grid = list(itertools.product(range(-3, 4), repeat=2))
+    for gamma in filter(any, grid):
+        i = 0 if gamma[0] else 1
+        for e in grid:
+            p = LaurentPoly.monomial(e)
+            for f in grid:
+                d = [a - b for a, b in zip(e, f)]
+                k = d[i] // gamma[i]
+                multiple = d == [k * g for g in gamma]
+                assert congruent_mod_edge(p, LaurentPoly.monomial(f),
+                                          gamma) == multiple, (e, f, gamma)
+
+
+def test_class_violations_refuses_values_of_another_length():
+    action, _ = gen_projective(2)
+    values = {v: LaurentPoly.monomial((1, 0, 0)) for v in action.vertices}
+    with pytest.raises(DimMismatch, match="length 3, expected 2"):
+        class_violations(action, values)
 
 
 def test_eval_poly_at_half():
