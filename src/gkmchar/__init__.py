@@ -2,11 +2,10 @@
 actions on labeled graphs."""
 
 from .lattice import (BasisChange, NotPrimitive, ZeroVector,
-                      complete_to_basis, primitive_part, weight_from_basis,
-                      weight_in_basis)
+                      complete_to_basis, primitive_part)
 from .laurent import (DimMismatch, LaurentPoly, NotDivisible, PoleAtPoint,
                       RationalChar, ZeroWeight, congruent_mod_edge,
-                      divide_exact, eval_mod, eval_numeric, render_poly)
+                      divide_exact, eval_numeric, render_poly)
 from .graphs import (GkmAction, KClass, SymplecticClass, ValidationError,
                      Violation, action_violations, class_violations,
                      constant_class, gen_cp1_in_plane, gen_hirzebruch,
@@ -20,7 +19,7 @@ from .characters import (CharacterResult, HullReport, InternalDivisionFailure,
                          division_numerator_size, hull_report, hull_vertices,
                          in_convex_hull, kostant_count,
                          localization_identity_test, multiplicity, polarize)
-from .residues import (ResidueValue, ZForm, fiber_average_numeric, res_T,
+from .residues import (ResidueValue, ZForm, fiber_values, res_T,
                        to_z_form)
 from .reduction import (CycleError, MomentMap, NotRegular, QrResult,
                         ReducedCharacter, WrongWallCount, ZeroNotRegular,

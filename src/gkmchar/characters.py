@@ -13,7 +13,7 @@ from operator import add, mul, sub
 
 from .lattice import NotPrimitive, dot, is_primitive, vadd, vneg, vsub
 from .laurent import PRIME, DimMismatch, LaurentPoly, NotDivisible, \
-    _Kronecker, _box, _monomials_mod, divide_exact, eval_mod
+    _Kronecker, _box, _monomials_mod, divide_exact
 from .graphs import GkmAction, KClass, SymplecticClass
 
 
@@ -554,6 +554,9 @@ def localization_identity_test(f: KClass, chi: LaurentPoly, rng) -> bool:
     10^-15 for deg < 2 000.  A true chi always passes.
     """
     action = f.action
+    if chi.dim != action.n:
+        raise DimMismatch(f"character of rank {chi.dim}, expected "
+                          f"{action.n}")
     summands = [(f[v], action.out_weights[v]) for v in action.vertices
                 if f[v].terms]
     weights = list({w: None for _, ws in summands for w in ws})
@@ -562,14 +565,24 @@ def localization_identity_test(f: KClass, chi: LaurentPoly, rng) -> bool:
         power = dict(zip(weights, _monomials_mod(weights, point, PRIME)))
         if 1 not in power.values():
             break
+    # every monomial of every f_v and of chi in one pass, consumed in
+    # that order: map stops at the end of a polynomial's coefficients
+    # without drawing from the shared iterator
+    monomials = iter(_monomials_mod(
+        [e for fv, _ in summands for e in fv.terms] + list(chi.terms),
+        point, PRIME))
+
+    def value(p):
+        return sum(map(mul, p.terms.values(), monomials)) % PRIME
+
     num, den = 0, 1
     for fv, ws in summands:
         d = 1
         for w in ws:
             d = d * (1 - power[w]) % PRIME
-        num = (num * d + eval_mod(fv, point) * den) % PRIME
+        num = (num * d + value(fv) * den) % PRIME
         den = den * d % PRIME
-    return (eval_mod(chi, point) * den - num) % PRIME == 0
+    return (value(chi) * den - num) % PRIME == 0
 
 
 # ---------------------------------------------------------------------------

@@ -135,11 +135,6 @@ def bareiss(rows) -> tuple[int, list]:
     return sign * prev, a
 
 
-def det(m) -> int:
-    """Exact determinant by fraction-free elimination."""
-    return bareiss(m)[0]
-
-
 def _dual_basis(weights):
     """Primitive eta_1..eta_d with eta_i . w_j == 0 for i != j and
     eta_i . w_i > 0, each inside the span of the weights w_1..w_d; None
@@ -275,20 +270,4 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
     return old_s, old_t
-
-
-def weight_in_basis(alpha, basis: BasisChange) -> tuple[IntVec, int]:
-    """Express a weight in the coordinates dual to the basis columns.
-
-    Returns (beta, k) where k = alpha(xi) and beta collects the pairings
-    with the first n-1 basis vectors.  Inverted by weight_from_basis.
-    """
-    full = tuple(dot(alpha, col) for col in basis.columns)
-    return full[:-1], full[-1]
-
-
-def weight_from_basis(beta, k: int, basis: BasisChange) -> IntVec:
-    """Inverse of weight_in_basis: rebuild the weight from (beta, k)."""
-    full = tuple(beta) + (k,)
-    return tuple(dot(full, col) for col in basis.inverse_columns)
 

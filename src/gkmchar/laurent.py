@@ -473,25 +473,6 @@ def _eval_terms(p: LaurentPoly, nums, lcd) -> complex:
 PRIME = 2 ** 61 - 1     # a Mersenne prime
 
 
-def eval_mod(f: LaurentPoly, point, p=PRIME) -> int:
-    """The value in F_p of a LaurentPoly at a point of (F_p^*)^n, as an int
-    in [0, p).
-
-    The monomial x^mu becomes the product of point_i^mu_i mod p; a negative
-    exponent takes a power of the modular inverse.  A point of the wrong
-    length raises DimMismatch, and one with a coordinate divisible by p
-    raises ValueError.
-    """
-    if len(point) != f.dim:
-        raise DimMismatch(f"point {tuple(point)} has length {len(point)}, "
-                          f"expected {f.dim}")
-    if any(x % p == 0 for x in point):
-        raise ValueError(f"point {tuple(point)} has a coordinate 0 mod {p}")
-    terms = f.terms
-    return sum(map(mul, terms.values(),
-                   _monomials_mod(terms, point, p))) % p
-
-
 def _monomials_mod(exps, point, p) -> list:
     """[point^e mod p for e in exps], one coordinate at a time: each
     distinct exponent in a coordinate takes one pow."""

@@ -150,14 +150,14 @@ def res_T(f: RationalChar, xi, *, basis=None) -> ResidueValue:
                           for terms in (plus, minus, total)))
 
 
-def fiber_average_numeric(f: RationalChar, alpha, xi, point) -> complex:
-    """Average of f over the fiber of the quotient map above a point.
+def fiber_values(f: RationalChar, alpha, xi, point) -> list:
+    """The values of f over the fiber of the quotient map above a point,
+    in order; their mean is the push-forward of f at the point.
 
     alpha cuts out the subtorus the push-forward starts from; the fiber over
     the class of `point` in the quotient by the circle of xi consists of
-    |alpha(xi)| shifts of the point along xi, and the push-forward evaluates
-    as their mean.  Raises DimMismatch when point, alpha or xi is not of
-    the dimension of f.
+    |alpha(xi)| shifts of the point along xi.  Raises DimMismatch when
+    point, alpha or xi is not of the dimension of f.
     """
     point, alpha, xi = tuple(point), tuple(alpha), tuple(xi)
     for name, v in (("point", point), ("alpha", alpha), ("xi", xi)):
@@ -167,11 +167,10 @@ def fiber_average_numeric(f: RationalChar, alpha, xi, point) -> complex:
     k = dot(alpha, xi)
     if k == 0:
         raise NotGeneric(f"{alpha} pairs to zero with {xi}")
-    order = abs(k)
     pairing = sum(Fraction(a) * t for a, t in zip(alpha, point))
-    total = 0j
-    for j in range(order):
+    values = []
+    for j in range(abs(k)):
         t = (j - pairing) / k
         lift = tuple(p + t * x for p, x in zip(point, xi))
-        total += eval_numeric(f, lift)
-    return total / order
+        values.append(eval_numeric(f, lift))
+    return values

@@ -17,13 +17,14 @@ from gkmchar.graphs import class_violations, gen_cp1_in_plane, \
     gen_projective, symplectic_class
 from gkmchar.characters import (character_expand, character_oracle,
                                 hull_report, multiplicity, polarize)
-from gkmchar.residues import fiber_average_numeric, res_T
+from gkmchar.residues import res_T
 from gkmchar.reduction import (chi_reduced, moment_map, qr_check,
                                wall_crossing_check)
 from gkmchar.randomgen import (random_class, random_generic_xi,
                                random_pole_free_point, random_symplectic,
                                random_vertex_star, random_zero_regular_xi,
                                standard_fixtures)
+from test_residues import fiber_average_numeric
 
 SEED = 987654321
 

@@ -316,6 +316,13 @@ def test_identity_test_passes_the_character_and_fails_a_changed_one(case,
     assert not characters.localization_identity_test(f, wrong, rng)
 
 
+def test_identity_test_refuses_a_character_of_another_rank():
+    action, sym = gen_projective(2)
+    with pytest.raises(laurent.DimMismatch, match="rank 3, expected 2"):
+        characters.localization_identity_test(
+            sym.base, LaurentPoly.one(3), random.Random(0))
+
+
 def test_oracle_division_reads_within_budget(monkeypatch):
     # projective 5-space scaled by 6 has a 462-term character.  The oracle
     # divides its 720-term numerator by all 15 direction binomials in one

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import os
@@ -6,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +18,14 @@ from gkmchar.characters import CharacterResult, character_expand, \
 from gkmchar.cli import main
 from gkmchar.graphs import KClass, gen_projective, gen_weyl_orbit, \
     graph_to_data, positive_roots
-from gkmchar.lattice import vscale
-from gkmchar.laurent import LaurentPoly, render_poly
+from gkmchar.lattice import BasisChange, complete_to_basis, dot, vneg, \
+    vscale
+from gkmchar.laurent import LaurentPoly, RationalChar, eval_numeric, \
+    render_poly
 from gkmchar.randomgen import flag_fixtures, random_generic_xi, \
     standard_fixtures
+from gkmchar.residues import res_T
+from test_residues import fiber_average_numeric
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CP1 = os.path.join(DATA, "cp1.json")
@@ -177,6 +183,55 @@ def test_selftest_injected_corruption_fails(capsys):
     assert "congruence violated" in out
 
 
+def test_selftest_seed_1349_passes(capsys):
+    # its fiber-average battery once failed a correct residue, at a fixed
+    # 1e-6 (the first draw below)
+    code, _, _ = run(["selftest", "--seed", "1349"], capsys)
+    assert code == 0
+
+
+# fiber-average draws with a lift near a pole of a hat: seed 1349's while
+# the lattice battery drew weights, and seed 135's since
+NEAR_POLE_DRAWS = [
+    (RationalChar(LaurentPoly.monomial((1, -2)), ((1, 0), (-2, 2), (2, -1))),
+     (-2, 3), (Fraction(309177, 500000), Fraction(572697, 1000000))),
+    (RationalChar(LaurentPoly.monomial((-1, 1)), ((2, 2), (-1, -2), (2, 1))),
+     (-2, -1), (Fraction(301119, 1000000), Fraction(3763, 25000))),
+]
+
+
+@pytest.mark.parametrize("star, xi, pt", NEAR_POLE_DRAWS)
+def test_fiber_average_battery_scales_its_error_near_a_pole(star, xi, pt,
+                                                            monkeypatch):
+    # the correct residue misses the signed fiber-average sum by more than
+    # 1e-6, and passes against the magnitudes summed
+    rv = res_T(star, xi)
+    rhs = sum((1 if dot(w, xi) < 0 else -1) * fiber_average_numeric(
+        RationalChar(star.numerator,
+                     tuple(u for u in star.denominator if u != w)),
+        w, xi, pt) for w in star.denominator)
+    assert abs(eval_numeric(rv.total, pt) - rhs) > 1e-6
+    monkeypatch.setattr(selftest, "random_vertex_star",
+                        lambda n, d, rng: (star, xi))
+    monkeypatch.setattr(selftest, "random_pole_free_point",
+                        lambda chars, dim, rng: pt)
+    assert selftest._check_fiber_average(random.Random(0), None) \
+        .startswith("max scaled error ")
+    # a residue with one extra monomial still fails at the same draw
+    wrong = dataclasses.replace(
+        rv, total=rv.total + LaurentPoly.monomial((1, 0)))
+    monkeypatch.setattr(selftest, "res_T", lambda star, xi: wrong)
+    with pytest.raises(selftest._Fail, match="^scaled error "):
+        selftest._check_fiber_average(random.Random(0), None)
+
+
+def _off_by_one_inverse(xi):
+    """The completion of xi with its inverse's last entry off by one."""
+    b = complete_to_basis(xi)
+    *rows, last = b.inverse
+    return BasisChange(b.matrix, (*rows, (*last[:-1], last[-1] + 1)))
+
+
 def test_selftest_failure_keeps_the_battery_name(monkeypatch, capsys):
     # a battery that finds a counterexample reports it under the name it
     # passes under, in text and in JSON
@@ -184,6 +239,7 @@ def test_selftest_failure_keeps_the_battery_name(monkeypatch, capsys):
             "multiplicities")
     characters = ("character: expansion equals division route, direction "
                   "independent")
+    lattice = "lattice basis completion and exact inverse"
     cases = [
         ("multiplicity", lambda sym, pol, mu: -1,
          [(hull, "partition-count multiplicity mismatch on cp1")]),
@@ -193,8 +249,14 @@ def test_selftest_failure_keeps_the_battery_name(monkeypatch, capsys):
         ("character_oracle",
          lambda f: character_oracle(f) + LaurentPoly.one(f.action.n),
          [(characters, "division route disagrees with expansion on cp1"),
-          ("numeric localization agreement",
+          ("localization identity mod 2^61 - 1",
            "localized sum differs from the character on cp1")]),
+        # the first completion seed 42 draws is for xi = (-1,): one with
+        # an inverse off in one entry, and an exact one for -xi
+        ("complete_to_basis", _off_by_one_inverse,
+         [(lattice, "inverse is not exact for (-1,)")]),
+        ("complete_to_basis", lambda xi: complete_to_basis(vneg(xi)),
+         [(lattice, "last column is not (-1,)")]),
     ]
     for attr, fake, failures in cases:
         with monkeypatch.context() as patch:

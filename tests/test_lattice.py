@@ -5,9 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gkmchar.characters import polarize
 from gkmchar.lattice import (NotPrimitive, ZeroVector, bareiss,
-                             complete_to_basis, det, direction, dot,
-                             dual_cone, is_primitive, primitive_part,
-                             weight_from_basis, weight_in_basis)
+                             complete_to_basis, direction, dot, dual_cone,
+                             is_primitive, primitive_part)
 from gkmchar.randomgen import random_generic_xi
 
 
@@ -56,13 +55,13 @@ def test_primitive_part_scaling():
 def test_complete_to_basis_standard_vector():
     b = complete_to_basis((0, 1))
     assert b.xi == (0, 1)
-    assert abs(det(b.matrix)) == 1
+    assert abs(bareiss(b.matrix)[0]) == 1
 
 
 def test_complete_to_basis_general():
     b = complete_to_basis((2, 3))
     assert b.xi == (2, 3)
-    assert abs(det(b.matrix)) == 1
+    assert abs(bareiss(b.matrix)[0]) == 1
     # inverse really inverts
     n = b.n
     for i in range(n):
@@ -76,43 +75,23 @@ def test_complete_to_basis_rejects_imprimitive():
         complete_to_basis((2, 4))
 
 
-def test_weight_in_basis_standard():
-    b = complete_to_basis((0, 1))
-    beta, k = weight_in_basis((5, 7), b)
-    assert k == 7
-    assert weight_from_basis(beta, k, b) == (5, 7)
-
-
-def test_weight_in_basis_annihilator_gives_k_zero():
-    b = complete_to_basis((2, 3))
-    alpha = (3, -2)  # pairs to zero with (2,3)
-    beta, k = weight_in_basis(alpha, b)
-    assert k == 0
-    assert weight_from_basis(beta, 0, b) == alpha
-
-
-def test_weight_in_basis_round_trip():
-    b = complete_to_basis((2, 3))
-    beta, k = weight_in_basis((1, 0), b)
-    assert k == dot((1, 0), (2, 3)) == 2
-    assert weight_from_basis(beta, k, b) == (1, 0)
-
-
-def test_random_basis_round_trips(rng):
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        v = tuple(rng.randint(-20, 20) for _ in range(n))
-        if all(x == 0 for x in v):
-            continue
-        xi, _ = primitive_part(v)
-        b = complete_to_basis(xi)
-        assert abs(det(b.matrix)) == 1
-        assert b.xi == xi
-        for _ in range(10):
-            alpha = tuple(rng.randint(-30, 30) for _ in range(n))
-            beta, k = weight_in_basis(alpha, b)
-            assert k == dot(alpha, xi)
-            assert weight_from_basis(beta, k, b) == alpha
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6)
+       .filter(any))
+def test_random_basis_round_trips(v):
+    # xi stays the last column, and the inverse is exact both ways, so
+    # every weight round trips through the basis coordinates: the pairing
+    # with the last column is the pairing with xi, and the inverse
+    # columns rebuild the weight
+    xi, _ = primitive_part(v)
+    b = complete_to_basis(xi)
+    n = len(xi)
+    assert b.n == n and b.xi == xi
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert [[dot(row, col) for col in b.inverse_columns]
+            for row in b.matrix] == identity
+    assert [[dot(row, col) for col in b.columns]
+            for row in b.inverse] == identity
 
 
 def test_primitive_vectors_pair_to_one_with_some_dual_row(rng):
@@ -151,7 +130,7 @@ def square_matrices(draw, max_n=4):
 @settings(max_examples=200, deadline=None)
 @given(square_matrices())
 def test_det_matches_cofactor_expansion(m):
-    assert det(m) == _cofactor_det(m)
+    assert bareiss(m)[0] == _cofactor_det(m)
 
 
 def _reference_dual_basis(weights):
@@ -213,7 +192,8 @@ def _rank(vectors):
     """Rank by the Gram determinants of a greedy independent subset."""
     basis = []
     for w in vectors:
-        if det([[dot(u, x) for x in basis + [w]] for u in basis + [w]]):
+        if bareiss([[dot(u, x) for x in basis + [w]]
+                    for u in basis + [w]])[0]:
             basis.append(w)
     return len(basis)
 
