@@ -14,12 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from gkmchar import cli, selftest
 from gkmchar.characters import CharacterResult, character_expand, \
-    character_oracle
+    character_oracle, polarize
 from gkmchar.cli import main
 from gkmchar.graphs import KClass, gen_projective, gen_weyl_orbit, \
     graph_to_data, positive_roots
-from gkmchar.lattice import BasisChange, complete_to_basis, dot, vneg, \
-    vscale
+from gkmchar.lattice import BasisChange, complete_to_basis, dot, vneg
 from gkmchar.laurent import LaurentPoly, RationalChar, eval_numeric, \
     render_poly
 from gkmchar.randomgen import flag_fixtures, random_generic_xi, \
@@ -279,61 +278,71 @@ def test_proj2_character(capsys):
     assert out.strip() == "1 + 1*x^(0,1) + 1*x^(1,0)"
 
 
-def _proj3_file(tmp_path, scale):
-    """Projective 3-space with the symplectic class scaled by `scale`."""
-    action, sym = gen_projective(3)
-    values = {v: LaurentPoly.monomial(vscale(a, scale))
-              for v, a in sym.alphas.items()}
-    path = tmp_path / f"proj3x{scale}.json"
-    path.write_text(json.dumps(graph_to_data(action, {"omega": values})))
-    return str(path), KClass(action, values)
+def _projective_file(tmp_path, n):
+    """(path, class): projective n-space with its symplectic class."""
+    action, sym = gen_projective(n)
+    path = tmp_path / f"proj{n}.json"
+    path.write_text(json.dumps(graph_to_data(action,
+                                             {"omega": sym.base.values})))
+    return str(path), sym.base
+
+
+def _xi_flag(xi):
+    return "--xi=" + ",".join(map(str, xi))
 
 
 def test_steep_direction_character_matches_division_route(tmp_path, capsys):
-    # the polarized expansion is cut by the dual cones at each vertex, so
-    # a steep direction costs no more than the 4-term answer
-    path, kclass = _proj3_file(tmp_path, 1)
-    code, out, err = run(["character", path, "--xi=1,1000,1000000"], capsys)
+    # the CLI divides on projective 3-space, whose division route
+    # multiplies out 32 terms; the polarized expansion, cut by the dual
+    # cones at each vertex, gives the same 4 terms at a steep direction
+    path, kclass = _projective_file(tmp_path, 3)
+    xi = (1, 1000, 1000000)
+    code, out, err = run(["character", path, _xi_flag(xi)], capsys)
     assert code == 0
     assert err == ""
-    assert out.strip() == render_poly(character_oracle(kclass))
+    want = character_expand(kclass, polarize(kclass.action, xi)).poly
+    assert out.strip() == render_poly(want) == \
+        render_poly(character_oracle(kclass))
 
 
 def test_steep_direction_flag_character_matches_division_route(tmp_path,
                                                                capsys):
     # Fl(4) has 6 weights per vertex in rank 3, so xi and the dual bases
     # of other vertices cannot cut its series; the dual-cone rays of each
-    # vertex do, and the expansion stays near the 38-term answer
+    # vertex do, and the expansion stays near the 38-term answer that the
+    # CLI gets by division
     action, sym = gen_weyl_orbit(positive_roots("A", 3), range(4))
     values = {v: LaurentPoly.monomial(a) for v, a in sym.alphas.items()}
     path = tmp_path / "fl4.json"
     path.write_text(json.dumps(graph_to_data(action, {"omega": values})))
-    code, out, err = run(["character", str(path), "--xi=1,100,10000,1000000",
+    xi = (1, 100, 10000, 1000000)
+    code, out, err = run(["character", str(path), _xi_flag(xi),
                           "--output", "json"], capsys)
     assert (code, err) == (0, "")
-    want = character_oracle(KClass(action, values))
+    want = character_expand(KClass(action, values), polarize(action, xi))
     got = {tuple(t["exp"]): t["coeff"] for t in json.loads(out)["character"]}
     assert len(got) == 38
-    assert got == want.terms
-
-
-def test_truncation_overflow_is_violation_not_traceback(tmp_path, capsys,
-                                                        monkeypatch):
-    # a term budget below the 20 terms of the answer makes the expansion
-    # overflow; the CLI must report that as one error line, not a traceback
-    monkeypatch.setattr(cli, "character_expand",
-                        functools.partial(character_expand, term_budget=8))
-    path, _ = _proj3_file(tmp_path, 3)
-    code, out, err = run(["character", path, "--xi", "1,2,3"], capsys)
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    assert err.startswith("error: ")
-    assert len(err.splitlines()) == 1
+    assert got == want.poly.terms
 
 
 # projective n-space: over the division budget of `gkmchar character`
 BEYOND_BUDGET = {f"proj{n}": n for n in (5, 8, 12)}
+
+
+def test_truncation_overflow_is_violation_not_traceback(tmp_path, capsys,
+                                                        monkeypatch):
+    # projective 5-space is over the division budget, so the CLI expands;
+    # a term budget below the 6 terms of the answer makes the expansion
+    # overflow, which the CLI must report as one error line, not a
+    # traceback
+    monkeypatch.setattr(cli, "character_expand",
+                        functools.partial(character_expand, term_budget=3))
+    path, _ = _projective_file(tmp_path, 5)
+    code, out, err = run(["character", path, _xi_flag(range(1, 6))], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == "error: expansion exceeded 3 terms\n"
 
 
 def _character_runs(tmp_path):
@@ -341,39 +350,43 @@ def _character_runs(tmp_path):
     standard and flag fixture at a generic direction, and of each entry
     of BEYOND_BUDGET at xi = (1, ..., n)."""
     rng = random.Random(0)
-    inputs = [(name, action, sym, random_generic_xi(action, rng))
-              for name, (action, sym) in sorted(
-                  {**standard_fixtures(), **flag_fixtures()}.items())]
-    inputs += [(name,) + gen_projective(n) + (tuple(range(1, n + 1)),)
-               for name, n in BEYOND_BUDGET.items()]
     runs = []
-    for name, action, sym, xi in inputs:
+    for name, (action, sym) in sorted(
+            {**standard_fixtures(), **flag_fixtures()}.items()):
+        xi = random_generic_xi(action, rng)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(graph_to_data(action,
                                                  {"omega": sym.base.values})))
-        runs.append((name, ["character", str(path),
-                            "--xi=" + ",".join(map(str, xi))]))
+        runs.append((name, ["character", str(path), _xi_flag(xi)]))
+    for name, n in BEYOND_BUDGET.items():
+        path, _ = _projective_file(tmp_path, n)
+        runs.append((name, ["character", path, _xi_flag(range(1, n + 1))]))
     return runs
 
 
-def test_character_checks_by_division_only_within_its_budget(
-        tmp_path, capsys, monkeypatch):
-    # every fixture is checked by the division route, projective 5-space
-    # and up by the identity test in a prime field; on projective 12-space
-    # the division route would multiply out 13 * 2^66 terms
-    divided = []
+def test_character_runs_one_exact_route_per_call(tmp_path, capsys,
+                                                 monkeypatch):
+    # every fixture is divided and never expanded, projective 5-space and
+    # up expanded and never divided: on projective 12-space the division
+    # route would multiply out 13 * 2^66 terms
+    calls = []
 
-    def oracle(f):
-        divided.append(name)
-        assert name not in BEYOND_BUDGET, f"division route on {name}"
-        return character_oracle(f)
+    def counted(label, route):
+        def call(*args, **kwargs):
+            calls.append((name, label))
+            return route(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(cli, "character_oracle", oracle)
+    monkeypatch.setattr(cli, "character_oracle",
+                        counted("division", character_oracle))
+    monkeypatch.setattr(cli, "character_expand",
+                        counted("expansion", character_expand))
     runs = _character_runs(tmp_path)
     for name, argv in runs:
         code, out, err = run(argv + ["--output", "json"], capsys)
         assert (code, err) == (0, ""), name
-    assert divided == [name for name, _ in runs if name not in BEYOND_BUDGET]
+    assert calls == [(name, "expansion" if name in BEYOND_BUDGET
+                      else "division") for name, _ in runs]
     # the last run, projective 12-space, has 13 terms
     got = {tuple(t["exp"]): t["coeff"]
            for t in json.loads(out)["character"]}
@@ -382,23 +395,25 @@ def test_character_checks_by_division_only_within_its_budget(
                        for i in range(12)], 1)
 
 
-def test_character_reports_a_wrong_expansion_on_either_route(
+def test_character_reports_a_wrong_answer_of_the_route_it_runs(
         tmp_path, capsys, monkeypatch):
-    # one coefficient of the expansion changed: each cross-check refuses
-    # it with one error line, and exits 2
-    def corrupted(f, pol, **kwargs):
-        poly = character_expand(f, pol, **kwargs).poly
-        return CharacterResult(poly + LaurentPoly(poly.dim,
-                                                  {min(poly.terms): 1}))
+    # one coefficient of the answer changed, on whichever route computes
+    # it: the identity test refuses it with one error line naming the
+    # route, and the CLI exits 2
+    def corrupted(poly):
+        return poly + LaurentPoly(poly.dim, {min(poly.terms): 1})
 
-    monkeypatch.setattr(cli, "character_expand", corrupted)
+    monkeypatch.setattr(cli, "character_oracle",
+                        lambda f: corrupted(character_oracle(f)))
+    monkeypatch.setattr(cli, "character_expand",
+                        lambda f, pol: CharacterResult(
+                            corrupted(character_expand(f, pol).poly)))
     for name, argv in _character_runs(tmp_path):
         code, out, err = run(argv, capsys)
-        route = "localization sum at a point mod 2^61 - 1" \
-            if name in BEYOND_BUDGET else "division route"
+        route = "expansion" if name in BEYOND_BUDGET else "division route"
         assert (code, out) == (2, ""), name
-        assert err == f"error: internal cross-check failed: expansion != " \
-                      f"{route}\n", name
+        assert err == f"error: internal cross-check failed: {route} != " \
+                      f"localization sum at a point mod 2^61 - 1\n", name
 
 
 def test_oriented_cycle_is_violation_not_traceback(capsys):
